@@ -23,8 +23,8 @@ from .errors import NhzmError
 from .lattice import assemble_hamiltonian
 from .localization import (RegimeReport, check_stagger_phase, classify_regime,
                            linear_peak_amplitude)
-from .perturbation import (PerturbationSetup, first_order_wavefunction,
-                           perturbation_vs_exact)
+from .perturbation import (PerturbationSetup, _compare_to_exact,
+                           first_order_wavefunction)
 from .scenario import SCENARIO_SCHEMA, Scenario, ScenarioError, load_scenario
 from .spectral import (assign_mode_numbers, eigendecompose, find_zero_modes,
                        fit_pair_threshold, match_mode, sweep_gamma,
@@ -225,8 +225,8 @@ def _task_ensemble(scenario: Scenario, out: Path) -> None:
 
 def _task_perturbation(scenario: Scenario, out: Path) -> None:
     spec, modes, _ = _zero_modes(scenario)
-    comparison = perturbation_vs_exact(spec)
     setup = PerturbationSetup.from_spec(spec)
+    comparison = _compare_to_exact(setup, modes)
     idx = setup.zero_mode_index()
     pert = setup.modes.right_vectors[:, idx] + first_order_wavefunction(setup, idx)
     exact = modes.right_vectors[:, match_mode(pert, modes)]

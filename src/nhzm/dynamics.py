@@ -138,19 +138,20 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
     floor; choose ``periods`` with that in mind.
     """
     h = assemble_hamiltonian(spec)
-    reservoir = list(spec.reservoir_sites())
+    sites = spec.reservoir_sites()
+    reservoir = slice(sites.start, sites.stop)
     base = np.asarray(zero_mode.wavefunction, dtype=complex)
     states = np.tile(base[:, None], (1, n_realizations))
     for i in range(n_realizations):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        states[reservoir, i] *= np.exp(sigma * rng.standard_normal(len(reservoir)))
+        states[reservoir, i] *= np.exp(sigma * rng.standard_normal(len(sites)))
 
     out = _evolve_normalized(h, states, periods * PERIOD, normalization)
     profiles = np.abs(out[reservoir, :])
     mean = profiles.mean(axis=1)
     std = profiles.std(axis=1)
 
-    x = np.arange(len(reservoir), dtype=float)
+    x = np.arange(len(sites), dtype=float)
     slope, intercept = np.polyfit(x, mean, 1)
     resid = mean - (slope * x + intercept)
     ss_tot = float(np.sum((mean - mean.mean()) ** 2))

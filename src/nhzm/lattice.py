@@ -10,7 +10,8 @@ homogeneous onsite energy as the zero of the spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,8 +112,14 @@ class LatticeSpec:
         """Gain/loss magnitude of the reservoir's alternating modulation.
 
         Requires the reservoir onsite imaginary parts to alternate in sign
-        with a common magnitude (a Hermitian reservoir returns 0).
+        with a common magnitude (a Hermitian reservoir returns 0).  The
+        value is derived once per spec; an invalid reservoir raises on
+        every call.
         """
+        return self._reservoir_gamma
+
+    @cached_property
+    def _reservoir_gamma(self) -> float:
         imag = [self.sites[i].onsite_imag for i in self.reservoir_sites()]
         gamma = max(abs(v) for v in imag)
         if gamma == 0.0:
@@ -128,8 +135,13 @@ class LatticeSpec:
         """The two alternating bond strengths inside the reservoir.
 
         Returns ``(t, t)`` for a uniform reservoir.  A single-site reservoir
-        has no internal bonds and raises.
+        has no internal bonds and raises.  Derived once per spec, like
+        ``reservoir_gamma``.
         """
+        return self._reservoir_couplings
+
+    @cached_property
+    def _reservoir_couplings(self) -> tuple[float, float]:
         start = 0 if self.partition is None else self.partition
         strengths = [c.strength for c in self.couplings if c.left >= start]
         if not strengths:
@@ -152,7 +164,6 @@ class Hamiltonian:
     """
 
     matrix: np.ndarray
-    _norm: float = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -162,16 +173,19 @@ class Hamiltonian:
             raise InvalidSpecError("Hamiltonian entries must be finite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_norm", float(np.linalg.norm(m, 2)) if m.size else 0.0)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def norm(self) -> float:
-        """Spectral norm, used to scale residual tolerances."""
-        return self._norm
+        """Spectral norm (largest singular value), used to scale tolerances.
+
+        Computed by an SVD on first use and cached.  Where an upper bound
+        suffices, sqrt(|H|_1 |H|_inf) costs O(N^2) (see ``eigendecompose``).
+        """
+        return float(np.linalg.norm(self.matrix, 2)) if self.matrix.size else 0.0
 
 
 def build_ssh_chain(n_sites: int, t_a: float, t_b: float, onsite: float = 0.0,

@@ -69,8 +69,7 @@ class PerturbationSetup:
         flagged = np.concatenate([sys_modes.near_defective,
                                   res_modes.near_defective])
         overlaps = np.concatenate([sys_modes.lr_overlaps, res_modes.lr_overlaps])
-        modes = ModeSet(w, right, left, gaps_all.min(axis=1), overlaps,
-                        flagged, Hamiltonian(h0).norm)
+        modes = ModeSet(w, right, left, gaps_all.min(axis=1), overlaps, flagged)
         return cls(Hamiltonian(h0), h_prime, t_prime, modes)
 
     def zero_mode_index(self) -> int:
@@ -144,7 +143,14 @@ def perturbation_vs_exact(spec: LatticeSpec,
     exact one in phase and normalization by least-squares projection before
     the 2-norm error is taken.
     """
-    setup = PerturbationSetup.from_spec(spec)
+    return _compare_to_exact(PerturbationSetup.from_spec(spec),
+                             eigendecompose(assemble_hamiltonian(spec)),
+                             mode_index)
+
+
+def _compare_to_exact(setup: PerturbationSetup, exact: ModeSet,
+                      mode_index: int | None = None) -> PerturbationComparison:
+    """``perturbation_vs_exact`` on a prebuilt setup and exact spectrum."""
     if mode_index is None:
         mode_index = setup.zero_mode_index()
     omega_pert = setup.modes.eigenvalues[mode_index] + first_order_energy(
@@ -152,7 +158,6 @@ def perturbation_vs_exact(spec: LatticeSpec,
     psi_pert = setup.modes.right_vectors[:, mode_index] + \
         first_order_wavefunction(setup, mode_index)
 
-    exact = eigendecompose(assemble_hamiltonian(spec))
     j = match_mode(psi_pert, exact)
     psi_exact = exact.right_vectors[:, j]
 

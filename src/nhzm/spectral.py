@@ -44,8 +44,8 @@ class ModeSet:
         |<left|right>| with both vectors unit-norm; tends to 0 at an
         exceptional point.
     near_defective : (N,) bool ndarray
-    matrix_norm : float
-        Spectral norm of the decomposed matrix, for residual scales.
+        Modes whose eigenvalue gap or left-right overlap is too small to
+        biorthonormalize; see ``eigendecompose`` for the screen.
     """
 
     eigenvalues: np.ndarray
@@ -54,7 +54,6 @@ class ModeSet:
     eigenvalue_gaps: np.ndarray
     lr_overlaps: np.ndarray
     near_defective: np.ndarray
-    matrix_norm: float
 
     def __post_init__(self):
         # safe to share between threads: freeze the arrays
@@ -119,7 +118,11 @@ def eigendecompose(h: Hamiltonian) -> ModeSet:
 
     Right vectors are unit-norm; left vectors are biorthonormalized against
     them (``<left_i|right_j> = delta_ij``) except for near-defective modes,
-    which are flagged rather than failed.
+    which are flagged rather than failed.  A mode is near-defective when
+    its left-right overlap is below ``DEFECT_OVERLAP`` or its eigenvalue
+    gap is below ``DEFECT_GAP_FRACTION * sqrt(|H|_1 |H|_inf)``.  That scale
+    bounds the spectral norm from above and costs O(N^2) instead of an
+    SVD, so the screen flags every mode a spectral-norm screen would.
     """
     m = h.matrix
     if not np.all(np.isfinite(m)):
@@ -145,14 +148,15 @@ def eigendecompose(h: Hamiltonian) -> ModeSet:
     else:
         gaps = np.full(1, np.inf)
     self_overlaps = np.abs(np.einsum("ij,ji->i", left, vr))
-    flagged = (gaps < DEFECT_GAP_FRACTION * max(h.norm, 1e-300)) | (
+    norm_bound = np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
+    flagged = (gaps < DEFECT_GAP_FRACTION * max(norm_bound, 1e-300)) | (
         self_overlaps < DEFECT_OVERLAP)
 
     scale = np.einsum("ij,ji->i", left, vr)
     safe = ~flagged
     left[safe] = left[safe] / scale[safe, None]
 
-    return ModeSet(w, vr, left, gaps, self_overlaps, flagged, h.norm)
+    return ModeSet(w, vr, left, gaps, self_overlaps, flagged)
 
 
 def _involution(kind: str, omega0: float):

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import nhzm
 from nhzm.cli import main
 from nhzm.scenario import (SCENARIO_SCHEMA, ScenarioError,
                            bundled_scenario_names, load_scenario)
@@ -194,7 +197,12 @@ def test_every_bundled_scenario_runs_quickly(name, tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the nhzm this process imported, also when a bare
+    # ``pytest`` put the source tree on sys.path through its ``pythonpath``
+    src = str(Path(nhzm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "nhzm.cli", "schema"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     json.loads(proc.stdout)

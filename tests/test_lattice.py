@@ -53,6 +53,28 @@ class TestBuildReservoir:
         assert spec.sites[0].onsite_imag == -1.5
         assert spec.sites[1].onsite_imag == +1.5
 
+    def test_invalid_reservoir_raises_on_every_call(self):
+        # the parameters are derived once per spec, but a failed derivation
+        # is not remembered as a value
+        sites = tuple(nhzm.Site(0.0, g, "AB"[i % 2])
+                      for i, g in enumerate((1.0, 1.0, -1.0, 1.0)))
+        spec = nhzm.LatticeSpec(sites, tuple(
+            nhzm.Coupling(i, i + 1, s) for i, s in enumerate((1.0, 0.5, 0.7))))
+        for _ in range(3):
+            with pytest.raises(InvalidSpecError, match="alternate"):
+                spec.reservoir_gamma()
+            with pytest.raises(InvalidSpecError, match="alternate"):
+                spec.reservoir_couplings()
+
+    def test_derived_parameters_leave_equality_and_hash(self):
+        spec, twin = nhzm.coupled_chain(2.0), nhzm.coupled_chain(2.0)
+        before = hash(spec)
+        assert spec.reservoir_gamma() == 2.0
+        assert spec.reservoir_couplings() == (1.0, 1.0)
+        assert spec == twin
+        assert hash(spec) == before == hash(twin)
+        assert spec != nhzm.coupled_chain(2.5)
+
 
 class TestCouple:
     def test_default_chain_matches_expected_shape(self):

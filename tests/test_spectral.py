@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import nhzm
 from nhzm.errors import FitError
-from nhzm.spectral import ModeTrajectory
+from nhzm.spectral import DEFECT_GAP_FRACTION, DEFECT_OVERLAP, ModeTrajectory
 
 from conftest import KNOWN_ZERO_OMEGAS, baseline_zero_mode, chain_modes
 
@@ -37,6 +37,26 @@ class TestEigendecompose:
         modes = nhzm.eigendecompose(h)
         np.testing.assert_allclose(modes.eigenvalues, [0, 0], atol=1e-7)
         assert modes.near_defective.all()
+        assert h.norm == np.linalg.norm(h.matrix, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7),
+           st.lists(st.floats(0.2, 2.0), min_size=13, max_size=13),
+           st.floats(0.0, 3.0), st.floats(1.0, 16.0))
+    def test_defect_screen_covers_spectral_norm_screen(self, half, segment,
+                                                       gamma, digits):
+        # two identical gain/loss segments joined by a bond of 10^-digits:
+        # their eigenvalues pair up with gaps on both sides of the screen
+        # threshold, while the eigenvectors stay apart (no coalescence)
+        m = 2 * half
+        couplings = segment[:m - 1] + [10.0 ** -digits] + segment[:m - 1]
+        h = random_gain_loss_chain(2 * m, couplings, gamma)
+        modes = nhzm.eigendecompose(h)
+        assert "norm" not in vars(h), "the screen must not compute an SVD"
+        exact = (modes.eigenvalue_gaps < DEFECT_GAP_FRACTION * h.norm) | (
+            modes.lr_overlaps < DEFECT_OVERLAP)
+        assert not (exact & ~modes.near_defective).any()
+        assert h.norm == np.linalg.norm(h.matrix, 2)
 
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 3.0])
     def test_residual_bound(self, gamma):
