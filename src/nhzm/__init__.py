@@ -27,11 +27,11 @@ from .localization import (Regime, RegimeReport, StaggerReport, TailFit,
                            zigzag_gammas)
 from .perturbation import (PerturbationComparison, PerturbationSetup,
                            first_order_energy, first_order_wavefunction,
-                           perturbation_vs_exact)
+                           first_order_zero_mode, perturbation_vs_exact)
 from .spectral import (ModeSet, ModeTrajectory, SymmetryPairing, ZeroMode,
                        assign_mode_numbers, check_spectral_symmetry,
                        eigendecompose, find_zero_modes, fit_pair_threshold,
-                       match_mode, sweep_gamma, track_modes)
+                       lowest_zero_mode, match_mode, sweep_gamma, track_modes)
 
 __all__ = [
     "__version__",
@@ -48,9 +48,10 @@ __all__ = [
     "hermitian_alpha", "linear_peak_amplitude", "ssh_localization_length",
     "verify_eigenmode_recurrence", "verify_recurrence", "zigzag_gammas",
     "PerturbationComparison", "PerturbationSetup", "first_order_energy",
-    "first_order_wavefunction", "perturbation_vs_exact",
+    "first_order_wavefunction", "first_order_zero_mode",
+    "perturbation_vs_exact",
     "ModeSet", "ModeTrajectory", "SymmetryPairing", "ZeroMode",
     "assign_mode_numbers", "check_spectral_symmetry", "eigendecompose",
-    "find_zero_modes", "fit_pair_threshold", "match_mode", "sweep_gamma",
-    "track_modes",
+    "find_zero_modes", "fit_pair_threshold", "lowest_zero_mode",
+    "match_mode", "sweep_gamma", "track_modes",
 ]

@@ -24,10 +24,10 @@ from .lattice import assemble_hamiltonian
 from .localization import (RegimeReport, check_stagger_phase, classify_regime,
                            linear_peak_amplitude)
 from .perturbation import (PerturbationSetup, _compare_to_exact,
-                           first_order_wavefunction)
+                           first_order_zero_mode)
 from .scenario import SCENARIO_SCHEMA, Scenario, ScenarioError, load_scenario
 from .spectral import (assign_mode_numbers, eigendecompose, find_zero_modes,
-                       fit_pair_threshold, match_mode, sweep_gamma,
+                       fit_pair_threshold, lowest_zero_mode, sweep_gamma,
                        track_modes)
 
 EXIT_OK = 0
@@ -35,23 +35,25 @@ EXIT_SCENARIO = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _meta(scenario: Scenario) -> dict:
     return {"version": __version__, "scenario": scenario.data}
 
 
-def _write_csv(path: Path, columns, rows, scenario: Scenario) -> None:
+def _write_csv(path: Path, header, columns, scenario: Scenario) -> None:
+    """Write one CSV line per row of the given equal-length columns.
+
+    A column's dtype picks its text: repr for floats (shortest round-trip
+    digits), str for integers and strings.
+    """
     lines = [f"# nhzm {__version__}",
              "# scenario: " + json.dumps(scenario.data, sort_keys=True),
-             ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+             ",".join(header)]
+    text = []
+    for column in columns:
+        values = np.asarray(column)
+        text.append(map(repr if values.dtype.kind == "f" else str,
+                        values.tolist()))
+    lines.extend(map(",".join, zip(*text)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -98,33 +100,37 @@ def _zero_modes(scenario: Scenario):
 
 def _task_spectrum(scenario: Scenario, out: Path) -> None:
     spec, modes, zms = _zero_modes(scenario)
-    rows = [(i, w.real, w.imag) for i, w in enumerate(modes.eigenvalues)]
+    w = modes.eigenvalues
     _write_csv(out / "spectrum.csv", ("mode_index", "re_omega", "im_omega"),
-               rows, scenario)
+               (np.arange(len(w)), w.real, w.imag), scenario)
     reports = [_regime_payload(classify_regime(zm, spec),
                                {"mode_index": zm.mode_index})
                for zm in zms]
     _write_json(out / "zero_modes.json", {"zero_modes": reports}, scenario)
 
 
-def _task_mode_profile(scenario: Scenario, out: Path) -> None:
-    spec, modes, zms = _zero_modes(scenario)
-    if not zms:
+def _baseline_zero_mode(scenario: Scenario):
+    spec = scenario.build_spec()
+    zm = lowest_zero_mode(spec)
+    if zm is None:
         raise NhzmError("no zero mode found for this scenario")
-    zm = zms[0]
+    return spec, zm
+
+
+def _task_mode_profile(scenario: Scenario, out: Path) -> None:
+    spec, zm = _baseline_zero_mode(scenario)
     psi = zm.wavefunction / np.abs(zm.wavefunction).max()
 
-    setup = PerturbationSetup.from_spec(spec)
-    idx = setup.zero_mode_index()
-    pert = setup.modes.right_vectors[:, idx] + first_order_wavefunction(setup, idx)
+    pert = first_order_zero_mode(spec)
     scale = np.vdot(pert, psi) / np.vdot(pert, pert)
     pert = scale * pert
 
-    rows = [(n, spec.sites[n].sublattice, abs(psi[n]), psi[n].real,
-             psi[n].imag, abs(pert[n])) for n in range(spec.n_sites)]
     _write_csv(out / "profile.csv",
                ("site", "sublattice", "abs_exact", "re_exact", "im_exact",
-                "abs_pert"), rows, scenario)
+                "abs_pert"),
+               (np.arange(spec.n_sites), spec.sublattices(),
+                np.hypot(psi.real, psi.imag), psi.real, psi.imag,
+                np.hypot(pert.real, pert.imag)), scenario)
 
     report = classify_regime(zm, spec)
     stagger = check_stagger_phase(psi, spec.partition)
@@ -159,7 +165,7 @@ def _task_sweep(scenario: Scenario, out: Path) -> None:
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(out / "sweep.csv",
                ("gamma", "mode_id", "re_omega", "im_omega", "r"),
-               rows, scenario)
+               tuple(zip(*rows)), scenario)
 
     baseline = []
     for g, modeset in zip(grid, sweeps):
@@ -190,12 +196,10 @@ def _task_bands(scenario: Scenario, out: Path) -> None:
     for gamma in blk["gammas"]:
         scan = band_energies(res["tA"], res["tB"], gamma,
                              scenario.data.get("onsite", 0.0), blk["k_points"])
-        rows = [(k, wp.real, wp.imag, wm.real, wm.imag)
-                for k, wp, wm in zip(scan.k_grid, scan.omega_plus,
-                                     scan.omega_minus)]
         _write_csv(out / f"bands_gamma{gamma:g}.csv",
                    ("k", "re_plus", "im_plus", "re_minus", "im_minus"),
-                   rows, scenario)
+                   (scan.k_grid, scan.omega_plus.real, scan.omega_plus.imag,
+                    scan.omega_minus.real, scan.omega_minus.imag), scenario)
         for ep in scan.eps:
             all_eps.append({
                 "gamma": gamma, "k": ep.k,
@@ -207,12 +211,10 @@ def _task_bands(scenario: Scenario, out: Path) -> None:
 
 
 def _task_ensemble(scenario: Scenario, out: Path) -> None:
-    spec, modes, zms = _zero_modes(scenario)
-    if not zms:
-        raise NhzmError("no zero mode found for this scenario")
+    spec, zm = _baseline_zero_mode(scenario)
     blk = scenario.data["ensemble"]
     result = ensemble_experiment(
-        spec, zms[0], sigma=blk["sigma"],
+        spec, zm, sigma=blk["sigma"],
         n_realizations=blk["n_realizations"], periods=blk["periods"],
         seed=scenario.data["seed"])
     _write_json(out / "ensemble.json", {
@@ -226,15 +228,16 @@ def _task_ensemble(scenario: Scenario, out: Path) -> None:
 def _task_perturbation(scenario: Scenario, out: Path) -> None:
     spec, modes, _ = _zero_modes(scenario)
     setup = PerturbationSetup.from_spec(spec)
-    comparison = _compare_to_exact(setup, modes)
-    idx = setup.zero_mode_index()
-    pert = setup.modes.right_vectors[:, idx] + first_order_wavefunction(setup, idx)
-    exact = modes.right_vectors[:, match_mode(pert, modes)]
+    comparison, pert, j = _compare_to_exact(setup, modes)
+    exact = modes.right_vectors[:, j]
     exact = exact / np.abs(exact).max()
     pert = (np.vdot(pert, exact) / np.vdot(pert, pert)) * pert
-    rows = [(n, abs(exact[n]), abs(pert[n]), idx) for n in range(spec.n_sites)]
+    n = spec.n_sites
     _write_csv(out / "perturbation.csv",
-               ("site", "abs_exact", "abs_pert", "mode_index"), rows, scenario)
+               ("site", "abs_exact", "abs_pert", "mode_index"),
+               (np.arange(n), np.hypot(exact.real, exact.imag),
+                np.hypot(pert.real, pert.imag),
+                np.full(n, setup.zero_mode_index())), scenario)
     _write_json(out / "perturbation.json", {
         "vector_error": comparison.vector_error,
         "energy_error": comparison.energy_error,

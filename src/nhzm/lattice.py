@@ -265,14 +265,28 @@ def couple(system: LatticeSpec, reservoir: LatticeSpec, t_prime: float) -> Latti
     return LatticeSpec(sites, tuple(couplings), partition=offset)
 
 
+def tridiagonal(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and superdiagonal of the spec's matrix, built in O(N).
+
+    The diagonal holds the complex onsite energies; the superdiagonal holds
+    the bond strengths, 0 where two neighbors are not coupled.  The matrix
+    is symmetric, so the subdiagonal equals the superdiagonal.
+    """
+    off = np.zeros(spec.n_sites - 1)
+    for c in spec.couplings:
+        off[c.left] = c.strength
+    return spec.onsite_energies(), off
+
+
 def assemble_hamiltonian(spec: LatticeSpec) -> Hamiltonian:
     """Dense matrix with the spec's onsite energies and symmetric couplings."""
-    n = spec.n_sites
+    diag, off = tridiagonal(spec)
+    n = len(diag)
     m = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(m, spec.onsite_energies())
-    for c in spec.couplings:
-        m[c.left, c.right] = c.strength
-        m[c.right, c.left] = c.strength
+    i = np.arange(n)
+    m[i, i] = diag
+    m[i[:-1], i[1:]] = off
+    m[i[1:], i[:-1]] = off
     return Hamiltonian(m)
 
 

@@ -5,7 +5,9 @@ reservoir blocks; the perturbation is the junction bond, a structure matrix
 with two unit entries scaled by t_prime.  Because every unperturbed mode
 lives entirely in one block while the perturbation only bridges the blocks,
 all first-order energy corrections vanish and the first-order wave-function
-correction of a system mode lives entirely in the reservoir.
+correction of a system mode lives entirely in the reservoir.  That
+correction is the junction resolvent t' (omega0 - H0_other)^-1 H' psi0 of the
+other block, one tridiagonal solve instead of a sum over its modes.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import DegeneratePerturbationError, DomainError
-from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian
+from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian, tridiagonal
 from .spectral import ModeSet, eigendecompose, match_mode
 
 DEGENERACY_GAP = 1e-8
@@ -93,38 +96,82 @@ def first_order_energy(setup: PerturbationSetup, mode_index: int) -> complex:
 
 def first_order_wavefunction(setup: PerturbationSetup,
                              mode_index: int) -> np.ndarray:
-    """Wave-function correction summed over all other unperturbed modes.
+    """Wave-function correction t' (w0 - H0)^-1 H' psi0 of one unperturbed mode.
 
-    Raises when an energy denominator falls below the degeneracy gap, which
-    happens when the uncoupled reservoir passes through an exceptional
-    point.
+    H' psi0 lies in the block the mode does not occupy, where w0 - H0 is
+    regular, so this equals the sum over that block's modes nu of
+    psi_nu <phi_nu|H'|psi0> / (w0 - w_nu), at the cost of one tridiagonal
+    solve.  ``h_prime`` must be the junction bond ``from_spec`` builds.
+    Raises for a near-defective mode, and when the solve amplifies by more
+    than 1/DEGENERACY_GAP, which happens when w0 is (nearly) an eigenvalue
+    of the other block, as at an exceptional point of the uncoupled
+    reservoir.
     """
     modes = setup.modes
     if modes.near_defective[mode_index]:
         raise DegeneratePerturbationError(
             f"unperturbed mode {mode_index} is near-defective")
-    w0 = modes.eigenvalues[mode_index]
-    psi0 = modes.right_vectors[:, mode_index]
-    correction = np.zeros_like(psi0)
-    hp_psi = setup.h_prime @ psi0
-    for nu in range(modes.n_modes):
-        if nu == mode_index:
-            continue
-        denom = w0 - modes.eigenvalues[nu]
-        element = modes.left_vectors[nu] @ hp_psi
-        if element == 0:
-            continue
-        if modes.near_defective[nu]:
-            # a coalescing pair has no biorthonormalized left vector; the
-            # nondegenerate expansion is inapplicable
-            raise DegeneratePerturbationError(
-                f"unperturbed mode {nu} is near-defective")
-        if abs(denom) < DEGENERACY_GAP:
-            raise DegeneratePerturbationError(
-                f"degenerate denominator between modes {mode_index} and {nu}: "
-                f"gap {abs(denom):.2e}")
-        correction += (element / denom) * modes.right_vectors[:, nu]
+    rhs = setup.h_prime @ modes.right_vectors[:, mode_index]
+    # the first reservoir site closes the junction bond
+    p = int(np.flatnonzero(np.diagonal(setup.h_prime, 1))[0]) + 1
+    other = slice(p, None) if rhs[p:].any() else slice(0, p)
+    block = setup.h0.matrix[other, other]
+    correction = np.zeros_like(rhs)
+    correction[other] = _resolvent(np.diagonal(block), np.diagonal(block, 1).real,
+                                   modes.eigenvalues[mode_index], rhs[other])
     return setup.t_prime * correction
+
+
+def first_order_zero_mode(spec: LatticeSpec) -> np.ndarray:
+    """The system block's zero mode plus its first-order junction correction.
+
+    The unperturbed mode is the system-block eigenvector with the eigenvalue
+    closest to zero, unit-norm and zero on the reservoir; the correction is
+    ``first_order_wavefunction``'s reservoir solve.  Only the system block
+    is decomposed, so the cost is O(N) in the reservoir length.
+    """
+    if spec.partition is None:
+        raise DomainError("spec has no partition; nothing to cut")
+    p = spec.partition
+    system = LatticeSpec(spec.sites[:p],
+                         tuple(c for c in spec.couplings if c.right < p))
+    sys_modes = eigendecompose(assemble_hamiltonian(system))
+    idx = int(np.argmin(np.abs(sys_modes.eigenvalues)))
+    if sys_modes.near_defective[idx]:
+        raise DegeneratePerturbationError(
+            f"unperturbed mode {idx} is near-defective")
+    psi = np.zeros(spec.n_sites, dtype=complex)
+    psi[:p] = sys_modes.right_vectors[:, idx]
+    rhs = np.zeros(spec.n_sites - p, dtype=complex)
+    rhs[0] = psi[p - 1]
+    diag, off = tridiagonal(spec)
+    psi[p:] = off[p - 1] * _resolvent(diag[p:], off[p:],
+                                      sys_modes.eigenvalues[idx], rhs)
+    return psi
+
+
+def _resolvent(diag: np.ndarray, off: np.ndarray, w0: complex,
+               rhs: np.ndarray) -> np.ndarray:
+    """(w0 - T)^-1 rhs for the symmetric tridiagonal T with diagonals diag, off.
+
+    Raises DegeneratePerturbationError when the solve amplifies by more than
+    1/DEGENERACY_GAP or w0 - T is exactly singular.
+    """
+    ab = np.zeros((3, len(diag)), dtype=complex)
+    ab[0, 1:] = -off
+    ab[1] = w0 - diag
+    ab[2, :-1] = -off
+    try:
+        x = solve_banded((1, 1), ab, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegeneratePerturbationError(
+            f"w0 = {complex(w0):.6g} is an eigenvalue of the other block") from exc
+    size_x, size_rhs = np.linalg.norm(x), np.linalg.norm(rhs)
+    if not size_x * DEGENERACY_GAP <= size_rhs:
+        raise DegeneratePerturbationError(
+            f"degenerate resolvent at w0 = {complex(w0):.6g}: amplification "
+            f"{size_x / size_rhs:.2e} exceeds 1/DEGENERACY_GAP")
+    return x
 
 
 @dataclass(frozen=True)
@@ -145,12 +192,17 @@ def perturbation_vs_exact(spec: LatticeSpec,
     """
     return _compare_to_exact(PerturbationSetup.from_spec(spec),
                              eigendecompose(assemble_hamiltonian(spec)),
-                             mode_index)
+                             mode_index)[0]
 
 
 def _compare_to_exact(setup: PerturbationSetup, exact: ModeSet,
-                      mode_index: int | None = None) -> PerturbationComparison:
-    """``perturbation_vs_exact`` on a prebuilt setup and exact spectrum."""
+                      mode_index: int | None = None
+                      ) -> tuple[PerturbationComparison, np.ndarray, int]:
+    """``perturbation_vs_exact`` on a prebuilt setup and exact spectrum.
+
+    Also returns the unnormalized first-order vector and the index of the
+    exact mode it matched, so callers need not evaluate it again.
+    """
     if mode_index is None:
         mode_index = setup.zero_mode_index()
     omega_pert = setup.modes.eigenvalues[mode_index] + first_order_energy(
@@ -161,10 +213,11 @@ def _compare_to_exact(setup: PerturbationSetup, exact: ModeSet,
     j = match_mode(psi_pert, exact)
     psi_exact = exact.right_vectors[:, j]
 
-    psi_pert = psi_pert / np.linalg.norm(psi_pert)
-    scale = np.vdot(psi_pert, psi_exact)
-    vector_error = float(np.linalg.norm(psi_exact - scale * psi_pert))
+    unit = psi_pert / np.linalg.norm(psi_pert)
+    scale = np.vdot(unit, psi_exact)
+    vector_error = float(np.linalg.norm(psi_exact - scale * unit))
     energy_error = float(abs(exact.eigenvalues[j] - omega_pert))
-    return PerturbationComparison(vector_error, energy_error,
-                                  complex(exact.eigenvalues[j]),
-                                  complex(omega_pert))
+    comparison = PerturbationComparison(vector_error, energy_error,
+                                        complex(exact.eigenvalues[j]),
+                                        complex(omega_pert))
+    return comparison, psi_pert, j

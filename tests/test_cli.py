@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -196,13 +197,59 @@ def test_every_bundled_scenario_runs_quickly(name, tmp_path):
     assert time.perf_counter() - start < 60.0
 
 
-def test_console_entry_point():
+def child_env():
     # the child imports the nhzm this process imported, also when a bare
     # ``pytest`` put the source tree on sys.path through its ``pythonpath``
     src = str(Path(nhzm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "nhzm.cli", "schema"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     json.loads(proc.stdout)
+
+
+def test_paper_scenario_does_not_import_the_sparse_solver(tmp_path):
+    code = ("import sys; from nhzm.cli import main; "
+            f"assert main(['run', 'fig1c', '--out', {str(tmp_path)!r}]) == 0; "
+            "print('scipy.sparse.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+class TestLongChain:
+    @staticmethod
+    def profile_scenario(tmp_path, n_reservoir):
+        return write_scenario(tmp_path, {
+            "task": "mode-profile",
+            "system": {"n": 9, "tA": 1.0, "tB": 0.2},
+            "reservoir": {"n": n_reservoir, "tA": 1.0, "tB": 1.0,
+                          "gamma": 2.0},
+            "coupling": 0.2})
+
+    def test_mode_profile_repeats_byte_for_byte(self, tmp_path):
+        path = self.profile_scenario(tmp_path, 200)
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(["run", path, "--out", str(out)]) == 0
+        for name in ("profile.csv", "regime.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+    def test_mode_profile_memory_stays_linear(self, tmp_path):
+        # the dense 5009 x 5009 complex matrix alone would take 400 MB
+        path = self.profile_scenario(tmp_path, 5000)
+        import scipy.sparse.linalg  # noqa: F401  (import outside the count)
+        tracemalloc.start()
+        try:
+            assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        rows = (tmp_path / "out" / "profile.csv").read_text().splitlines()[3:]
+        assert len(rows) == 5009

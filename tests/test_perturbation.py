@@ -3,12 +3,44 @@ import pytest
 
 import nhzm
 from nhzm.errors import DegeneratePerturbationError
-from nhzm.perturbation import PerturbationSetup
+from nhzm.perturbation import DEGENERACY_GAP, PerturbationSetup
+
+GAMMAS = np.round(np.arange(0.25, 3.01, 0.25), 10)
 
 
 def setup_for(gamma, t_prime=0.2):
     spec = nhzm.coupled_chain(gamma, t_prime=t_prime)
     return spec, PerturbationSetup.from_spec(spec)
+
+
+def sum_over_states(setup, mode_index):
+    """Reference first-order correction: the sum over all unperturbed modes."""
+    modes = setup.modes
+    if modes.near_defective[mode_index]:
+        raise DegeneratePerturbationError(
+            f"unperturbed mode {mode_index} is near-defective")
+    w0 = modes.eigenvalues[mode_index]
+    psi0 = modes.right_vectors[:, mode_index]
+    correction = np.zeros_like(psi0)
+    hp_psi = setup.h_prime @ psi0
+    for nu in range(modes.n_modes):
+        if nu == mode_index:
+            continue
+        denom = w0 - modes.eigenvalues[nu]
+        element = modes.left_vectors[nu] @ hp_psi
+        if element == 0:
+            continue
+        if modes.near_defective[nu]:
+            # a coalescing pair has no biorthonormalized left vector; the
+            # nondegenerate expansion is inapplicable
+            raise DegeneratePerturbationError(
+                f"unperturbed mode {nu} is near-defective")
+        if abs(denom) < DEGENERACY_GAP:
+            raise DegeneratePerturbationError(
+                f"degenerate denominator between modes {mode_index} and {nu}: "
+                f"gap {abs(denom):.2e}")
+        correction += (element / denom) * modes.right_vectors[:, nu]
+    return setup.t_prime * correction
 
 
 class TestSetup:
@@ -38,7 +70,7 @@ class TestSetup:
 
 
 class TestFirstOrderEnergy:
-    @pytest.mark.parametrize("gamma", np.round(np.arange(0.25, 3.01, 0.25), 10))
+    @pytest.mark.parametrize("gamma", GAMMAS)
     def test_vanishes_for_every_mode(self, gamma):
         _, setup = setup_for(float(gamma))
         for i in range(19):
@@ -103,6 +135,38 @@ class TestFirstOrderWavefunction:
         idx = setup.zero_mode_index()
         with pytest.raises(DegeneratePerturbationError):
             nhzm.first_order_wavefunction(setup, idx)
+
+    def test_exactly_singular_block_raises_cleanly(self):
+        # a one-site system has omega0 = 0 exactly, an eigenvalue of the
+        # three-site Hermitian reservoir
+        spec = nhzm.coupled_chain(0.0, n_system=1, n_reservoir=3)
+        setup = PerturbationSetup.from_spec(spec)
+        assert setup.modes.eigenvalues[0] == 0.0
+        with pytest.raises(DegeneratePerturbationError):
+            nhzm.first_order_wavefunction(setup, 0)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_resolvent_equals_sum_over_states(self, gamma):
+        _, setup = setup_for(float(gamma))
+        blocks = set()
+        for i in range(19):
+            if setup.modes.near_defective[i]:
+                continue
+            reference = sum_over_states(setup, i)
+            correction = nhzm.first_order_wavefunction(setup, i)
+            assert np.linalg.norm(correction - reference) <= \
+                1e-10 * np.linalg.norm(reference)
+            blocks.add(i < 9)
+        assert blocks == {True, False}
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_system_zero_mode_profile_matches_the_setup(self, gamma):
+        spec, setup = setup_for(float(gamma))
+        idx = setup.zero_mode_index()
+        expected = setup.modes.right_vectors[:, idx] + \
+            nhzm.first_order_wavefunction(setup, idx)
+        np.testing.assert_allclose(nhzm.first_order_zero_mode(spec),
+                                   expected, rtol=0, atol=1e-15)
 
 
 class TestAgainstExact:

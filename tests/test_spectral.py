@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nhzm
 from nhzm.errors import FitError
-from nhzm.spectral import DEFECT_GAP_FRACTION, DEFECT_OVERLAP, ModeTrajectory
+from nhzm.lattice import tridiagonal
+from nhzm.spectral import (DEFECT_GAP_FRACTION, DEFECT_OVERLAP,
+                           SPARSE_MIN_SITES, ModeTrajectory)
 
 from conftest import KNOWN_ZERO_OMEGAS, baseline_zero_mode, chain_modes
 
@@ -265,3 +267,88 @@ class TestMatchMode:
         mixed = modes.right_vectors[:, 3] + modes.right_vectors[:, 12]
         with pytest.raises(nhzm.errors.ModeMatchingError):
             nhzm.match_mode(mixed, modes, min_overlap=0.99)
+
+
+def dense_lowest_zero_mode(spec):
+    zms = nhzm.find_zero_modes(
+        nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec)), spec)
+    return zms[0] if zms else None
+
+
+def eigenvector_agrees(zm, ref, h, modes):
+    """Unit overlap with the dense vector where the gap determines it.
+
+    Rounding rotates the eigenvector of a mode with gap g by about
+    eps |H| / g; a near-degenerate pair (a Hermitian chain's split edge
+    states) only fixes its span, so there the eigen-residual is checked.
+    """
+    scale = np.abs(h).sum(axis=1).max()
+    if modes.eigenvalue_gaps[ref.mode_index] >= 1e-6 * scale:
+        return abs(np.vdot(zm.wavefunction, ref.wavefunction)) >= 1 - 1e-10
+    psi = zm.wavefunction
+    return np.linalg.norm(h @ psi - zm.omega * psi) <= 1e-10 * scale
+
+
+class TestLowestZeroMode:
+    def test_short_chain_takes_the_dense_path(self):
+        spec = nhzm.coupled_chain(2.0)
+        zm, ref = nhzm.lowest_zero_mode(spec), dense_lowest_zero_mode(spec)
+        assert spec.n_sites < SPARSE_MIN_SITES
+        assert zm.mode_index == ref.mode_index
+        assert zm.omega == ref.omega
+        assert np.array_equal(zm.wavefunction, ref.wavefunction)
+        assert (zm.kappa_a, zm.kappa_b, zm.alpha) == \
+            (ref.kappa_a, ref.kappa_b, ref.alpha)
+
+    @settings(max_examples=30, deadline=None)
+    # Hermitian chains with split edge states: a +/- pair with Im = 0 that
+    # the dense order breaks by Re, 5.5e-9 apart (55) and 1.1e-11 apart (73)
+    @example(55, 0.0, 0.5, None, 0.5)
+    @example(73, 0.0, 0.5, None, 0.5)
+    @given(st.integers(SPARSE_MIN_SITES - 9, 291),
+           st.one_of(st.just(0.0), st.floats(0.0, 3.5)),
+           st.one_of(st.just(1.0), st.floats(0.3, 1.5)),
+           st.one_of(st.none(), st.floats(-1.0, 1.0)),
+           st.floats(0.05, 0.6))
+    def test_sparse_matches_dense(self, n_reservoir, gamma, t_b, detuning,
+                                  t_prime):
+        spec = nhzm.coupled_chain(gamma, n_reservoir=n_reservoir,
+                                  reservoir_t_b=t_b, t_prime=t_prime,
+                                  reservoir_onsite=detuning)
+        h = nhzm.assemble_hamiltonian(spec).matrix
+        modes = nhzm.eigendecompose(nhzm.Hamiltonian(h))
+        zms = nhzm.find_zero_modes(modes, spec)
+        sparse = nhzm.lowest_zero_mode(spec)
+        if not zms:
+            assert sparse is None
+            return
+        assert sparse.mode_index is None
+        assert abs(sparse.omega - zms[0].omega) <= \
+            1e-10 * np.abs(h).sum(axis=1).max()
+        assert eigenvector_agrees(sparse, zms[0], h, modes)
+        assert sparse.alpha == pytest.approx(zms[0].alpha, rel=1e-8, abs=1e-8)
+
+    def test_exactly_singular_chain(self):
+        from scipy.sparse import diags
+        from scipy.sparse.linalg import eigs
+
+        # an odd Hermitian chain has omega = 0 exactly, so H itself (shift
+        # sigma = 0) has no LU factorization
+        spec = nhzm.coupled_chain(0.0, n_reservoir=100)
+        diag, off = tridiagonal(spec)
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            eigs(diags([off, diag, off], [-1, 0, 1], format="csc"), k=6,
+                 sigma=0)
+        zm, ref = nhzm.lowest_zero_mode(spec), dense_lowest_zero_mode(spec)
+        assert zm.mode_index is None
+        assert abs(zm.omega) < 1e-12
+        assert abs(zm.omega - ref.omega) < 1e-12
+        assert abs(np.vdot(zm.wavefunction, ref.wavefunction)) >= 1 - 1e-10
+
+    def test_vector_scaled_like_lapack(self):
+        zm = nhzm.lowest_zero_mode(nhzm.coupled_chain(2.0, n_reservoir=200))
+        psi = zm.wavefunction
+        top = np.argmax(np.abs(psi))
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+        assert psi[top].imag == 0.0 and psi[top].real > 0
+
