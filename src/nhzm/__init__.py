@@ -17,14 +17,13 @@ from .dynamics import (EnsembleResult, EpEvolution,
                        ensemble_experiment, ep_evolution, propagate)
 from .lattice import (Coupling, Hamiltonian, LatticeSpec, Site,
                       assemble_hamiltonian, build_reservoir, build_ssh_chain,
-                      couple, coupled_chain, extract_spec)
+                      couple, coupled_chain)
 from .localization import (Regime, RegimeReport, StaggerReport, TailFit,
                            characteristic_roots, check_stagger_phase,
                            classify_regime, compute_alpha, compute_kappa,
                            fit_tail, fit_two_root_expansion, hermitian_alpha,
                            linear_peak_amplitude, ssh_localization_length,
-                           verify_eigenmode_recurrence, verify_recurrence,
-                           zigzag_gammas)
+                           verify_eigenmode_recurrence, verify_recurrence)
 from .perturbation import (PerturbationComparison, PerturbationSetup,
                            first_order_energy, first_order_wavefunction,
                            first_order_zero_mode, perturbation_vs_exact)
@@ -41,12 +40,11 @@ __all__ = [
     "critical_damping", "ensemble_experiment", "ep_evolution", "propagate",
     "Coupling", "Hamiltonian", "LatticeSpec", "Site", "assemble_hamiltonian",
     "build_reservoir", "build_ssh_chain", "couple", "coupled_chain",
-    "extract_spec",
     "Regime", "RegimeReport", "StaggerReport", "TailFit",
     "characteristic_roots", "check_stagger_phase", "classify_regime",
     "compute_alpha", "compute_kappa", "fit_tail", "fit_two_root_expansion",
     "hermitian_alpha", "linear_peak_amplitude", "ssh_localization_length",
-    "verify_eigenmode_recurrence", "verify_recurrence", "zigzag_gammas",
+    "verify_eigenmode_recurrence", "verify_recurrence",
     "PerturbationComparison", "PerturbationSetup", "first_order_energy",
     "first_order_wavefunction", "first_order_zero_mode",
     "perturbation_vs_exact",

@@ -17,6 +17,7 @@ import scipy.linalg as sla
 
 from .errors import EpSetupError, PropagationOverflowError
 from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian
+from .localization import _fit_line
 from .spectral import ZeroMode
 
 PERIOD = 2.0 * np.pi
@@ -151,11 +152,7 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
     mean = profiles.mean(axis=1)
     std = profiles.std(axis=1)
 
-    x = np.arange(len(sites), dtype=float)
-    slope, intercept = np.polyfit(x, mean, 1)
-    resid = mean - (slope * x + intercept)
-    ss_tot = float(np.sum((mean - mean.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
+    r2 = _fit_line(mean).r_squared
     return EnsembleResult(mean, std, float(np.clip(r2, 0.0, 1.0)),
                           n_realizations, periods, seed, sigma)
 

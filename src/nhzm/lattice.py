@@ -290,34 +290,6 @@ def assemble_hamiltonian(spec: LatticeSpec) -> Hamiltonian:
     return Hamiltonian(m)
 
 
-def extract_spec(h: Hamiltonian, start_sublattice: str = "A",
-                 partition: int | None = None) -> LatticeSpec:
-    """Recover a LatticeSpec from a tridiagonal symmetric matrix.
-
-    Sublattice labels and the partition are not encoded in the matrix and
-    must be supplied; ``spec -> Hamiltonian -> extract_spec`` is the
-    identity when they match the original.
-    """
-    m = h.matrix
-    n = h.dim
-    if not np.allclose(m, m.T):
-        raise InvalidSpecError("matrix is not symmetric in its couplings")
-    off = np.abs(m - np.diag(np.diag(m)))
-    off[np.arange(n - 1), np.arange(1, n)] = 0
-    off[np.arange(1, n), np.arange(n - 1)] = 0
-    if np.any(off > 0):
-        raise InvalidSpecError("matrix has entries beyond the tridiagonal")
-    label = start_sublattice
-    sites = []
-    for i in range(n):
-        sites.append(Site(float(m[i, i].real), float(m[i, i].imag), label))
-        label = _other(label)
-    couplings = tuple(
-        Coupling(i, i + 1, float(m[i, i + 1].real))
-        for i in range(n - 1) if m[i, i + 1] != 0)
-    return LatticeSpec(tuple(sites), couplings, partition=partition)
-
-
 def coupled_chain(gamma: float, *, n_system: int = 9, system_t_a: float = 1.0,
                   system_t_b: float = 0.2, n_reservoir: int = 10,
                   reservoir_t_a: float = 1.0, reservoir_t_b: float = 1.0,

@@ -116,21 +116,29 @@ def fit_tail(psi, sites, model: str = "linear", per_sublattice: bool = True,
     def fit_one(y):
         if len(y) < 3:
             raise DomainError("need at least 3 points per fitted series")
-        x = np.arange(len(y), dtype=float)
-        vals = np.log(y) if model == "exponential" else y
-        slope, intercept = np.polyfit(x, vals, 1)
-        resid = vals - (slope * x + intercept)
-        ss_tot = float(np.sum((vals - vals.mean()) ** 2))
-        ss_res = float(resid @ resid)
-        if ss_tot == 0.0:
-            r2 = 1.0 if ss_res <= 1e-24 else 0.0
-        else:
-            r2 = 1.0 - ss_res / ss_tot
-        return TailFit(float(slope), float(intercept), float(r2))
+        return _fit_line(np.log(y) if model == "exponential" else y)
 
     if not per_sublattice:
         return fit_one(amps)
     return {labels[0]: fit_one(amps[0::2]), labels[1]: fit_one(amps[1::2])}
+
+
+def _fit_line(y: np.ndarray) -> TailFit:
+    """Least-squares line through (index, y) and its R^2.
+
+    A constant series leaves no variance to explain: R^2 is 1 when the line
+    reproduces it and 0 otherwise.
+    """
+    x = np.arange(len(y), dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ss_res = float(resid @ resid)
+    if ss_tot == 0.0:
+        r2 = 1.0 if ss_res <= 1e-24 else 0.0
+    else:
+        r2 = 1.0 - ss_res / ss_tot
+    return TailFit(float(slope), float(intercept), float(r2))
 
 
 def classify_regime(zm: ZeroMode, spec: LatticeSpec, *,
@@ -326,11 +334,3 @@ def fit_two_root_expansion(values, roots) -> tuple[complex, complex]:
     coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
     return complex(coef[0]), complex(coef[1])
 
-
-def zigzag_gammas(t_a: float, t_b: float) -> tuple[float, float]:
-    """Candidate modulation strengths where alpha reaches -2 and +2.
-
-    For an alternating reservoir with Im(omega) ~ 0 these are |t_a - t_b|
-    and t_a + t_b; the exact finite-lattice crossings sit nearby.
-    """
-    return abs(t_a - t_b), t_a + t_b

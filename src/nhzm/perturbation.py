@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import block_diag, solve_banded
 
 from .errors import DegeneratePerturbationError, DomainError
 from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian, tridiagonal
-from .spectral import ModeSet, eigendecompose, match_mode
+from .spectral import ModeSet, _gaps, eigendecompose, match_mode
 
 DEGENERACY_GAP = 1e-8
 
@@ -47,32 +47,20 @@ class PerturbationSetup:
         if spec.partition is None:
             raise DomainError("spec has no partition; nothing to cut")
         p = spec.partition
-        n = spec.n_sites
-        full = assemble_hamiltonian(spec).matrix.copy()
+        full = assemble_hamiltonian(spec).matrix
         t_prime = float(full[p - 1, p].real)
-        h0 = full
-        h0[p - 1, p] = 0.0
-        h0[p, p - 1] = 0.0
+        blocks = [eigendecompose(Hamiltonian(full[:p, :p])),
+                  eigendecompose(Hamiltonian(full[p:, p:]))]
+        h0 = block_diag(full[:p, :p], full[p:, p:])
+        h_prime = (full - h0).real / t_prime
 
-        h_prime = np.zeros((n, n))
-        h_prime[p - 1, p] = 1.0
-        h_prime[p, p - 1] = 1.0
-
-        sys_modes = eigendecompose(Hamiltonian(h0[:p, :p]))
-        res_modes = eigendecompose(Hamiltonian(h0[p:, p:]))
-
-        w = np.concatenate([sys_modes.eigenvalues, res_modes.eigenvalues])
-        right = np.zeros((n, n), dtype=complex)
-        left = np.zeros((n, n), dtype=complex)
-        right[:p, :p] = sys_modes.right_vectors
-        right[p:, p:] = res_modes.right_vectors
-        left[:p, :p] = sys_modes.left_vectors
-        left[p:, p:] = res_modes.left_vectors
-        gaps_all = np.abs(w[:, None] - w[None, :]) + np.diag(np.full(n, np.inf))
-        flagged = np.concatenate([sys_modes.near_defective,
-                                  res_modes.near_defective])
-        overlaps = np.concatenate([sys_modes.lr_overlaps, res_modes.lr_overlaps])
-        modes = ModeSet(w, right, left, gaps_all.min(axis=1), overlaps, flagged)
+        # the screen keeps each block's flags: a mode is not defective
+        # because the other block has an eigenvalue next to it
+        w = np.concatenate([b.eigenvalues for b in blocks])
+        modes = ModeSet(
+            w, block_diag(*(b.right_vectors for b in blocks)), _gaps(w),
+            np.concatenate([b.lr_overlaps for b in blocks]),
+            np.concatenate([b.near_defective for b in blocks]))
         return cls(Hamiltonian(h0), h_prime, t_prime, modes)
 
     def zero_mode_index(self) -> int:

@@ -1,16 +1,21 @@
-"""Eigendecomposition of dense complex Hamiltonians and mode bookkeeping.
+"""Eigendecomposition of complex-symmetric Hamiltonians and mode bookkeeping.
 
-Provides biorthogonalized left/right eigenvector sets with defectiveness
-diagnostics, spectral-symmetry pairing checks, zero-mode detection, and
-identity tracking of modes across gain/loss sweeps.  The baseline zero
-mode of a long chain is found without the full spectrum, by shift-invert
-Arnoldi on the tridiagonal matrix (``lowest_zero_mode``).
+Every chain Hamiltonian has gain/loss on the diagonal and real couplings,
+so it equals its transpose (H = H^T).  A left eigenvector is then the
+transposed right one, normalized by the c-product psi^T psi (Moiseyev,
+*Non-Hermitian Quantum Mechanics*, 2011, ch. 5), and only right vectors
+are computed.  The module also provides defectiveness diagnostics,
+spectral-symmetry pairing checks, zero-mode detection, and identity
+tracking of modes across gain/loss sweeps.  The baseline zero mode of a
+long chain is found without the full spectrum, by shift-invert Arnoldi on
+the tridiagonal matrix (``lowest_zero_mode``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -18,8 +23,8 @@ import scipy.linalg as sla
 from .errors import EigensolverError, FitError, ModeMatchingError
 from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian, tridiagonal
 
-# A mode pair counts as near-defective when its eigenvalue gap or its
-# left-right self-overlap falls below these thresholds; such modes are
+# A mode counts as near-defective when its eigenvalue gap or its c-product
+# self-overlap |psi^T psi| falls below these thresholds; such modes are
 # excluded from biorthonormalization.
 DEFECT_GAP_FRACTION = 1e-6
 DEFECT_OVERLAP = 1e-6
@@ -46,38 +51,38 @@ SPARSE_MAX_K = 48
 
 @dataclass(frozen=True, eq=False)
 class ModeSet:
-    """Full spectrum of a dense complex Hamiltonian.
+    """Full spectrum of a dense complex-symmetric Hamiltonian (H = H^T).
 
     Attributes
     ----------
     eigenvalues : (N,) complex ndarray
         Sorted lexicographically by (real, imag).
     right_vectors : (N, N) complex ndarray
-        Columns are unit-norm right eigenvectors.
-    left_vectors : (N, N) complex ndarray
-        Rows are left eigenvectors, scaled so ``left @ right`` has unit
-        diagonal for modes that are not near-defective.
+        Columns are unit-norm right eigenvectors psi.
     eigenvalue_gaps : (N,) float ndarray
         Distance to the nearest other eigenvalue.
     lr_overlaps : (N,) float ndarray
-        |<left|right>| with both vectors unit-norm; tends to 0 at an
-        exceptional point.
+        |psi^T psi| of the unit-norm right vector (the left-right
+        overlap); tends to 0 at an exceptional point.
     near_defective : (N,) bool ndarray
-        Modes whose eigenvalue gap or left-right overlap is too small to
+        Modes whose eigenvalue gap or self-overlap is too small to
         biorthonormalize; see ``eigendecompose`` for the screen.
+    left_vectors : (N, N) complex ndarray, read-only
+        Rows are left eigenvectors psi^T / (psi^T psi), so ``left @ right``
+        has unit diagonal; a near-defective mode's row is psi^T unscaled.
+        Derived from the right vectors on first read and cached.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
     eigenvalue_gaps: np.ndarray
     lr_overlaps: np.ndarray
     near_defective: np.ndarray
 
     def __post_init__(self):
         # safe to share between threads: freeze the arrays
-        for name in ("eigenvalues", "right_vectors", "left_vectors",
-                     "eigenvalue_gaps", "lr_overlaps", "near_defective"):
+        for name in ("eigenvalues", "right_vectors", "eigenvalue_gaps",
+                     "lr_overlaps", "near_defective"):
             arr = getattr(self, name)
             if arr.flags.writeable:
                 arr.flags.writeable = False
@@ -85,6 +90,15 @@ class ModeSet:
     @property
     def n_modes(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def left_vectors(self) -> np.ndarray:
+        right = self.right_vectors
+        left = right.T.copy()
+        safe = ~self.near_defective
+        left[safe] /= np.einsum("ij,ij->j", right, right)[safe, None]
+        left.flags.writeable = False
+        return left
 
 
 @dataclass(frozen=True)
@@ -135,49 +149,48 @@ class ModeTrajectory:
 
 
 def eigendecompose(h: Hamiltonian) -> ModeSet:
-    """Full left/right eigendecomposition with defectiveness diagnostics.
+    """Right eigendecomposition of a complex-symmetric H, with diagnostics.
 
-    Right vectors are unit-norm; left vectors are biorthonormalized against
-    them (``<left_i|right_j> = delta_ij``) except for near-defective modes,
-    which are flagged rather than failed.  A mode is near-defective when
-    its left-right overlap is below ``DEFECT_OVERLAP`` or its eigenvalue
-    gap is below ``DEFECT_GAP_FRACTION * sqrt(|H|_1 |H|_inf)``.  That scale
-    bounds the spectral norm from above and costs O(N^2) instead of an
-    SVD, so the screen flags every mode a spectral-norm screen would.
+    H must equal its transpose exactly, as every chain matrix does; any
+    other matrix (a Bloch matrix at k != 0, say) raises EigensolverError,
+    because its left vectors are not transposed right ones.  Right vectors
+    are unit-norm; the left vectors follow from the c-product (see
+    ``ModeSet``).  Near-defective modes are flagged rather than failed.  A
+    mode is near-defective when its self-overlap |psi^T psi| is below
+    ``DEFECT_OVERLAP`` or its eigenvalue gap is below
+    ``DEFECT_GAP_FRACTION * sqrt(|H|_1 |H|_inf)``.  That scale bounds the
+    spectral norm from above and costs O(N^2) instead of an SVD, so the
+    screen flags every mode a spectral-norm screen would.
     """
     m = h.matrix
     if not np.all(np.isfinite(m)):
         raise EigensolverError("matrix has non-finite entries", matrix=m)
+    if not np.array_equal(m, m.T):
+        raise EigensolverError("matrix is not complex symmetric (H != H^T)",
+                               matrix=m)
     try:
-        w, vl, vr = sla.eig(m, left=True, right=True)
+        w, vr = sla.eig(m)
     except sla.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise EigensolverError(f"dense eigensolver failed: {exc}", matrix=m) from exc
 
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     vr = vr[:, order]
-    vl = vl[:, order]
-
     vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
-    left = vl.conj().T
-    left = left / np.linalg.norm(left, axis=1, keepdims=True)
 
-    n = len(w)
-    if n > 1:
-        diff = np.abs(w[:, None] - w[None, :]) + np.diag(np.full(n, np.inf))
-        gaps = diff.min(axis=1)
-    else:
-        gaps = np.full(1, np.inf)
-    self_overlaps = np.abs(np.einsum("ij,ji->i", left, vr))
+    gaps = _gaps(w)
+    self_overlaps = np.abs(np.einsum("ij,ij->j", vr, vr))
     norm_bound = np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
     flagged = (gaps < DEFECT_GAP_FRACTION * max(norm_bound, 1e-300)) | (
         self_overlaps < DEFECT_OVERLAP)
+    return ModeSet(w, vr, gaps, self_overlaps, flagged)
 
-    scale = np.einsum("ij,ji->i", left, vr)
-    safe = ~flagged
-    left[safe] = left[safe] / scale[safe, None]
 
-    return ModeSet(w, vr, left, gaps, self_overlaps, flagged)
+def _gaps(w: np.ndarray) -> np.ndarray:
+    """Distance from each eigenvalue to the nearest other one (inf if alone)."""
+    diff = np.abs(w[:, None] - w[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return diff.min(axis=1)
 
 
 def _involution(kind: str, omega0: float):

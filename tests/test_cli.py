@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nhzm
@@ -203,6 +204,23 @@ def child_env():
     src = str(Path(nhzm.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_sweep_baseline_is_the_first_zero_mode(tmp_path):
+    assert main(["run", "fig2", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+    scenario = load_scenario("fig2")
+    blk = scenario.data["sweep"]
+    grid = np.arange(blk["gamma_start"],
+                     blk["gamma_stop"] + 0.5 * blk["gamma_step"],
+                     blk["gamma_step"])
+    expected = []
+    for g, modes in zip(grid, nhzm.sweep_gamma(scenario.build_spec, grid)):
+        zms = nhzm.find_zero_modes(modes)
+        if zms:
+            expected.append((float(g), zms[0].omega.imag))
+    assert [(b["gamma"], b["im_omega"]) for b in summary["baseline"]] \
+        == expected
 
 
 def test_console_entry_point():

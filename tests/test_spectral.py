@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nhzm
-from nhzm.errors import FitError
+from nhzm.errors import EigensolverError, FitError
 from nhzm.lattice import tridiagonal
 from nhzm.spectral import (DEFECT_GAP_FRACTION, DEFECT_OVERLAP,
                            SPARSE_MIN_SITES, ModeTrajectory)
@@ -19,6 +22,24 @@ def random_gain_loss_chain(n, couplings, gamma):
     for i in range(n):
         m[i, i] = 1j * gamma * (-1) ** i
     return nhzm.Hamiltonian(m)
+
+
+def lapack_left_vectors(m, near_defective):
+    """Left vectors and overlaps from LAPACK's own left eigenvectors.
+
+    Rows are unit-norm left eigenvectors, scaled so ``left @ right`` has unit
+    diagonal except on the given near-defective modes; overlaps are
+    |<left|right>| of the unit-norm vectors.
+    """
+    w, vl, vr = sla.eig(m, left=True, right=True)
+    order = np.lexsort((w.imag, w.real))
+    vr = vr[:, order] / np.linalg.norm(vr[:, order], axis=0, keepdims=True)
+    left = vl[:, order].conj().T
+    left = left / np.linalg.norm(left, axis=1, keepdims=True)
+    scale = np.einsum("ij,ji->i", left, vr)
+    ok = ~near_defective
+    left[ok] /= scale[ok, None]
+    return left, np.abs(scale)
 
 
 class TestEigendecompose:
@@ -39,6 +60,9 @@ class TestEigendecompose:
         modes = nhzm.eigendecompose(h)
         np.testing.assert_allclose(modes.eigenvalues, [0, 0], atol=1e-7)
         assert modes.near_defective.all()
+        _, overlaps = lapack_left_vectors(h.matrix, modes.near_defective)
+        assert (overlaps < DEFECT_OVERLAP).all()
+        assert (modes.lr_overlaps < DEFECT_OVERLAP).all()
         assert h.norm == np.linalg.norm(h.matrix, 2)
 
     @settings(max_examples=100, deadline=None)
@@ -69,6 +93,42 @@ class TestEigendecompose:
                 h.matrix @ modes.right_vectors[:, i]
                 - modes.eigenvalues[i] * modes.right_vectors[:, i])
             assert resid <= 1e-10 * h.norm
+
+    def test_rejects_matrix_that_is_not_its_transpose(self):
+        # a Bloch matrix at k != 0 is Hermitian-like off the diagonal, not
+        # symmetric, so its left vectors are not transposed right ones
+        m = nhzm.bloch_hamiltonian(0.7, 1, 1, 0.5)
+        with pytest.raises(EigensolverError, match="symmetric"):
+            nhzm.eigendecompose(nhzm.Hamiltonian(m))
+
+    @pytest.mark.parametrize("gamma,n_reservoir",
+                             [(0.5, 10), (2.0, 10), (3.0, 10), (2.0, 500)])
+    def test_left_vectors_match_lapack_left_vectors(self, gamma, n_reservoir):
+        h = nhzm.assemble_hamiltonian(
+            nhzm.coupled_chain(gamma, n_reservoir=n_reservoir))
+        modes = nhzm.eigendecompose(h)
+        left, overlaps = lapack_left_vectors(h.matrix, modes.near_defective)
+        np.testing.assert_allclose(modes.lr_overlaps, overlaps, rtol=0,
+                                   atol=1e-10)
+        assert not modes.near_defective.any()
+        # rows scale as 1/|psi^T psi|, so compare each relative to its norm
+        error = np.linalg.norm(modes.left_vectors - left, axis=1)
+        assert (error <= 1e-10 * np.linalg.norm(left, axis=1)).all()
+
+    def test_left_vectors_read_only_and_derived_once(self):
+        modes = nhzm.eigendecompose(nhzm.assemble_hamiltonian(
+            nhzm.coupled_chain(2.0)))
+        assert [f.name for f in dataclasses.fields(modes)] == [
+            "eigenvalues", "right_vectors", "eigenvalue_gaps", "lr_overlaps",
+            "near_defective"]
+        assert "left_vectors" not in vars(modes)
+        left = modes.left_vectors
+        assert modes.left_vectors is left
+        assert not left.flags.writeable
+        with pytest.raises(ValueError):
+            left[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            modes.left_vectors = left.copy()
 
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 3.0])
     def test_biorthonormal_within_tolerance(self, gamma):
