@@ -15,9 +15,8 @@ from .bands import (BlochScan, ExceptionalPoint, band_energies,
 from .dynamics import (EnsembleResult, EpEvolution,
                        amplification_limited_periods, critical_damping,
                        ensemble_experiment, ep_evolution, propagate)
-from .lattice import (Coupling, Hamiltonian, LatticeSpec, Site,
-                      assemble_hamiltonian, build_reservoir, build_ssh_chain,
-                      couple, coupled_chain)
+from .lattice import (Hamiltonian, LatticeSpec, assemble_hamiltonian,
+                      build_reservoir, build_ssh_chain, couple, coupled_chain)
 from .localization import (Regime, RegimeReport, StaggerReport, TailFit,
                            characteristic_roots, check_stagger_phase,
                            classify_regime, compute_alpha, compute_kappa,
@@ -38,7 +37,7 @@ __all__ = [
     "coalescence_measure", "locate_exceptional_points",
     "EnsembleResult", "EpEvolution", "amplification_limited_periods",
     "critical_damping", "ensemble_experiment", "ep_evolution", "propagate",
-    "Coupling", "Hamiltonian", "LatticeSpec", "Site", "assemble_hamiltonian",
+    "Hamiltonian", "LatticeSpec", "assemble_hamiltonian",
     "build_reservoir", "build_ssh_chain", "couple", "coupled_chain",
     "Regime", "RegimeReport", "StaggerReport", "TailFit",
     "characteristic_roots", "check_stagger_phase", "classify_regime",

@@ -26,9 +26,9 @@ from .localization import (RegimeReport, check_stagger_phase, classify_regime,
 from .perturbation import (PerturbationSetup, _compare_to_exact,
                            first_order_zero_mode)
 from .scenario import SCENARIO_SCHEMA, Scenario, ScenarioError, load_scenario
-from .spectral import (ZERO_TOL, assign_mode_numbers, eigendecompose,
-                       find_zero_modes, fit_pair_threshold, lowest_zero_mode,
-                       sweep_gamma, track_modes)
+from .spectral import (_zero_mode_indices, assign_mode_numbers,
+                       eigendecompose, find_zero_modes, fit_pair_threshold,
+                       lowest_zero_mode, sweep_gamma, track_modes)
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -169,12 +169,9 @@ def _task_sweep(scenario: Scenario, out: Path) -> None:
 
     baseline = []
     for g, modeset in zip(grid, sweeps):
-        # the zero mode find_zero_modes lists first: smallest |Im|, then
-        # the lowest index
-        w = modeset.eigenvalues
-        zero = np.flatnonzero(np.abs(w.real) <= ZERO_TOL)
+        zero = _zero_mode_indices(modeset.eigenvalues)
         if zero.size:
-            w = complex(w[zero[np.argmin(np.abs(w[zero].imag))]])
+            w = complex(modeset.eigenvalues[zero[0]])
             baseline.append({"gamma": float(g), "im_omega": w.imag,
                              "r": (w.imag ** 2 - g ** 2) / (t_a * t_b)})
     pairs = []

@@ -2,9 +2,9 @@
 
 A lattice is a finite chain of sites carrying a complex onsite energy
 (real detuning plus imaginary gain/loss rate) and a sublattice label that
-alternates along the chain.  Couplings connect adjacent sites only.  A spec
-may record a partition index marking where a weakly coupled reservoir
-begins.  All quantities are in units of the reference coupling t, with the
+alternates along the chain.  A positive bond couples every pair of
+adjacent sites and no others.  A spec stores these as arrays and may
+record a partition index marking where a weakly coupled reservoir begins.  All quantities are in units of the reference coupling t, with the
 homogeneous onsite energy as the zero of the spectrum.
 """
 
@@ -17,91 +17,80 @@ import numpy as np
 
 from .errors import InvalidSpecError
 
-SUBLATTICES = ("A", "B")
 
-
-def _other(label: str) -> str:
-    return "B" if label == "A" else "A"
-
-
-@dataclass(frozen=True)
-class Site:
-    """One lattice site: onsite energy split into real/imag parts, plus label."""
-
-    onsite_real: float
-    onsite_imag: float
-    sublattice: str
-
-    def __post_init__(self):
-        if self.sublattice not in SUBLATTICES:
-            raise InvalidSpecError(f"sublattice must be 'A' or 'B', got {self.sublattice!r}")
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Nearest-neighbor bond between sites ``left`` and ``right = left + 1``."""
-
-    left: int
-    right: int
-    strength: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeSpec:
-    """Declarative description of a finite chain.
+    """Declarative description of a finite chain, stored as its own arrays.
 
     Parameters
     ----------
-    sites : tuple of Site
-        Ordered along the chain.
-    couplings : tuple of Coupling
-        Bonds between adjacent sites; strictly positive strengths, no
-        duplicates.
+    onsite : array_like of complex, length N >= 1
+        Onsite energy of each site (real detuning plus i * gain/loss rate).
+    bonds : array_like of float, length N - 1
+        Strength of the bond between sites j and j + 1; finite and > 0, so
+        every spec is one connected chain.
+    first_sublattice : {"A", "B"}
+        Label of site 0.  Labels alternate along the chain, so this one
+        fixes the label of every site.
     partition : int or None
         Index of the first reservoir site, or None for a standalone lattice.
 
-    Instances are immutable and safe to share between threads.
+    Both arrays are copied on construction and read-only afterwards, so
+    instances are immutable and safe to share between threads.  ``==`` and
+    ``hash`` compare the partition, the label and the bytes of the arrays.
     """
 
-    sites: tuple[Site, ...]
-    couplings: tuple[Coupling, ...]
+    onsite: np.ndarray
+    bonds: np.ndarray
+    first_sublattice: str = "A"
     partition: int | None = None
 
     def __post_init__(self):
-        n = len(self.sites)
-        if n == 0:
-            raise InvalidSpecError("a lattice needs at least one site")
-        seen = set()
-        for c in self.couplings:
-            if c.right != c.left + 1:
-                raise InvalidSpecError(
-                    f"coupling ({c.left},{c.right}) is not nearest-neighbor")
-            if not 0 <= c.left < n - 1:
-                raise InvalidSpecError(f"coupling index {c.left} out of range")
-            if c.left in seen:
-                raise InvalidSpecError(f"duplicate coupling at bond {c.left}")
-            if not c.strength > 0:
-                raise InvalidSpecError(
-                    f"coupling strength must be positive, got {c.strength}")
-            seen.add(c.left)
-        for i in range(1, n):
-            if self.sites[i].sublattice == self.sites[i - 1].sublattice:
-                raise InvalidSpecError(
-                    f"sublattice labels must alternate (sites {i - 1}, {i})")
-        if self.partition is not None and not 0 < self.partition < n:
+        onsite = np.array(self.onsite, dtype=complex)
+        bonds = np.array(self.bonds, dtype=float)
+        if onsite.ndim != 1 or onsite.size == 0:
+            raise InvalidSpecError("onsite must be a non-empty 1-D array")
+        if bonds.shape != (onsite.size - 1,):
+            raise InvalidSpecError(
+                f"{onsite.size} sites need {onsite.size - 1} bonds, "
+                f"got shape {bonds.shape}")
+        if not np.isfinite(onsite).all():
+            raise InvalidSpecError("onsite energies must be finite")
+        if not (np.isfinite(bonds) & (bonds > 0)).all():
+            raise InvalidSpecError("bond strengths must be finite and positive")
+        if self.first_sublattice not in ("A", "B"):
+            raise InvalidSpecError(
+                f"sublattice must be 'A' or 'B', got {self.first_sublattice!r}")
+        if self.partition is not None and not 0 < self.partition < onsite.size:
             raise InvalidSpecError(f"partition {self.partition} out of range")
+        onsite.flags.writeable = False
+        bonds.flags.writeable = False
+        object.__setattr__(self, "onsite", onsite)
+        object.__setattr__(self, "bonds", bonds)
+
+    def _key(self) -> tuple:
+        return (self.partition, self.first_sublattice, self.onsite.tobytes(),
+                self.bonds.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, LatticeSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_sites(self) -> int:
-        return len(self.sites)
+        return self.onsite.size
 
-    def onsite_energies(self) -> np.ndarray:
-        """Complex onsite energies, one per site."""
-        return np.array(
-            [s.onsite_real + 1j * s.onsite_imag for s in self.sites], dtype=complex)
+    def sublattice(self, j: int) -> str:
+        """Label of site j: ``first_sublattice`` on even j, the other on odd."""
+        return "AB"[(j + (self.first_sublattice == "B")) % 2]
 
     def sublattices(self) -> tuple[str, ...]:
-        return tuple(s.sublattice for s in self.sites)
+        pair = "AB" if self.first_sublattice == "A" else "BA"
+        return tuple(pair * (self.n_sites // 2 + 1))[:self.n_sites]
 
     def reservoir_sites(self) -> range:
         """Site indices of the reservoir region (whole chain if no partition)."""
@@ -120,15 +109,14 @@ class LatticeSpec:
 
     @cached_property
     def _reservoir_gamma(self) -> float:
-        imag = [self.sites[i].onsite_imag for i in self.reservoir_sites()]
-        gamma = max(abs(v) for v in imag)
+        imag = self.onsite.imag[self.reservoir_sites().start:]
+        gamma = float(np.abs(imag).max())
         if gamma == 0.0:
             return 0.0
-        for j, v in enumerate(imag):
-            expect = imag[0] * (-1) ** j
-            if abs(v - expect) > 1e-12 * gamma:
-                raise InvalidSpecError(
-                    "reservoir gain/loss does not alternate with one magnitude")
+        expect = imag[0] * _alternating(imag.size, 1.0, -1.0)
+        if (np.abs(imag - expect) > 1e-12 * gamma).any():
+            raise InvalidSpecError(
+                "reservoir gain/loss does not alternate with one magnitude")
         return gamma
 
     def reservoir_couplings(self) -> tuple[float, float]:
@@ -142,17 +130,23 @@ class LatticeSpec:
 
     @cached_property
     def _reservoir_couplings(self) -> tuple[float, float]:
-        start = 0 if self.partition is None else self.partition
-        strengths = [c.strength for c in self.couplings if c.left >= start]
-        if not strengths:
+        strengths = self.bonds[self.reservoir_sites().start:]
+        if not strengths.size:
             raise InvalidSpecError("reservoir has no internal couplings")
-        t_a = strengths[0]
-        t_b = strengths[1] if len(strengths) > 1 else strengths[0]
-        for j, s in enumerate(strengths):
-            expect = t_a if j % 2 == 0 else t_b
-            if abs(s - expect) > 1e-12 * max(t_a, t_b):
-                raise InvalidSpecError("reservoir couplings do not alternate")
+        t_a = float(strengths[0])
+        t_b = float(strengths[1]) if strengths.size > 1 else t_a
+        expect = _alternating(strengths.size, t_a, t_b)
+        if (np.abs(strengths - expect) > 1e-12 * max(t_a, t_b)).any():
+            raise InvalidSpecError("reservoir couplings do not alternate")
         return t_a, t_b
+
+
+def _alternating(n: int, first: float, second: float) -> np.ndarray:
+    """The float array [first, second, first, ...] of length n."""
+    out = np.empty(n)
+    out[0::2] = first
+    out[1::2] = second
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,20 +187,11 @@ def build_ssh_chain(n_sites: int, t_a: float, t_b: float, onsite: float = 0.0,
     """Hermitian chain with couplings alternating t_a, t_b starting with t_a.
 
     With ``t_a > t_b`` and an odd site count the chain hosts a zero-energy
-    mode localized exponentially on its right edge.
+    mode localized exponentially on its right edge.  This is
+    ``build_reservoir`` at gamma = 0.
     """
-    if n_sites < 1:
-        raise InvalidSpecError("n_sites must be >= 1")
-    if not (t_a > 0 and t_b > 0):
-        raise InvalidSpecError("couplings must be strictly positive")
-    label = start_sublattice
-    sites = []
-    for _ in range(n_sites):
-        sites.append(Site(onsite, 0.0, label))
-        label = _other(label)
-    couplings = tuple(
-        Coupling(i, i + 1, t_a if i % 2 == 0 else t_b) for i in range(n_sites - 1))
-    return LatticeSpec(tuple(sites), couplings)
+    return build_reservoir(n_sites, t_a, t_b, 0.0, onsite,
+                           start_sublattice=start_sublattice)
 
 
 def build_reservoir(n_sites: int, t_a: float, t_b: float, gamma: float,
@@ -229,19 +214,13 @@ def build_reservoir(n_sites: int, t_a: float, t_b: float, gamma: float,
         raise InvalidSpecError("n_sites must be >= 1")
     if not (t_a > 0 and t_b > 0):
         raise InvalidSpecError("couplings must be strictly positive")
-    if gamma < 0:
-        raise InvalidSpecError("gamma must be >= 0")
+    if not 0 <= gamma < np.inf:
+        raise InvalidSpecError(f"gamma must be finite and >= 0, got {gamma}")
     if first_sign not in (+1, -1):
         raise InvalidSpecError("first_sign must be +1 or -1")
-    label = start_sublattice
-    sites = []
-    for j in range(n_sites):
-        sign = first_sign * (-1) ** j
-        sites.append(Site(onsite, sign * gamma, label))
-        label = _other(label)
-    couplings = tuple(
-        Coupling(i, i + 1, t_a if i % 2 == 0 else t_b) for i in range(n_sites - 1))
-    return LatticeSpec(tuple(sites), couplings)
+    gain_loss = _alternating(n_sites, first_sign * gamma, -first_sign * gamma)
+    return LatticeSpec(onsite + 1j * gain_loss,
+                       _alternating(n_sites - 1, t_a, t_b), start_sublattice)
 
 
 def couple(system: LatticeSpec, reservoir: LatticeSpec, t_prime: float) -> LatticeSpec:
@@ -250,43 +229,22 @@ def couple(system: LatticeSpec, reservoir: LatticeSpec, t_prime: float) -> Latti
     The sublattice alternation must continue across the junction; the
     partition index of the result marks the first reservoir site.
     """
-    if not t_prime > 0:
-        raise InvalidSpecError("t_prime must be strictly positive")
-    if system.sites[-1].sublattice == reservoir.sites[0].sublattice:
+    if system.sublattice(system.n_sites - 1) == reservoir.first_sublattice:
         raise InvalidSpecError(
             "sublattice alternation breaks at the junction; relabel one chain")
-    offset = system.n_sites
-    sites = system.sites + reservoir.sites
-    couplings = list(system.couplings)
-    couplings.append(Coupling(offset - 1, offset, t_prime))
-    couplings.extend(
-        Coupling(c.left + offset, c.right + offset, c.strength)
-        for c in reservoir.couplings)
-    return LatticeSpec(sites, tuple(couplings), partition=offset)
-
-
-def tridiagonal(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and superdiagonal of the spec's matrix, built in O(N).
-
-    The diagonal holds the complex onsite energies; the superdiagonal holds
-    the bond strengths, 0 where two neighbors are not coupled.  The matrix
-    is symmetric, so the subdiagonal equals the superdiagonal.
-    """
-    off = np.zeros(spec.n_sites - 1)
-    for c in spec.couplings:
-        off[c.left] = c.strength
-    return spec.onsite_energies(), off
+    return LatticeSpec(np.concatenate([system.onsite, reservoir.onsite]),
+                       np.concatenate([system.bonds, [t_prime], reservoir.bonds]),
+                       system.first_sublattice, partition=system.n_sites)
 
 
 def assemble_hamiltonian(spec: LatticeSpec) -> Hamiltonian:
     """Dense matrix with the spec's onsite energies and symmetric couplings."""
-    diag, off = tridiagonal(spec)
-    n = len(diag)
+    n = spec.n_sites
     m = np.zeros((n, n), dtype=complex)
     i = np.arange(n)
-    m[i, i] = diag
-    m[i[:-1], i[1:]] = off
-    m[i[1:], i[:-1]] = off
+    m[i, i] = spec.onsite
+    m[i[:-1], i[1:]] = spec.bonds
+    m[i[1:], i[:-1]] = spec.bonds
     return Hamiltonian(m)
 
 
@@ -310,14 +268,10 @@ def coupled_chain(gamma: float, *, n_system: int = 9, system_t_a: float = 1.0,
     ``reservoir_onsite`` overrides the reservoir's real onsite energy for
     detuned Hermitian-reservoir studies.
     """
-    system = build_ssh_chain(n_system, system_t_a, system_t_b, onsite,
-                             start_sublattice="B")
-    if system_gamma:
-        sites = []
-        for i, s in enumerate(system.sites):
-            sign = +1 if (n_system - 1 - i) % 2 == 0 else -1
-            sites.append(Site(s.onsite_real, sign * system_gamma, s.sublattice))
-        system = LatticeSpec(tuple(sites), system.couplings)
+    # only an odd system ends on "B" and couples to the reservoir's "A";
+    # its last site, next to the junction, carries gain like its first
+    system = build_reservoir(n_system, system_t_a, system_t_b, system_gamma,
+                             onsite, start_sublattice="B")
     reservoir = build_reservoir(
         n_reservoir, reservoir_t_a, reservoir_t_b, gamma,
         onsite if reservoir_onsite is None else reservoir_onsite,

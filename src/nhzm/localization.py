@@ -164,9 +164,8 @@ def classify_regime(zm: ZeroMode, spec: LatticeSpec, *,
     gamma = spec.reservoir_gamma()
     t_a, t_b = spec.reservoir_couplings()
     roots = characteristic_roots(alpha)
-    res = list(spec.reservoir_sites())
-    first_label = spec.sites[res[0]].sublattice
-    labels = (first_label, "B" if first_label == "A" else "A")
+    res = spec.reservoir_sites()
+    labels = (spec.sublattice(res[0]), spec.sublattice(res[0] + 1))
 
     def safe_fits(sites, model):
         try:
@@ -239,8 +238,7 @@ def verify_eigenmode_recurrence(zm: ZeroMode, spec: LatticeSpec) -> float:
     res = list(spec.reservoir_sites())
     t_a, t_b = spec.reservoir_couplings()
     if abs(t_a - t_b) <= 1e-12 * max(t_a, t_b):
-        first = spec.sites[res[0]]
-        kappas = (zm.kappa_a, zm.kappa_b) if first.onsite_imag >= 0 \
+        kappas = (zm.kappa_a, zm.kappa_b) if spec.onsite[res[0]].imag >= 0 \
             else (zm.kappa_b, zm.kappa_a)
     else:
         kappas = None

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import block_diag, solve_banded
 
 from .errors import DegeneratePerturbationError, DomainError
-from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian, tridiagonal
+from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian
 from .spectral import ModeSet, _gaps, eigendecompose, match_mode
 
 DEGENERACY_GAP = 1e-8
@@ -121,8 +121,8 @@ def first_order_zero_mode(spec: LatticeSpec) -> np.ndarray:
     if spec.partition is None:
         raise DomainError("spec has no partition; nothing to cut")
     p = spec.partition
-    system = LatticeSpec(spec.sites[:p],
-                         tuple(c for c in spec.couplings if c.right < p))
+    system = LatticeSpec(spec.onsite[:p], spec.bonds[:p - 1],
+                         spec.first_sublattice)
     sys_modes = eigendecompose(assemble_hamiltonian(system))
     idx = int(np.argmin(np.abs(sys_modes.eigenvalues)))
     if sys_modes.near_defective[idx]:
@@ -132,9 +132,8 @@ def first_order_zero_mode(spec: LatticeSpec) -> np.ndarray:
     psi[:p] = sys_modes.right_vectors[:, idx]
     rhs = np.zeros(spec.n_sites - p, dtype=complex)
     rhs[0] = psi[p - 1]
-    diag, off = tridiagonal(spec)
-    psi[p:] = off[p - 1] * _resolvent(diag[p:], off[p:],
-                                      sys_modes.eigenvalues[idx], rhs)
+    psi[p:] = spec.bonds[p - 1] * _resolvent(spec.onsite[p:], spec.bonds[p:],
+                                             sys_modes.eigenvalues[idx], rhs)
     return psi
 
 

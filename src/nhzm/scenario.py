@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -135,15 +136,25 @@ def _read_scenario_text(path_or_name: str) -> tuple[str, str]:
         f"(bundled: {', '.join(bundled_scenario_names())})")
 
 
+def _finite(literal: str) -> float:
+    # json accepts NaN, Infinity and overflowing literals such as 1e999,
+    # and no schema bound rejects NaN
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ScenarioError(f"non-finite number {literal} is not allowed")
+    return value
+
+
 def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenario:
     """Read, validate, and resolve a scenario file or bundled scenario name.
 
     Raises ScenarioError with a location-anchored message on JSON or schema
-    violations; unknown keys are rejected by the schema.
+    violations, and on a non-finite number; unknown keys are rejected by the
+    schema.
     """
     text, name = _read_scenario_text(str(path_or_name))
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import EigensolverError, FitError, ModeMatchingError
-from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian, tridiagonal
+from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian
 
 # A mode counts as near-defective when its eigenvalue gap or its c-product
 # self-overlap |psi^T psi| falls below these thresholds; such modes are
@@ -238,11 +238,20 @@ def find_zero_modes(modes: ModeSet, spec: LatticeSpec | None = None,
     When ``spec`` describes a gain/loss reservoir, each mode is populated
     with the effective rates kappa and the recurrence quantities r, alpha.
     """
-    out = [_zero_mode(i, w, modes.right_vectors[:, i].copy(), spec, omega0, tol)
-           for i, w in enumerate(modes.eigenvalues)
-           if abs(w.real - omega0) <= tol]
-    out.sort(key=lambda z: abs(z.omega.imag))
-    return out
+    w = modes.eigenvalues
+    return [_zero_mode(i, w[i], modes.right_vectors[:, i].copy(), spec, omega0,
+                       tol) for i in _zero_mode_indices(w, omega0, tol).tolist()]
+
+
+def _zero_mode_indices(w: np.ndarray, omega0: float = 0.0,
+                       tol: float = ZERO_TOL) -> np.ndarray:
+    """Zero-mode indices (|Re(w) - omega0| <= tol), stably sorted by |Im(w)|.
+
+    The first is the zero mode every caller reports; of modes with
+    bitwise-equal |Im(w)| it is the one with the lowest index.
+    """
+    zero = np.flatnonzero(np.abs(w.real - omega0) <= tol)
+    return zero[np.argsort(np.abs(w[zero].imag), kind="stable")]
 
 
 def _zero_mode(index: int | None, w: complex, vector: np.ndarray,
@@ -279,7 +288,7 @@ def lowest_zero_mode(spec: LatticeSpec) -> ZeroMode | None:
         from scipy.sparse import diags
         from scipy.sparse.linalg import eigs
 
-        diag, off = tridiagonal(spec)
+        diag, off = spec.onsite, spec.bonds
         h = diags([off, diag, off], [-1, 0, 1], format="csc")
         scale = np.abs(diag).max() + 2.0 * off.max()
         sigma = 1j * SHIFT * scale

@@ -64,6 +64,16 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="sweep"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                         "1e999"])
+    def test_non_finite_number_rejected(self, tmp_path, literal):
+        text = json.dumps(MINIMAL).replace('"gamma": 1.0',
+                                           f'"gamma": {literal}')
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match="non-finite"):
+            load_scenario(str(path))
+
     def test_seed_override_lands_in_resolved_data(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL)
         scenario = load_scenario(path, seed_override=77)
@@ -75,6 +85,17 @@ class TestRunCommand:
         path = write_scenario(tmp_path, {"task": "nonsense"})
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert "schema violation" in capsys.readouterr().err
+
+    def test_non_finite_gamma_exits_2(self, tmp_path, capsys):
+        # on the sparse path a NaN gamma used to end in an uncaught
+        # "Factor is exactly singular" traceback
+        payload = {**MINIMAL, "task": "mode-profile",
+                   "reservoir": {**MINIMAL["reservoir"], "n": 100}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload).replace('"gamma": 1.0',
+                                                    '"gamma": NaN'))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "non-finite number NaN" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json"),

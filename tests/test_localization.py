@@ -225,7 +225,7 @@ class TestAmplitudeRelation:
         psi = np.abs(zm.wavefunction)
         scale = psi[res].max()
         for n in res[2:-1]:
-            kappa = zm.kappa_a if spec.sites[n - 1].onsite_imag > 0 else zm.kappa_b
+            kappa = zm.kappa_a if spec.onsite[n - 1].imag > 0 else zm.kappa_b
             lhs = psi[n] + psi[n - 2]
             rhs = abs(kappa) * psi[n - 1]
             assert abs(lhs - rhs) <= 1e-8 * scale

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import nhzm
 from nhzm.errors import EigensolverError, FitError
-from nhzm.lattice import tridiagonal
 from nhzm.spectral import (DEFECT_GAP_FRACTION, DEFECT_OVERLAP,
-                           SPARSE_MIN_SITES, ModeTrajectory)
+                           SPARSE_MIN_SITES, ModeTrajectory,
+                           _zero_mode_indices)
 
 from conftest import KNOWN_ZERO_OMEGAS, baseline_zero_mode, chain_modes
 
@@ -217,6 +217,20 @@ class TestFindZeroModes:
         assert zm.kappa_a * zm.kappa_b == pytest.approx(zm.r)
         assert zm.alpha == pytest.approx(-(2.0 + zm.r))
 
+    @pytest.mark.parametrize("tied", [[-1e-9 + 0.5j, 1e-9 - 0.5j],
+                                      [1e-9 - 0.5j, -1e-9 + 0.5j]])
+    def test_bitwise_tie_goes_to_the_lower_index(self, tied):
+        # |Im| ties exactly; the sweep baseline and find_zero_modes both
+        # report the lower index, whatever the signs
+        w = np.array([-1.0, *tied, 0.1j + 1.0])
+        n = len(w)
+        modes = nhzm.ModeSet(w, np.eye(n, dtype=complex), np.ones(n), np.ones(n),
+                        np.zeros(n, dtype=bool))
+        assert _zero_mode_indices(w).tolist() == [1, 2]
+        zms = nhzm.find_zero_modes(modes)
+        assert [zm.mode_index for zm in zms] == [1, 2]
+        assert zms[0].omega == tied[0]
+
     def test_shifted_onsite_reference(self):
         # the whole analysis is relative to the homogeneous onsite energy
         spec = nhzm.coupled_chain(2.0, onsite=0.3)
@@ -395,7 +409,7 @@ class TestLowestZeroMode:
         # an odd Hermitian chain has omega = 0 exactly, so H itself (shift
         # sigma = 0) has no LU factorization
         spec = nhzm.coupled_chain(0.0, n_reservoir=100)
-        diag, off = tridiagonal(spec)
+        diag, off = spec.onsite, spec.bonds
         with pytest.raises(RuntimeError, match="exactly singular"):
             eigs(diags([off, diag, off], [-1, 0, 1], format="csc"), k=6,
                  sigma=0)
