@@ -94,7 +94,7 @@ def _regime_payload(report: RegimeReport, extra: dict | None = None) -> dict:
 def _zero_modes(scenario: Scenario):
     spec = scenario.build_spec()
     modes = eigendecompose(assemble_hamiltonian(spec))
-    zms = find_zero_modes(modes, spec)
+    zms = find_zero_modes(modes, spec, scenario.data["onsite"])
     return spec, modes, zms
 
 
@@ -111,7 +111,7 @@ def _task_spectrum(scenario: Scenario, out: Path) -> None:
 
 def _baseline_zero_mode(scenario: Scenario):
     spec = scenario.build_spec()
-    zm = lowest_zero_mode(spec)
+    zm = lowest_zero_mode(spec, scenario.data["onsite"])
     if zm is None:
         raise NhzmError("no zero mode found for this scenario")
     return spec, zm
@@ -121,7 +121,7 @@ def _task_mode_profile(scenario: Scenario, out: Path) -> None:
     spec, zm = _baseline_zero_mode(scenario)
     psi = zm.wavefunction / np.abs(zm.wavefunction).max()
 
-    pert = first_order_zero_mode(spec)
+    pert = first_order_zero_mode(spec, scenario.data["onsite"])
     scale = np.vdot(pert, psi) / np.vdot(pert, pert)
     pert = scale * pert
 
@@ -154,6 +154,7 @@ def _task_sweep(scenario: Scenario, out: Path) -> None:
     sweeps = sweep_gamma(scenario.build_spec, grid)
     trajectories = assign_mode_numbers(track_modes(sweeps, grid), len(grid))
 
+    omega0 = scenario.data["onsite"]
     t_a = scenario.data["reservoir"]["tA"]
     t_b = scenario.data["reservoir"]["tB"]
     rows = []
@@ -169,7 +170,7 @@ def _task_sweep(scenario: Scenario, out: Path) -> None:
 
     baseline = []
     for g, modeset in zip(grid, sweeps):
-        zero = _zero_mode_indices(modeset.eigenvalues)
+        zero = _zero_mode_indices(modeset.eigenvalues, omega0)
         if zero.size:
             w = complex(modeset.eigenvalues[zero[0]])
             baseline.append({"gamma": float(g), "im_omega": w.imag,
@@ -182,7 +183,7 @@ def _task_sweep(scenario: Scenario, out: Path) -> None:
             continue
         try:
             pairs.append({"modes": [odd, odd + 1],
-                          "gamma_mu": fit_pair_threshold(a, b)})
+                          "gamma_mu": fit_pair_threshold(a, b, omega0)})
         except NhzmError:
             continue
     _write_json(out / "sweep_summary.json",

@@ -110,11 +110,11 @@ def first_order_wavefunction(setup: PerturbationSetup,
     return setup.t_prime * correction
 
 
-def first_order_zero_mode(spec: LatticeSpec) -> np.ndarray:
+def first_order_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> np.ndarray:
     """The system block's zero mode plus its first-order junction correction.
 
     The unperturbed mode is the system-block eigenvector with the eigenvalue
-    closest to zero, unit-norm and zero on the reservoir; the correction is
+    closest to omega0, unit-norm and zero on the reservoir; the correction is
     ``first_order_wavefunction``'s reservoir solve.  Only the system block
     is decomposed, so the cost is O(N) in the reservoir length.
     """
@@ -124,7 +124,7 @@ def first_order_zero_mode(spec: LatticeSpec) -> np.ndarray:
     system = LatticeSpec(spec.onsite[:p], spec.bonds[:p - 1],
                          spec.first_sublattice)
     sys_modes = eigendecompose(assemble_hamiltonian(system))
-    idx = int(np.argmin(np.abs(sys_modes.eigenvalues)))
+    idx = int(np.argmin(np.abs(sys_modes.eigenvalues - omega0)))
     if sys_modes.near_defective[idx]:
         raise DegeneratePerturbationError(
             f"unperturbed mode {idx} is near-defective")

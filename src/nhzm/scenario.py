@@ -174,6 +174,11 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
         for key in ("system", "reservoir", "coupling"):
             if key not in raw:
                 raise ScenarioError(f"task {task!r} requires {key!r}")
+        # only an odd system ends on the sublattice that continues into
+        # the reservoir (see ``lattice.coupled_chain``)
+        if raw["system"]["n"] % 2 == 0:
+            raise ScenarioError(
+                f"system.n must be odd, got {raw['system']['n']}")
     if task == "bands" and "reservoir" not in raw:
         raise ScenarioError("task 'bands' requires 'reservoir'")
     if task == "sweep" and "sweep" not in raw:

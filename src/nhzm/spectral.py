@@ -6,9 +6,10 @@ transposed right one, normalized by the c-product psi^T psi (Moiseyev,
 *Non-Hermitian Quantum Mechanics*, 2011, ch. 5), and only right vectors
 are computed.  The module also provides defectiveness diagnostics,
 spectral-symmetry pairing checks, zero-mode detection, and identity
-tracking of modes across gain/loss sweeps.  The baseline zero mode of a
-long chain is found without the full spectrum, by shift-invert Arnoldi on
-the tridiagonal matrix (``lowest_zero_mode``).
+tracking of modes across gain/loss sweeps, whose steps run in real
+arithmetic where the chain allows it (``sweep_gamma``).  The baseline
+zero mode of a long chain is found without the full spectrum, by
+shift-invert Arnoldi on the tridiagonal matrix (``lowest_zero_mode``).
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ SHIFT = 1e-10
 # and at N = 1000 k = 96 and 192 took 0.6 s and 3.4 s against 3.1 s for
 # the dense solve, while k = 6..48 took 0.25 s together.
 SPARSE_MAX_K = 48
+# A sparse zero mode is accepted only with a residual |H psi - z psi| below
+# this fraction of the shift scale.  The split edge states of a Hermitian
+# chain (n_reservoir = 119, t_B = t' = 0.5) came back at k = 6 with
+# 1.5e-10 and at k = 12 with 1.5e-16; every other accepted zero mode of 142
+# random chains and 60 benchmark chains had at most 2.1e-14.
+SPARSE_RESIDUAL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +179,16 @@ def eigendecompose(h: Hamiltonian) -> ModeSet:
         w, vr = sla.eig(m)
     except sla.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise EigensolverError(f"dense eigensolver failed: {exc}", matrix=m) from exc
+    norm_bound = np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
+    return _modeset(w, vr, norm_bound)
 
+
+def _modeset(w: np.ndarray, vr: np.ndarray, norm_bound: float) -> ModeSet:
+    """The ``ModeSet`` of eigenpairs (w, vr) of a matrix of scale norm_bound.
+
+    Sorts by (Re, Im), scales the vectors to unit norm and runs the
+    near-defective screen of ``eigendecompose``.
+    """
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     vr = vr[:, order]
@@ -180,10 +196,48 @@ def eigendecompose(h: Hamiltonian) -> ModeSet:
 
     gaps = _gaps(w)
     self_overlaps = np.abs(np.einsum("ij,ij->j", vr, vr))
-    norm_bound = np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
     flagged = (gaps < DEFECT_GAP_FRACTION * max(norm_bound, 1e-300)) | (
         self_overlaps < DEFECT_OVERLAP)
     return ModeSet(w, vr, gaps, self_overlaps, flagged)
+
+
+# i^j for j mod 4: the diagonal similarity D of ``_real_form_modes``
+_PHASES = np.array([1, 1j, -1, -1j])
+
+
+def _real_form_modes(spec: LatticeSpec) -> ModeSet:
+    """``eigendecompose(assemble_hamiltonian(spec))``, up to rounding.
+
+    A chain whose onsite energies share one real part omega0 has the
+    non-Hermitian particle-hole symmetry, and then -i(H - omega0) is
+    diagonally similar to the real tridiagonal A with diagonal Im H_jj,
+    upper band t_j and lower band -t_j: A = D^-1 (-i(H - omega0)) D with
+    D = diag(i^j).  One real eigensolve of A gives omega = omega0 + i lambda
+    and psi = D v; a real lambda puts Re(omega) at omega0 exactly.  Any
+    other spec (a detuned reservoir, a single site) takes the dense complex
+    path.
+    """
+    n = spec.n_sites
+    re = spec.onsite.real
+    if n < 2 or not np.all(re == re[0]):
+        return eigendecompose(assemble_hamiltonian(spec))
+    omega0 = re[0]
+    a = np.zeros((n, n))
+    a.flat[::n + 1] = spec.onsite.imag
+    a.flat[1::n + 1] = spec.bonds
+    a.flat[n::n + 1] = -spec.bonds
+    try:
+        lam, v = sla.eig(a)
+    except sla.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
+        raise EigensolverError(f"dense eigensolver failed: {exc}", matrix=a) from exc
+    w = np.empty(n, dtype=complex)
+    w.real = omega0 - lam.imag
+    w.imag = lam.real
+    # |H|_1 = |H|_inf for symmetric H: the largest row sum of the chain
+    rows = np.abs(spec.onsite)
+    rows[:-1] += spec.bonds
+    rows[1:] += spec.bonds
+    return _modeset(w, v * _PHASES[np.arange(n) % 4, None], rows.max())
 
 
 def _gaps(w: np.ndarray) -> np.ndarray:
@@ -267,21 +321,23 @@ def _zero_mode(index: int | None, w: complex, vector: np.ndarray,
     return ZeroMode(index, complex(w), vector, kappa_a, kappa_b, r, alpha)
 
 
-def lowest_zero_mode(spec: LatticeSpec) -> ZeroMode | None:
-    """The zero mode ``find_zero_modes`` would list first, or None.
+def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
+    """The zero mode ``find_zero_modes(..., spec, omega0)`` would list first.
 
-    That is the mode with |Re(omega)| <= ZERO_TOL and the smallest
-    |Im(omega)|, with its reservoir quantities.  Chains shorter than
+    That is the mode with |Re(omega) - omega0| <= ZERO_TOL and the smallest
+    |Im(omega)|, with its reservoir quantities, or None.  Chains shorter than
     ``SPARSE_MIN_SITES`` take the dense path, so ``mode_index`` is set.
     Longer ones run shift-invert Arnoldi (ARPACK through
     ``scipy.sparse.linalg.eigs``) for the k eigenvalues nearest the shift
-    sigma, on the tridiagonal matrix, in O(N) time and memory.  A zero mode
-    z is accepted only when ``|z - sigma| + 2|sigma|`` is below the largest
-    distance of the k returned eigenvalues from sigma, so that no zero mode
-    with a smaller |Im(omega)| lies outside them; otherwise k doubles.  The
-    start vector is fixed, so runs repeat bit for bit.  The eigenvector is
-    scaled as LAPACK scales dense ones: unit norm, largest entry real and
-    positive.  Beyond ``SPARSE_MAX_K`` eigenvalues the dense path decides.
+    sigma = omega0 + i eps, on the tridiagonal matrix, in O(N) time and
+    memory.  A zero mode z is accepted only when ``|z - sigma| + 2 eps`` is
+    below the largest distance of the k returned eigenvalues from sigma, so
+    that no zero mode with a smaller |Im(omega)| lies outside them, and its
+    residual is below ``SPARSE_RESIDUAL`` times the scale; otherwise k
+    doubles.  The start vector is fixed, so runs repeat bit for
+    bit.  The eigenvector is scaled as LAPACK scales dense ones: unit norm,
+    largest entry real and positive.  Beyond ``SPARSE_MAX_K`` eigenvalues
+    the dense path decides.
     """
     n = spec.n_sites
     if n >= SPARSE_MIN_SITES:
@@ -291,12 +347,13 @@ def lowest_zero_mode(spec: LatticeSpec) -> ZeroMode | None:
         diag, off = spec.onsite, spec.bonds
         h = diags([off, diag, off], [-1, 0, 1], format="csc")
         scale = np.abs(diag).max() + 2.0 * off.max()
-        sigma = 1j * SHIFT * scale
+        eps = SHIFT * scale
+        sigma = omega0 + 1j * eps
         v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
         k = 6
         while k <= SPARSE_MAX_K and k < n - 1:
             w, v = eigs(h, k=k, sigma=sigma, v0=v0)
-            zero = np.flatnonzero(np.abs(w.real) <= ZERO_TOL)
+            zero = np.flatnonzero(np.abs(w.real - omega0) <= ZERO_TOL)
             if zero.size:
                 # |Im| closer than the eigenvalue accuracy is a tie, which
                 # the dense order breaks by Re, then Im (a Hermitian chain's
@@ -304,23 +361,41 @@ def lowest_zero_mode(spec: LatticeSpec) -> ZeroMode | None:
                 im = np.abs(w[zero].imag)
                 tied = zero[im <= im.min() + 1e-12 * scale]
                 i = tied[np.lexsort((w[tied].imag, w[tied].real))[0]]
-                if abs(w[i] - sigma) + 2 * abs(sigma) < np.abs(w - sigma).max():
-                    psi = v[:, i] / np.linalg.norm(v[:, i])
+                psi = v[:, i] / np.linalg.norm(v[:, i])
+                if abs(w[i] - sigma) + 2 * eps < np.abs(w - sigma).max() \
+                        and np.linalg.norm(h @ psi - w[i] * psi) \
+                        <= SPARSE_RESIDUAL * scale:
                     top = int(np.argmax(np.abs(psi)))
                     psi *= np.conj(psi[top]) / abs(psi[top])
                     psi[top] = psi[top].real
-                    return _zero_mode(None, w[i], psi, spec, 0.0, ZERO_TOL)
+                    return _zero_mode(None, w[i], psi, spec, omega0, ZERO_TOL)
             k *= 2
-    zms = find_zero_modes(eigendecompose(assemble_hamiltonian(spec)), spec)
+    zms = find_zero_modes(eigendecompose(assemble_hamiltonian(spec)), spec,
+                          omega0)
     return zms[0] if zms else None
 
 
 def sweep_gamma(spec_of_gamma, gamma_grid) -> list[ModeSet]:
-    """Decompose the lattice family ``spec_of_gamma(gamma)`` on a monotone grid."""
+    """Decompose the lattice family ``spec_of_gamma(gamma)`` on a monotone grid.
+
+    Each step is solved by ``_real_form_modes``: a chain whose onsite
+    energies share one real part omega0 (every ``coupled_chain`` without a
+    detuned ``reservoir_onsite``) is solved in real arithmetic, through the
+    real tridiagonal form of -i(H - omega0), and any other chain by
+    ``eigendecompose``.  Both give the same ``ModeSet`` up to rounding, but
+    on the real form an on-axis mode has Re(omega) == omega0 exactly and
+    the partners omega, -omega* of an NHPH pair have bitwise-equal Im, where
+    the complex solver leaves noise of order 1e-15 in both; a sweep's
+    outputs differ from the complex path's in those low bits and, through
+    tie-breaks, in which partner of a pair carries which mode number.
+    ``eigendecompose`` and the ``spectrum`` task stay complex: the order of
+    on-axis modes, and so a zero mode's ``mode_index``, follows their
+    rounding-level Re(omega), and moves on the real form.
+    """
     grid = np.asarray(gamma_grid, dtype=float)
     if len(grid) > 1 and not (np.all(np.diff(grid) > 0) or np.all(np.diff(grid) < 0)):
         raise ValueError("gamma grid must be strictly monotone")
-    return [eigendecompose(assemble_hamiltonian(spec_of_gamma(g))) for g in grid]
+    return [_real_form_modes(spec_of_gamma(g)) for g in grid]
 
 
 def track_modes(sweep: list[ModeSet], parameters=None) -> list[ModeTrajectory]:
@@ -392,25 +467,28 @@ def assign_mode_numbers(trajectories: list[ModeTrajectory],
                         n_steps: int) -> list[ModeTrajectory]:
     """Number trajectories 1..k by final-point Im(omega), largest magnitude first.
 
-    Sorting is by (|Im| descending, Im descending) at the last sweep step,
-    so the two branches of a +/- pair receive consecutive numbers.
-    Trajectories that do not reach the final step keep ``mode_number=None``.
+    Sorting is by (|Im| descending, Im descending, Re ascending) at the last
+    sweep step, so the two branches of a +/- pair receive consecutive
+    numbers, and NHPH partners omega, -omega* with equal Im are numbered
+    left to right.  Trajectories that do not reach the final step keep
+    ``mode_number=None``.
     """
     final = [t for t in trajectories
              if t.start + len(t.eigenvalues) == n_steps]
-    final.sort(key=lambda t: (-abs(t.eigenvalues[-1].imag), -t.eigenvalues[-1].imag))
+    final.sort(key=lambda t: (-abs(t.eigenvalues[-1].imag),
+                              -t.eigenvalues[-1].imag, t.eigenvalues[-1].real))
     for k, t in enumerate(final):
         t.mode_number = k + 1
     return trajectories
 
 
 def fit_pair_threshold(traj_a: ModeTrajectory, traj_b: ModeTrajectory,
-                       re_tol: float = ZERO_TOL) -> float:
+                       omega0: float = 0.0, re_tol: float = ZERO_TOL) -> float:
     """Least-squares threshold gamma_mu of a zero-mode pair.
 
-    Uses the sweep points where both trajectories sit on the imaginary axis
-    with opposite-sign Im(omega) and fits Im(omega)^2 = gamma^2 - gamma_mu^2
-    pooled over both branches.
+    Uses the sweep points where both trajectories sit on the symmetry axis
+    Re(omega) = omega0 with opposite-sign Im(omega) and fits
+    Im(omega)^2 = gamma^2 - gamma_mu^2 pooled over both branches.
     """
     lo = max(traj_a.start, traj_b.start)
     hi = min(traj_a.start + len(traj_a.eigenvalues),
@@ -420,7 +498,7 @@ def fit_pair_threshold(traj_a: ModeTrajectory, traj_b: ModeTrajectory,
         wa = traj_a.eigenvalues[step - traj_a.start]
         wb = traj_b.eigenvalues[step - traj_b.start]
         g = traj_a.parameters[step - traj_a.start]
-        if abs(wa.real) > re_tol or abs(wb.real) > re_tol:
+        if abs(wa.real - omega0) > re_tol or abs(wb.real - omega0) > re_tol:
             continue
         if np.sign(wa.imag) * np.sign(wb.imag) >= 0:
             continue

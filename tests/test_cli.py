@@ -13,6 +13,7 @@ import nhzm
 from nhzm.cli import main
 from nhzm.scenario import (SCENARIO_SCHEMA, ScenarioError,
                            bundled_scenario_names, load_scenario)
+from nhzm.spectral import ZERO_TOL
 
 BUNDLED = ["fig1b", "fig1c", "fig1d", "fig2", "fig3a", "fig3b", "figS1",
            "figS2", "figS6-defect", "ensemble-fig4c"]
@@ -74,6 +75,16 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="non-finite"):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("task", ["spectrum", "sweep", "mode-profile"])
+    def test_even_system_rejected(self, tmp_path, task):
+        payload = {**MINIMAL, "task": task,
+                   "system": {**MINIMAL["system"], "n": 8},
+                   "sweep": {"gamma_start": 0.0, "gamma_stop": 1.0,
+                             "gamma_step": 0.5}}
+        path = write_scenario(tmp_path, payload)
+        with pytest.raises(ScenarioError, match="system.n must be odd"):
+            load_scenario(path)
+
     def test_seed_override_lands_in_resolved_data(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL)
         scenario = load_scenario(path, seed_override=77)
@@ -96,6 +107,13 @@ class TestRunCommand:
                                                     '"gamma": NaN'))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "non-finite number NaN" in capsys.readouterr().err
+
+    def test_even_system_exits_2(self, tmp_path, capsys):
+        payload = {**MINIMAL, "task": "mode-profile",
+                   "system": {**MINIMAL["system"], "n": 8}}
+        path = write_scenario(tmp_path, payload)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "system.n must be odd" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json"),
@@ -242,6 +260,106 @@ def test_sweep_baseline_is_the_first_zero_mode(tmp_path):
             expected.append((float(g), zms[0].omega.imag))
     assert [(b["gamma"], b["im_omega"]) for b in summary["baseline"]] \
         == expected
+
+
+def read_csv(path):
+    lines = path.read_text().splitlines()[2:]
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return {name: np.array([float(r[k]) for r in rows])
+            for k, name in enumerate(header) if name != "sublattice"}
+
+
+def test_fig2_matches_the_complex_path(tmp_path, monkeypatch):
+    assert main(["run", "fig2", "--out", str(tmp_path / "real")]) == 0
+    monkeypatch.setattr(nhzm.spectral, "_real_form_modes", lambda spec:
+                        nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec)))
+    assert main(["run", "fig2", "--out", str(tmp_path / "complex")]) == 0
+    real, ref = (read_csv(tmp_path / d / "sweep.csv")
+                 for d in ("real", "complex"))
+    assert np.array_equal(real["gamma"], ref["gamma"])
+    assert np.array_equal(real["mode_id"], ref["mode_id"])
+    # each row holds the reference eigenvalue or its NHPH partner -omega*,
+    # whose Im is bitwise equal in real arithmetic
+    w, w_ref = (d["re_omega"] + 1j * d["im_omega"] for d in (real, ref))
+    assert np.minimum(np.abs(w - w_ref),
+                      np.abs(w + w_ref.conj())).max() <= 1e-12
+    summary, ref_summary = (
+        json.loads((tmp_path / d / "sweep_summary.json").read_text())
+        for d in ("real", "complex"))
+    baseline, ref_baseline = summary["baseline"], ref_summary["baseline"]
+    assert [b["gamma"] for b in baseline] == [b["gamma"] for b in ref_baseline]
+    np.testing.assert_allclose([b["im_omega"] for b in baseline],
+                               [b["im_omega"] for b in ref_baseline],
+                               rtol=0, atol=1e-12)
+    assert [p["modes"] for p in summary["pair_thresholds"]] == \
+        [p["modes"] for p in ref_summary["pair_thresholds"]]
+
+
+class TestShiftedOnsite:
+    """A scenario's ``onsite`` is omega0, the zero of the spectrum."""
+
+    SWEEP = {"gamma_start": 0.0, "gamma_stop": 3.0, "gamma_step": 0.05}
+
+    @staticmethod
+    def run(tmp_path, task, onsite, n_reservoir=10, **extra):
+        payload = {"task": task, "system": {"n": 9, "tA": 1.0, "tB": 0.2},
+                   "reservoir": {"n": n_reservoir, "tA": 1.0, "tB": 1.0,
+                                 "gamma": 2.0},
+                   "coupling": 0.2, "onsite": onsite, **extra}
+        out = tmp_path / f"{task}-{onsite}"
+        assert main(["run", write_scenario(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def assert_shifted(omegas, ref_omegas):
+        """Each omega is its reference moved by 0.3 along the real axis."""
+        omegas, ref_omegas = np.asarray(omegas), np.asarray(ref_omegas)
+        assert omegas.size == ref_omegas.size > 0
+        assert np.abs(omegas.imag - ref_omegas.imag).max() <= 1e-10
+        assert np.abs(omegas.real - ref_omegas.real - 0.3).max() <= ZERO_TOL
+
+    @staticmethod
+    def omega(payload):
+        return complex(payload["omega"]["re"], payload["omega"]["im"])
+
+    def test_spectrum(self, tmp_path):
+        ref, shifted = (json.loads((self.run(tmp_path, "spectrum", x)
+                                    / "zero_modes.json").read_text())
+                        ["zero_modes"] for x in (0.0, 0.3))
+        self.assert_shifted([self.omega(z) for z in shifted],
+                            [self.omega(z) for z in ref])
+        assert [z["regime"] for z in shifted] == [z["regime"] for z in ref]
+
+    @pytest.mark.parametrize("n_reservoir", [10, 100])
+    def test_mode_profile(self, tmp_path, n_reservoir):
+        outs = [self.run(tmp_path, "mode-profile", x, n_reservoir)
+                for x in (0.0, 0.3)]
+        ref, shifted = (json.loads((o / "regime.json").read_text())
+                        for o in outs)
+        self.assert_shifted([self.omega(shifted)], [self.omega(ref)])
+        assert shifted["regime"] == ref["regime"]
+        ref_profile, profile = (read_csv(o / "profile.csv") for o in outs)
+        np.testing.assert_allclose(profile["abs_pert"],
+                                   ref_profile["abs_pert"], atol=1e-10)
+
+    def test_sweep(self, tmp_path):
+        outs = [self.run(tmp_path, "sweep", x, sweep=self.SWEEP)
+                for x in (0.0, 0.3)]
+        ref_rows, rows = (read_csv(o / "sweep.csv") for o in outs)
+        assert np.array_equal(rows["mode_id"], ref_rows["mode_id"])
+        self.assert_shifted(rows["re_omega"] + 1j * rows["im_omega"],
+                            ref_rows["re_omega"] + 1j * ref_rows["im_omega"])
+        ref, shifted = (json.loads((o / "sweep_summary.json").read_text())
+                        for o in outs)
+        assert [b["gamma"] for b in shifted["baseline"]] == \
+            [b["gamma"] for b in ref["baseline"]]
+        np.testing.assert_allclose([b["im_omega"] for b in shifted["baseline"]],
+                                   [b["im_omega"] for b in ref["baseline"]],
+                                   rtol=0, atol=1e-10)
+        assert [p["modes"] for p in shifted["pair_thresholds"]] == \
+            [p["modes"] for p in ref["pair_thresholds"]]
 
 
 def test_console_entry_point():

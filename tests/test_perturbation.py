@@ -169,6 +169,15 @@ class TestFirstOrderWavefunction:
                                    expected, rtol=0, atol=1e-15)
 
 
+    def test_system_zero_mode_taken_at_omega0(self):
+        # at onsite 0.7 a bulk system mode (0.7 - 0.8) lies closer to 0
+        # than the zero mode at 0.7 itself
+        ref = nhzm.first_order_zero_mode(nhzm.coupled_chain(2.0))
+        psi = nhzm.first_order_zero_mode(nhzm.coupled_chain(2.0, onsite=0.7),
+                                         0.7)
+        np.testing.assert_allclose(np.abs(psi), np.abs(ref), rtol=0,
+                                   atol=1e-10)
+
 class TestAgainstExact:
     @pytest.mark.parametrize("gamma", [0.5, 2.0])
     def test_weak_coupling_agreement(self, gamma):

@@ -3,14 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import linear_sum_assignment
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nhzm
 from nhzm.errors import EigensolverError, FitError
 from nhzm.spectral import (DEFECT_GAP_FRACTION, DEFECT_OVERLAP,
-                           SPARSE_MIN_SITES, ModeTrajectory,
-                           _zero_mode_indices)
+                           SPARSE_MIN_SITES, ZERO_TOL, ModeTrajectory,
+                           _real_form_modes, _zero_mode_indices)
 
 from conftest import KNOWN_ZERO_OMEGAS, baseline_zero_mode, chain_modes
 
@@ -310,6 +311,84 @@ class TestSweepAndTracking:
         np.testing.assert_allclose(rs, -gamma_mu ** 2, rtol=0.05)
 
 
+def trajectory(eigenvalues):
+    n = len(eigenvalues)
+    return ModeTrajectory(start=0, parameters=np.arange(n, dtype=float),
+                          eigenvalues=np.asarray(eigenvalues, dtype=complex),
+                          column_indices=np.zeros(n, dtype=int),
+                          overlaps=np.ones(n - 1))
+
+
+class TestRealFormSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 70), st.floats(0.0, 3.5),
+           st.floats(0.3, 1.5).filter(lambda t: t != 1.0),
+           st.floats(0.0, 1.0), st.floats(-2.0, 2.0).filter(lambda w: w != 0),
+           st.floats(0.05, 0.6))
+    def test_matches_the_complex_solver(self, half_system, n_reservoir,
+                                        gamma, t_b, system_gamma, omega0,
+                                        t_prime):
+        n_system = 2 * half_system + 1
+        assume(n_system + n_reservoir <= 80)
+        spec = nhzm.coupled_chain(gamma, n_system=n_system,
+                                  n_reservoir=n_reservoir, reservoir_t_b=t_b,
+                                  system_gamma=system_gamma, onsite=omega0,
+                                  t_prime=t_prime)
+        h = nhzm.assemble_hamiltonian(spec).matrix
+        scale = np.abs(h).sum(axis=1).max()
+        real, ref = _real_form_modes(spec), nhzm.eigendecompose(
+            nhzm.Hamiltonian(h))
+        # near an exceptional point both solvers carry O(sqrt(eps)) error
+        assume(not ref.near_defective.any())
+        dist = np.abs(real.eigenvalues[:, None] - ref.eigenvalues[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max() <= 1e-10 * scale
+        psi = real.right_vectors
+        resid = np.linalg.norm(h @ psi - psi * real.eigenvalues, axis=0)
+        assert resid.max() <= 1e-10 * scale
+        # the real form's real eigenvalues put Re(omega) at omega0 exactly;
+        # an odd chain has at least one
+        a = np.diag(spec.onsite.imag) + np.diag(spec.bonds, 1) \
+            - np.diag(spec.bonds, -1)
+        n_real = int(np.sum(sla.eig(a)[0].imag == 0))
+        assert np.sum(real.eigenvalues.real == omega0) == n_real
+        assert n_real >= spec.n_sites % 2
+
+    @pytest.mark.parametrize("spec", [
+        nhzm.coupled_chain(2.0, reservoir_onsite=0.3),
+        nhzm.LatticeSpec([0.2 - 0.5j], []),
+    ], ids=["detuned", "single-site"])
+    def test_other_specs_fall_back_bit_for_bit(self, spec):
+        real = _real_form_modes(spec)
+        ref = nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))
+        for field in dataclasses.fields(ref):
+            assert np.array_equal(getattr(real, field.name),
+                                  getattr(ref, field.name))
+
+    def test_nhph_sweep_never_calls_eigendecompose(self, monkeypatch):
+        def refuse(h):
+            raise AssertionError("eigendecompose called")
+
+        monkeypatch.setattr(nhzm.spectral, "eigendecompose", refuse)
+        grid = np.linspace(0.0, 3.0, 7)
+        sweeps = nhzm.sweep_gamma(
+            lambda g: nhzm.coupled_chain(g, system_gamma=0.4, onsite=0.3),
+            grid)
+        assert [m.n_modes for m in sweeps] == [19] * 7
+
+    def test_mode_number_tie_is_broken_by_real_part(self):
+        # NHPH partners omega, -omega* off the axis: bitwise-equal Im
+        right = trajectory([0.5 + 0.2j, 0.7 + 0.1j])
+        left = trajectory([-0.5 + 0.2j, -0.7 + 0.1j])
+        axis = trajectory([0.3j, 0.4j])
+        for order in ([right, left, axis], [left, right, axis]):
+            for t in order:
+                t.mode_number = None
+            nhzm.assign_mode_numbers(order, 2)
+            assert (axis.mode_number, left.mode_number, right.mode_number) \
+                == (1, 2, 3)
+
+
 class TestFitPairThreshold:
     @staticmethod
     def synthetic_pair(gamma_mu, grid):
@@ -324,6 +403,15 @@ class TestFitPairThreshold:
     def test_exact_square_root_model_recovered(self):
         a, b = self.synthetic_pair(1.0, np.linspace(1.05, 3.0, 40))
         assert nhzm.fit_pair_threshold(a, b) == pytest.approx(1.0, abs=1e-6)
+
+    def test_pair_on_a_shifted_axis(self):
+        a, b = self.synthetic_pair(1.0, np.linspace(1.05, 3.0, 40))
+        for t in (a, b):
+            t.eigenvalues = t.eigenvalues + 0.3
+        with pytest.raises(FitError):
+            nhzm.fit_pair_threshold(a, b)
+        assert nhzm.fit_pair_threshold(a, b, 0.3) == pytest.approx(1.0,
+                                                                   abs=1e-6)
 
     def test_insufficient_points_raise(self):
         a, b = self.synthetic_pair(1.0, np.linspace(1.05, 1.1, 2))
@@ -376,9 +464,11 @@ class TestLowestZeroMode:
 
     @settings(max_examples=30, deadline=None)
     # Hermitian chains with split edge states: a +/- pair with Im = 0 that
-    # the dense order breaks by Re, 5.5e-9 apart (55) and 1.1e-11 apart (73)
+    # the dense order breaks by Re, 5.5e-9 apart (55) and 1.1e-11 apart (73);
+    # at 119 ARPACK's k = 6 vector has residual 1.5e-10 |H|
     @example(55, 0.0, 0.5, None, 0.5)
     @example(73, 0.0, 0.5, None, 0.5)
+    @example(119, 0.0, 0.5, None, 0.5)
     @given(st.integers(SPARSE_MIN_SITES - 9, 291),
            st.one_of(st.just(0.0), st.floats(0.0, 3.5)),
            st.one_of(st.just(1.0), st.floats(0.3, 1.5)),
@@ -418,6 +508,17 @@ class TestLowestZeroMode:
         assert abs(zm.omega) < 1e-12
         assert abs(zm.omega - ref.omega) < 1e-12
         assert abs(np.vdot(zm.wavefunction, ref.wavefunction)) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("n_reservoir", [10, 100])
+    def test_zero_measured_from_omega0(self, n_reservoir):
+        ref = nhzm.lowest_zero_mode(nhzm.coupled_chain(
+            2.0, n_reservoir=n_reservoir))
+        spec = nhzm.coupled_chain(2.0, n_reservoir=n_reservoir, onsite=0.3)
+        assert nhzm.lowest_zero_mode(spec) is None
+        zm = nhzm.lowest_zero_mode(spec, 0.3)
+        assert abs(zm.omega.imag - ref.omega.imag) <= 1e-10
+        assert abs(zm.omega.real - 0.3) <= ZERO_TOL
+        assert zm.alpha == pytest.approx(ref.alpha, rel=1e-8)
 
     def test_vector_scaled_like_lapack(self):
         zm = nhzm.lowest_zero_mode(nhzm.coupled_chain(2.0, n_reservoir=200))
