@@ -229,7 +229,8 @@ def _task_ensemble(scenario: Scenario, out: Path) -> None:
 def _task_perturbation(scenario: Scenario, out: Path) -> None:
     spec, modes, _ = _zero_modes(scenario)
     setup = PerturbationSetup.from_spec(spec)
-    comparison, pert, j = _compare_to_exact(setup, modes)
+    mode_index = setup.zero_mode_index(scenario.data["onsite"])
+    comparison, pert, j = _compare_to_exact(setup, modes, mode_index)
     exact = modes.right_vectors[:, j]
     exact = exact / np.abs(exact).max()
     pert = (np.vdot(pert, exact) / np.vdot(pert, pert)) * pert
@@ -238,7 +239,7 @@ def _task_perturbation(scenario: Scenario, out: Path) -> None:
                ("site", "abs_exact", "abs_pert", "mode_index"),
                (np.arange(n), np.hypot(exact.real, exact.imag),
                 np.hypot(pert.real, pert.imag),
-                np.full(n, setup.zero_mode_index())), scenario)
+                np.full(n, mode_index)), scenario)
     _write_json(out / "perturbation.json", {
         "vector_error": comparison.vector_error,
         "energy_error": comparison.energy_error,

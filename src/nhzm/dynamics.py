@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import EpSetupError, PropagationOverflowError
 from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian
@@ -32,10 +31,12 @@ def propagate(h: Hamiltonian, psi0, duration: float,
     up to floating-point range.  A non-finite result without
     renormalization raises PropagationOverflowError.
     """
+    from scipy.linalg import expm
+
     psi = np.asarray(psi0, dtype=complex)
     if not renormalize_each_period:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = sla.expm(-1j * h.matrix * duration) @ psi
+            out = expm(-1j * h.matrix * duration) @ psi
         if not np.all(np.isfinite(out)):
             raise PropagationOverflowError(
                 "evolution overflowed; pass renormalize_each_period=True")
@@ -45,7 +46,7 @@ def propagate(h: Hamiltonian, psi0, duration: float,
     remainder = duration - n_full * PERIOD
     log_scale = 0.0
     if n_full:
-        u = sla.expm(-1j * h.matrix * PERIOD)
+        u = expm(-1j * h.matrix * PERIOD)
         for _ in range(n_full):
             psi = u @ psi
             peak = float(np.abs(psi).max())
@@ -55,7 +56,7 @@ def propagate(h: Hamiltonian, psi0, duration: float,
             psi = psi / peak
             log_scale += math.log(peak)
     if remainder:
-        psi = sla.expm(-1j * h.matrix * remainder) @ psi
+        psi = expm(-1j * h.matrix * remainder) @ psi
         peak = float(np.abs(psi).max())
         if peak == 0.0 or not math.isfinite(peak):
             raise PropagationOverflowError(

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, solve_banded
 
 from .errors import DegeneratePerturbationError, DomainError
 from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian
@@ -51,21 +50,26 @@ class PerturbationSetup:
         t_prime = float(full[p - 1, p].real)
         blocks = [eigendecompose(Hamiltonian(full[:p, :p])),
                   eigendecompose(Hamiltonian(full[p:, p:]))]
-        h0 = block_diag(full[:p, :p], full[p:, p:])
+        h0 = np.zeros_like(full)
+        h0[:p, :p] = full[:p, :p]
+        h0[p:, p:] = full[p:, p:]
         h_prime = (full - h0).real / t_prime
 
         # the screen keeps each block's flags: a mode is not defective
         # because the other block has an eigenvalue next to it
         w = np.concatenate([b.eigenvalues for b in blocks])
+        vectors = np.zeros_like(full)
+        vectors[:p, :p] = blocks[0].right_vectors
+        vectors[p:, p:] = blocks[1].right_vectors
         modes = ModeSet(
-            w, block_diag(*(b.right_vectors for b in blocks)), _gaps(w),
+            w, vectors, _gaps(w),
             np.concatenate([b.lr_overlaps for b in blocks]),
             np.concatenate([b.near_defective for b in blocks]))
         return cls(Hamiltonian(h0), h_prime, t_prime, modes)
 
-    def zero_mode_index(self) -> int:
-        """Index of the unperturbed mode closest to zero energy."""
-        return int(np.argmin(np.abs(self.modes.eigenvalues)))
+    def zero_mode_index(self, omega0: float = 0.0) -> int:
+        """Index of the unperturbed mode closest to omega0."""
+        return int(np.argmin(np.abs(self.modes.eigenvalues - omega0)))
 
 
 def first_order_energy(setup: PerturbationSetup, mode_index: int) -> complex:
@@ -144,6 +148,9 @@ def _resolvent(diag: np.ndarray, off: np.ndarray, w0: complex,
     Raises DegeneratePerturbationError when the solve amplifies by more than
     1/DEGENERACY_GAP or w0 - T is exactly singular.
     """
+    # numpy has no banded solver
+    from scipy.linalg import solve_banded
+
     ab = np.zeros((3, len(diag)), dtype=complex)
     ab[0, 1:] = -off
     ab[1] = w0 - diag
@@ -169,29 +176,29 @@ class PerturbationComparison:
     omega_perturbative: complex
 
 
-def perturbation_vs_exact(spec: LatticeSpec,
-                          mode_index: int | None = None) -> PerturbationComparison:
+def perturbation_vs_exact(spec: LatticeSpec, mode_index: int | None = None,
+                          omega0: float = 0.0) -> PerturbationComparison:
     """Compare first-order theory against the exact coupled eigenvector.
 
-    Defaults to the zero mode.  The perturbative vector is matched to the
-    exact one in phase and normalization by least-squares projection before
-    the 2-norm error is taken.
+    Defaults to the zero mode, the unperturbed mode closest to omega0.  The
+    perturbative vector is matched to the exact one in phase and
+    normalization by least-squares projection before the 2-norm error is
+    taken.
     """
-    return _compare_to_exact(PerturbationSetup.from_spec(spec),
-                             eigendecompose(assemble_hamiltonian(spec)),
+    setup = PerturbationSetup.from_spec(spec)
+    if mode_index is None:
+        mode_index = setup.zero_mode_index(omega0)
+    return _compare_to_exact(setup, eigendecompose(assemble_hamiltonian(spec)),
                              mode_index)[0]
 
 
-def _compare_to_exact(setup: PerturbationSetup, exact: ModeSet,
-                      mode_index: int | None = None
+def _compare_to_exact(setup: PerturbationSetup, exact: ModeSet, mode_index: int
                       ) -> tuple[PerturbationComparison, np.ndarray, int]:
     """``perturbation_vs_exact`` on a prebuilt setup and exact spectrum.
 
     Also returns the unnormalized first-order vector and the index of the
     exact mode it matched, so callers need not evaluate it again.
     """
-    if mode_index is None:
-        mode_index = setup.zero_mode_index()
     omega_pert = setup.modes.eigenvalues[mode_index] + first_order_energy(
         setup, mode_index)
     psi_pert = setup.modes.right_vectors[:, mode_index] + \

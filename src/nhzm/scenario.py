@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
-
 from .errors import NhzmError
 from .lattice import LatticeSpec, coupled_chain
 
@@ -119,6 +117,76 @@ class Scenario:
         )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON Schema types by Python value; as in draft 2020-12, a float with an
+# integral value is an integer and a bool is not a number
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int)
+                                            or v.is_integer()),
+}
+
+
+def _violations(schema: dict, value, path: tuple = ()):
+    """Yield (path, message) for each place ``value`` violates ``schema``.
+
+    Implements exactly the JSON Schema (draft 2020-12) keywords that
+    ``SCENARIO_SCHEMA`` uses, in the order ``jsonschema`` reports them, and
+    raises NotImplementedError on any other keyword, so that a schema edit
+    cannot go unchecked.  ``$schema`` and ``title`` are annotations.
+    """
+    for key, rule in schema.items():
+        if key in ("$schema", "title"):
+            continue
+        if key == "type":
+            if not _TYPES[rule](value):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum":
+            if value not in rule:
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "minimum":
+            if _is_number(value) and value < rule:
+                yield path, f"{value!r} is less than the minimum of {rule!r}"
+        elif key == "exclusiveMinimum":
+            if _is_number(value) and value <= rule:
+                yield path, (f"{value!r} is less than or equal to the "
+                             f"minimum of {rule!r}")
+        elif key == "required":
+            if isinstance(value, dict):
+                for name in rule:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _violations(sub, value[name], path + (name,))
+        elif key == "additionalProperties" and rule is False:
+            if isinstance(value, dict):
+                extra = [k for k in value if k not in schema.get("properties", {})]
+                if extra:
+                    verb = "was" if len(extra) == 1 else "were"
+                    yield path, ("Additional properties are not allowed ("
+                                 f"{', '.join(map(repr, extra))} {verb} "
+                                 "unexpected)")
+        elif key == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from _violations(rule, item, path + (i,))
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < rule:
+                yield path, f"{value!r} is too short"
+        else:
+            raise NotImplementedError(
+                f"schema keyword {key!r}: {rule!r} is not supported")
+
+
 def bundled_scenario_names() -> list[str]:
     files = resources.files("nhzm").joinpath("scenarios")
     return sorted(p.name[:-5] for p in files.iterdir() if p.name.endswith(".json"))
@@ -150,7 +218,7 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
 
     Raises ScenarioError with a location-anchored message on JSON or schema
     violations, and on a non-finite number; unknown keys are rejected by the
-    schema.
+    schema.  Of several violations the one at the first path is reported.
     """
     text, name = _read_scenario_text(str(path_or_name))
     try:
@@ -160,14 +228,12 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
 
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+    errors = list(_violations(SCENARIO_SCHEMA, raw))
     if errors:
-        first = errors[0]
+        path, message = min(errors, key=lambda e: e[0])
         where = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}"
-            for p in first.absolute_path)
-        raise ScenarioError(f"schema violation at {where}: {first.message}")
+            f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        raise ScenarioError(f"schema violation at {where}: {message}")
 
     task = raw["task"]
     if task in _NEEDS_LATTICE:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import EigensolverError, FitError, ModeMatchingError
 from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian
@@ -35,8 +34,9 @@ ZERO_TOL = 1e-8
 # Chains of at least this many sites take the sparse path of
 # ``lowest_zero_mode``: both paths took 3-4 ms at 59 sites (2-vCPU VM,
 # OpenBLAS), dense 16 ms against sparse 4-6 ms at 79 and 45-49 ms against
-# 3-5 ms at 159.  The first sparse call per process also imports
-# scipy.sparse.linalg (25-35 ms).
+# 3-5 ms at 159.  The first sparse call of a process also imports
+# scipy.sparse.linalg, which pulls in scipy.linalg (about 0.3 s cold with
+# scipy 1.17; 25-35 ms once scipy.linalg is loaded).
 SPARSE_MIN_SITES = 64
 # Shift-invert runs at i * SHIFT * |H|_inf, off the real axis, so that an
 # exactly singular H (an odd Hermitian chain has omega = 0 exactly) still
@@ -167,7 +167,8 @@ def eigendecompose(h: Hamiltonian) -> ModeSet:
     ``DEFECT_OVERLAP`` or its eigenvalue gap is below
     ``DEFECT_GAP_FRACTION * sqrt(|H|_1 |H|_inf)``.  That scale bounds the
     spectral norm from above and costs O(N^2) instead of an SVD, so the
-    screen flags every mode a spectral-norm screen would.
+    screen flags every mode a spectral-norm screen would.  The solve is
+    LAPACK's zgeev through ``np.linalg.eig``, so no scipy import is needed.
     """
     m = h.matrix
     if not np.all(np.isfinite(m)):
@@ -176,8 +177,8 @@ def eigendecompose(h: Hamiltonian) -> ModeSet:
         raise EigensolverError("matrix is not complex symmetric (H != H^T)",
                                matrix=m)
     try:
-        w, vr = sla.eig(m)
-    except sla.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
+        w, vr = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise EigensolverError(f"dense eigensolver failed: {exc}", matrix=m) from exc
     norm_bound = np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
     return _modeset(w, vr, norm_bound)
@@ -212,10 +213,12 @@ def _real_form_modes(spec: LatticeSpec) -> ModeSet:
     non-Hermitian particle-hole symmetry, and then -i(H - omega0) is
     diagonally similar to the real tridiagonal A with diagonal Im H_jj,
     upper band t_j and lower band -t_j: A = D^-1 (-i(H - omega0)) D with
-    D = diag(i^j).  One real eigensolve of A gives omega = omega0 + i lambda
-    and psi = D v; a real lambda puts Re(omega) at omega0 exactly.  Any
-    other spec (a detuned reservoir, a single site) takes the dense complex
-    path.
+    D = diag(i^j).  One real eigensolve of A (LAPACK's dgeev through
+    ``np.linalg.eig``) gives omega = omega0 + i lambda and psi = D v; a real
+    lambda puts Re(omega) at omega0 exactly.  When every lambda is real,
+    ``np.linalg.eig`` returns real lambda and v, which the same arithmetic
+    handles.  Any other spec (a detuned reservoir, a single site) takes the
+    dense complex path.
     """
     n = spec.n_sites
     re = spec.onsite.real
@@ -227,8 +230,8 @@ def _real_form_modes(spec: LatticeSpec) -> ModeSet:
     a.flat[1::n + 1] = spec.bonds
     a.flat[n::n + 1] = -spec.bonds
     try:
-        lam, v = sla.eig(a)
-    except sla.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
+        lam, v = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise EigensolverError(f"dense eigensolver failed: {exc}", matrix=a) from exc
     w = np.empty(n, dtype=complex)
     w.real = omega0 - lam.imag

@@ -361,6 +361,22 @@ class TestShiftedOnsite:
         assert [p["modes"] for p in shifted["pair_thresholds"]] == \
             [p["modes"] for p in ref["pair_thresholds"]]
 
+    def test_perturbation(self, tmp_path):
+        # the compared mode is the zero mode at omega0, not the mode nearest 0
+        reservoir = {"n": 10, "tA": 1.0, "tB": 1.0, "gamma": 0.5}
+        outs = [self.run(tmp_path, "perturbation", x, reservoir=reservoir)
+                for x in (0.0, 0.7)]
+        ref, shifted = (json.loads((o / "perturbation.json").read_text())
+                        for o in outs)
+        for key in ("omega_perturbative", "omega_exact"):
+            assert abs(shifted[key]["re"] - 0.7) <= ZERO_TOL
+            assert abs(ref[key]["re"]) <= ZERO_TOL
+        assert abs(shifted["vector_error"] - ref["vector_error"]) <= 1e-10
+        ref_rows, rows = (read_csv(o / "perturbation.csv") for o in outs)
+        assert np.array_equal(rows["mode_index"], ref_rows["mode_index"])
+        np.testing.assert_allclose(rows["abs_pert"], ref_rows["abs_pert"],
+                                   rtol=0, atol=1e-10)
+
 
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "nhzm.cli", "schema"],
@@ -377,6 +393,31 @@ def test_paper_scenario_does_not_import_the_sparse_solver(tmp_path):
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_import_and_paper_runs_load_neither_scipy_nor_jsonschema(tmp_path):
+    # numpy's LAPACK does the dense eigensolves; scipy is imported only by
+    # the long-chain and propagation paths, jsonschema only by tests
+    code = "\n".join([
+        "import json, sys",
+        "def heavy():",
+        "    return sorted(m for m in sys.modules",
+        "                  if m.split('.')[0] in ('scipy', 'jsonschema'))",
+        "import nhzm",
+        "loaded = {'import nhzm': heavy()}",
+        "from nhzm.cli import main",
+        "for name in ('figS6-defect', 'fig2', 'figS2', 'ensemble-fig4c'):",
+        f"    assert main(['run', name, '--out', {str(tmp_path)!r} + '/' + name]) == 0",
+        "    loaded[name] = heavy()",
+        "print(json.dumps(loaded))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert list(loaded) == ["import nhzm", "figS6-defect", "fig2", "figS2",
+                            "ensemble-fig4c"]
+    assert loaded == dict.fromkeys(loaded, [])
 
 
 class TestLongChain:

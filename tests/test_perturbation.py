@@ -4,6 +4,7 @@ import pytest
 import nhzm
 from nhzm.errors import DegeneratePerturbationError
 from nhzm.perturbation import DEGENERACY_GAP, PerturbationSetup
+from nhzm.spectral import ZERO_TOL
 
 GAMMAS = np.round(np.arange(0.25, 3.01, 0.25), 10)
 
@@ -206,3 +207,11 @@ class TestAgainstExact:
         err2 = nhzm.perturbation_vs_exact(
             nhzm.coupled_chain(2.0, t_prime=0.1)).vector_error
         assert 3.0 <= err1 / err2 <= 5.5
+
+    def test_zero_mode_at_shifted_onsite(self):
+        ref = nhzm.perturbation_vs_exact(nhzm.coupled_chain(0.5))
+        shifted = nhzm.perturbation_vs_exact(nhzm.coupled_chain(0.5, onsite=0.7),
+                                             omega0=0.7)
+        assert abs(shifted.omega_perturbative.real - 0.7) <= ZERO_TOL
+        assert abs(shifted.vector_error - ref.vector_error) <= 1e-10
+        assert abs(shifted.energy_error - ref.energy_error) <= 1e-10

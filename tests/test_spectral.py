@@ -25,22 +25,26 @@ def random_gain_loss_chain(n, couplings, gamma):
     return nhzm.Hamiltonian(m)
 
 
-def lapack_left_vectors(m, near_defective):
+def lapack_left_vectors(m, modes):
     """Left vectors and overlaps from LAPACK's own left eigenvectors.
 
     Rows are unit-norm left eigenvectors, scaled so ``left @ right`` has unit
-    diagonal except on the given near-defective modes; overlaps are
-    |<left|right>| of the unit-norm vectors.
+    diagonal except on the near-defective modes of ``modes``, where right
+    holds LAPACK's unit-norm right vectors of the same call; overlaps are
+    |<left|right>|.  All follow the order of ``modes``, paired by
+    eigenvalue: eigenvalues whose Re differs by rounding only (on-axis
+    modes of a long chain) need not sort alike in two solvers.
     """
     w, vl, vr = sla.eig(m, left=True, right=True)
-    order = np.lexsort((w.imag, w.real))
+    _, order = linear_sum_assignment(
+        np.abs(modes.eigenvalues[:, None] - w[None, :]))
     vr = vr[:, order] / np.linalg.norm(vr[:, order], axis=0, keepdims=True)
     left = vl[:, order].conj().T
     left = left / np.linalg.norm(left, axis=1, keepdims=True)
     scale = np.einsum("ij,ji->i", left, vr)
-    ok = ~near_defective
+    ok = ~modes.near_defective
     left[ok] /= scale[ok, None]
-    return left, np.abs(scale)
+    return left, np.abs(scale), vr
 
 
 class TestEigendecompose:
@@ -61,7 +65,7 @@ class TestEigendecompose:
         modes = nhzm.eigendecompose(h)
         np.testing.assert_allclose(modes.eigenvalues, [0, 0], atol=1e-7)
         assert modes.near_defective.all()
-        _, overlaps = lapack_left_vectors(h.matrix, modes.near_defective)
+        _, overlaps, _ = lapack_left_vectors(h.matrix, modes)
         assert (overlaps < DEFECT_OVERLAP).all()
         assert (modes.lr_overlaps < DEFECT_OVERLAP).all()
         assert h.norm == np.linalg.norm(h.matrix, 2)
@@ -108,12 +112,17 @@ class TestEigendecompose:
         h = nhzm.assemble_hamiltonian(
             nhzm.coupled_chain(gamma, n_reservoir=n_reservoir))
         modes = nhzm.eigendecompose(h)
-        left, overlaps = lapack_left_vectors(h.matrix, modes.near_defective)
+        left, overlaps, right = lapack_left_vectors(h.matrix, modes)
         np.testing.assert_allclose(modes.lr_overlaps, overlaps, rtol=0,
                                    atol=1e-10)
         assert not modes.near_defective.any()
+        # LAPACK's left vectors belong to the right vectors of its own call;
+        # another solve's (numpy's OpenBLAS build, or another BLAS thread
+        # count) differ by up to ~eps |H| / gap, 1.1e-10 on the 509-site
+        # chain's mode pair 7.9e-5 apart
+        lapack = dataclasses.replace(modes, right_vectors=right)
         # rows scale as 1/|psi^T psi|, so compare each relative to its norm
-        error = np.linalg.norm(modes.left_vectors - left, axis=1)
+        error = np.linalg.norm(lapack.left_vectors - left, axis=1)
         assert (error <= 1e-10 * np.linalg.norm(left, axis=1)).all()
 
     def test_left_vectors_read_only_and_derived_once(self):
@@ -353,6 +362,29 @@ class TestRealFormSweep:
         n_real = int(np.sum(sla.eig(a)[0].imag == 0))
         assert np.sum(real.eigenvalues.real == omega0) == n_real
         assert n_real >= spec.n_sites % 2
+
+    def test_all_real_lambda(self):
+        # gain/loss 2 against unit bonds puts all five modes on the axis:
+        # every lambda of A is real, and np.linalg.eig then returns real
+        # lambda and v
+        spec = nhzm.LatticeSpec(0.4 + 2j * np.array([1, -1, 1, -1, 1]),
+                                np.ones(4))
+        a = np.diag(spec.onsite.imag) + np.diag(spec.bonds, 1) \
+            - np.diag(spec.bonds, -1)
+        lam, v = np.linalg.eig(a)
+        assert lam.dtype == v.dtype == np.float64
+        modes = _real_form_modes(spec)
+        assert modes.right_vectors.dtype == complex
+        assert (modes.eigenvalues.real == 0.4).all()
+        np.testing.assert_allclose(modes.eigenvalues.imag,
+                                   [-np.sqrt(3), -1, 1, np.sqrt(3), 2],
+                                   rtol=0, atol=1e-12)
+        h = nhzm.assemble_hamiltonian(spec).matrix
+        psi = modes.right_vectors
+        np.testing.assert_allclose(np.linalg.norm(psi, axis=0), 1, atol=1e-14)
+        resid = np.linalg.norm(h @ psi - psi * modes.eigenvalues, axis=0)
+        assert resid.max() <= 1e-12
+        assert not modes.near_defective.any()
 
     @pytest.mark.parametrize("spec", [
         nhzm.coupled_chain(2.0, reservoir_onsite=0.3),
