@@ -229,7 +229,7 @@ def _task_ensemble(scenario: Scenario, out: Path) -> None:
 def _task_perturbation(scenario: Scenario, out: Path) -> None:
     spec, modes, _ = _zero_modes(scenario)
     setup = PerturbationSetup.from_spec(spec)
-    mode_index = setup.zero_mode_index(scenario.data["onsite"])
+    mode_index = setup.zero_mode_index()
     comparison, pert, j = _compare_to_exact(setup, modes, mode_index)
     exact = modes.right_vectors[:, j]
     exact = exact / np.abs(exact).max()

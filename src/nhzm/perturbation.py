@@ -29,19 +29,22 @@ class PerturbationSetup:
 
     ``modes`` holds the uncoupled eigensystem assembled block by block so
     that system modes are exactly zero on reservoir sites and vice versa.
+    ``omega0`` is the system sites' common real onsite energy, where the
+    zero mode sits, or None when they have none.
     """
 
     h0: Hamiltonian
     h_prime: np.ndarray
     t_prime: float
     modes: ModeSet
+    omega0: float | None
 
     @classmethod
     def from_spec(cls, spec: LatticeSpec) -> "PerturbationSetup":
         """Build the setup from a coupled spec by cutting the junction bond.
 
         The junction coupling strength becomes t_prime and each block is
-        eigendecomposed separately.
+        eigendecomposed separately; omega0 is read from the system sites.
         """
         if spec.partition is None:
             raise DomainError("spec has no partition; nothing to cut")
@@ -65,11 +68,16 @@ class PerturbationSetup:
             w, vectors, _gaps(w),
             np.concatenate([b.lr_overlaps for b in blocks]),
             np.concatenate([b.near_defective for b in blocks]))
-        return cls(Hamiltonian(h0), h_prime, t_prime, modes)
+        re = spec.onsite[:p].real
+        omega0 = float(re[0]) if (re == re[0]).all() else None
+        return cls(Hamiltonian(h0), h_prime, t_prime, modes, omega0)
 
-    def zero_mode_index(self, omega0: float = 0.0) -> int:
+    def zero_mode_index(self) -> int:
         """Index of the unperturbed mode closest to omega0."""
-        return int(np.argmin(np.abs(self.modes.eigenvalues - omega0)))
+        if self.omega0 is None:
+            raise DomainError("system sites share no real onsite energy; "
+                              "no zero mode to pick")
+        return int(np.argmin(np.abs(self.modes.eigenvalues - self.omega0)))
 
 
 def first_order_energy(setup: PerturbationSetup, mode_index: int) -> complex:
@@ -176,18 +184,18 @@ class PerturbationComparison:
     omega_perturbative: complex
 
 
-def perturbation_vs_exact(spec: LatticeSpec, mode_index: int | None = None,
-                          omega0: float = 0.0) -> PerturbationComparison:
+def perturbation_vs_exact(spec: LatticeSpec, mode_index: int | None = None
+                          ) -> PerturbationComparison:
     """Compare first-order theory against the exact coupled eigenvector.
 
-    Defaults to the zero mode, the unperturbed mode closest to omega0.  The
-    perturbative vector is matched to the exact one in phase and
-    normalization by least-squares projection before the 2-norm error is
-    taken.
+    Defaults to the zero mode, the unperturbed mode closest to the system
+    sites' real onsite energy omega0.  The perturbative vector is matched
+    to the exact one in phase and normalization by least-squares
+    projection before the 2-norm error is taken.
     """
     setup = PerturbationSetup.from_spec(spec)
     if mode_index is None:
-        mode_index = setup.zero_mode_index(omega0)
+        mode_index = setup.zero_mode_index()
     return _compare_to_exact(setup, eigendecompose(assemble_hamiltonian(spec)),
                              mode_index)[0]
 

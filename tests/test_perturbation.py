@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import nhzm
-from nhzm.errors import DegeneratePerturbationError
+from nhzm.errors import DegeneratePerturbationError, DomainError
 from nhzm.perturbation import DEGENERACY_GAP, PerturbationSetup
 from nhzm.spectral import ZERO_TOL
 
@@ -69,6 +71,25 @@ class TestSetup:
         psi = setup.modes.right_vectors[:, idx]
         assert np.linalg.norm(psi[9:]) == 0.0
 
+    def test_omega0_is_the_system_onsite(self):
+        # the detuned reservoir does not move the system's zero mode
+        spec = nhzm.coupled_chain(2.0, onsite=0.7, reservoir_onsite=0.3)
+        setup = PerturbationSetup.from_spec(spec)
+        assert setup.omega0 == 0.7
+        idx = setup.zero_mode_index()
+        assert abs(setup.modes.eigenvalues[idx] - 0.7) < 1e-12
+
+    def test_zero_mode_index_needs_a_common_onsite(self):
+        spec = nhzm.coupled_chain(2.0)
+        onsite = spec.onsite.copy()
+        onsite[0] += 0.1
+        setup = PerturbationSetup.from_spec(
+            nhzm.LatticeSpec(onsite, spec.bonds, spec.first_sublattice,
+                             spec.partition))
+        assert setup.omega0 is None
+        with pytest.raises(DomainError, match="onsite"):
+            setup.zero_mode_index()
+
 
 class TestFirstOrderEnergy:
     @pytest.mark.parametrize("gamma", GAMMAS)
@@ -82,14 +103,14 @@ class TestFirstOrderEnergy:
     def test_zero_coupling_gives_zero(self):
         spec = nhzm.coupled_chain(1.0)
         setup = PerturbationSetup.from_spec(spec)
-        scaled = PerturbationSetup(setup.h0, setup.h_prime, 0.0, setup.modes)
+        scaled = dataclasses.replace(setup, t_prime=0.0)
         assert nhzm.first_order_energy(scaled, 0) == 0.0
 
     def test_synthetic_diagonal_structure_shifts_energy(self):
         _, setup = setup_for(1.0)
         h_prime = np.zeros((19, 19))
         h_prime[4, 4] = 1.0
-        synthetic = PerturbationSetup(setup.h0, h_prime, 0.3, setup.modes)
+        synthetic = dataclasses.replace(setup, h_prime=h_prime, t_prime=0.3)
         idx = setup.zero_mode_index()
         psi = setup.modes.right_vectors[:, idx]
         phi = setup.modes.left_vectors[idx]
@@ -118,7 +139,7 @@ class TestFirstOrderWavefunction:
 
     def test_zero_coupling_gives_zero_vector(self):
         _, setup = setup_for(1.0)
-        scaled = PerturbationSetup(setup.h0, setup.h_prime, 0.0, setup.modes)
+        scaled = dataclasses.replace(setup, t_prime=0.0)
         correction = nhzm.first_order_wavefunction(scaled, scaled.zero_mode_index())
         assert np.linalg.norm(correction) == 0.0
 
@@ -210,8 +231,7 @@ class TestAgainstExact:
 
     def test_zero_mode_at_shifted_onsite(self):
         ref = nhzm.perturbation_vs_exact(nhzm.coupled_chain(0.5))
-        shifted = nhzm.perturbation_vs_exact(nhzm.coupled_chain(0.5, onsite=0.7),
-                                             omega0=0.7)
+        shifted = nhzm.perturbation_vs_exact(nhzm.coupled_chain(0.5, onsite=0.7))
         assert abs(shifted.omega_perturbative.real - 0.7) <= ZERO_TOL
         assert abs(shifted.vector_error - ref.vector_error) <= 1e-10
         assert abs(shifted.energy_error - ref.energy_error) <= 1e-10
