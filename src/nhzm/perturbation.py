@@ -7,7 +7,9 @@ lives entirely in one block while the perturbation only bridges the blocks,
 all first-order energy corrections vanish and the first-order wave-function
 correction of a system mode lives entirely in the reservoir.  That
 correction is the junction resolvent t' (omega0 - H0_other)^-1 H' psi0 of the
-other block, one tridiagonal solve instead of a sum over its modes.
+other block, one tridiagonal solve instead of a sum over its modes.  The
+solve is LAPACK's ?gtsv algorithm written out in Python (``_resolvent``), so
+this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -153,25 +155,52 @@ def _resolvent(diag: np.ndarray, off: np.ndarray, w0: complex,
                rhs: np.ndarray) -> np.ndarray:
     """(w0 - T)^-1 rhs for the symmetric tridiagonal T with diagonals diag, off.
 
-    Raises DegeneratePerturbationError when the solve amplifies by more than
-    1/DEGENERACY_GAP or w0 - T is exactly singular.
+    The algorithm is LAPACK's ?gtsv: Gaussian elimination with partial
+    pivoting, which swaps rows k and k+1 when |Re d_k| + |Im d_k| < |t_k|
+    and keeps the second superdiagonal that a swap fills in.  It runs step
+    for step in Python complex scalars, whose products and quotients round
+    as the Fortran ones do, so the result equals zgtsv's to the bit, in
+    O(N) time without scipy.  The couplings off are chain bonds, all
+    positive, so ?gtsv's zero-subdiagonal case cannot arise and only the
+    last pivot can vanish.  Raises DegeneratePerturbationError when it is
+    exactly zero (w0 - T singular) or the solve amplifies by more than
+    1/DEGENERACY_GAP.
     """
-    # numpy has no banded solver
-    from scipy.linalg import solve_banded
-
-    ab = np.zeros((3, len(diag)), dtype=complex)
-    ab[0, 1:] = -off
-    ab[1] = w0 - diag
-    ab[2, :-1] = -off
-    try:
-        x = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
+    w0 = complex(w0)
+    d = [w0 - x for x in diag.tolist()]
+    du = [complex(-t) for t in off.tolist()]
+    # the subdiagonal, overwritten with the fill-in of each row swap
+    dl = du.copy()
+    b = [complex(x) for x in rhs.tolist()]
+    n = len(d)
+    for k in range(n - 1):
+        if abs(d[k].real) + abs(d[k].imag) >= abs(dl[k].real):
+            mult = dl[k] / d[k]
+            d[k + 1] -= mult * du[k]
+            b[k + 1] -= mult * b[k]
+            dl[k] = 0j
+        else:
+            mult = d[k] / dl[k]
+            d[k], temp = dl[k], d[k + 1]
+            d[k + 1] = du[k] - mult * temp
+            if k < n - 2:
+                dl[k] = du[k + 1]
+                du[k + 1] = -(mult * dl[k])
+            du[k] = temp
+            b[k], b[k + 1] = b[k + 1], b[k] - mult * b[k + 1]
+    if d[n - 1] == 0:
         raise DegeneratePerturbationError(
-            f"w0 = {complex(w0):.6g} is an eigenvalue of the other block") from exc
+            f"w0 = {w0:.6g} is an eigenvalue of the other block")
+    b[n - 1] /= d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for k in range(n - 3, -1, -1):
+        b[k] = (b[k] - du[k] * b[k + 1] - dl[k] * b[k + 2]) / d[k]
+    x = np.array(b)
     size_x, size_rhs = np.linalg.norm(x), np.linalg.norm(rhs)
     if not size_x * DEGENERACY_GAP <= size_rhs:
         raise DegeneratePerturbationError(
-            f"degenerate resolvent at w0 = {complex(w0):.6g}: amplification "
+            f"degenerate resolvent at w0 = {w0:.6g}: amplification "
             f"{size_x / size_rhs:.2e} exceeds 1/DEGENERACY_GAP")
     return x
 

@@ -187,6 +187,23 @@ def _violations(schema: dict, value, path: tuple = ()):
                 f"schema keyword {key!r}: {rule!r} is not supported")
 
 
+def _integers_as_int(schema: dict, value):
+    """``value`` with every field that ``schema`` types "integer" an int.
+
+    Draft 2020-12 counts an integral float such as 9.0 as an integer, so a
+    valid scenario can hold one where the code needs an int.
+    """
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {k: _integers_as_int(props[k], v) if k in props else v
+                for k, v in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_integers_as_int(schema["items"], v) for v in value]
+    return value
+
+
 def bundled_scenario_names() -> list[str]:
     files = resources.files("nhzm").joinpath("scenarios")
     return sorted(p.name[:-5] for p in files.iterdir() if p.name.endswith(".json"))
@@ -219,6 +236,7 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
     Raises ScenarioError with a location-anchored message on JSON or schema
     violations, and on a non-finite number; unknown keys are rejected by the
     schema.  Of several violations the one at the first path is reported.
+    Integer-typed fields come back as int, also when written as 9.0.
     """
     text, name = _read_scenario_text(str(path_or_name))
     try:
@@ -234,6 +252,7 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
         where = "$" + "".join(
             f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
         raise ScenarioError(f"schema violation at {where}: {message}")
+    raw = _integers_as_int(SCENARIO_SCHEMA, raw)
 
     task = raw["task"]
     if task in _NEEDS_LATTICE:

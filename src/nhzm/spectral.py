@@ -48,11 +48,26 @@ SHIFT = 1e-10
 # and at N = 1000 k = 96 and 192 took 0.6 s and 3.4 s against 3.1 s for
 # the dense solve, while k = 6..48 took 0.25 s together.
 SPARSE_MAX_K = 48
-# A sparse zero mode is accepted only with a residual |H psi - z psi| below
-# this fraction of the shift scale.  The split edge states of a Hermitian
-# chain (n_reservoir = 119, t_B = t' = 0.5) came back at k = 6 with
-# 1.5e-10 and at k = 12 with 1.5e-16; every other accepted zero mode of 142
-# random chains and 60 benchmark chains had at most 2.1e-14.
+# Above this many sites the dense path is refused.  It holds N x N complex
+# matrices (H, LAPACK's copy of it, the eigenvectors) of 16 N^2 bytes each,
+# 1 GiB apiece at 8192 sites, where zgeev would take about an hour on two
+# cores (1 s at 509 sites, times (8192/509)^3); 2e5 sites would need
+# 596 GiB apiece.
+DENSE_MAX_SITES = 8192
+# A sparse zero mode is accepted only with a residual |H psi - z psi| of at
+# most SPARSE_RESIDUAL * log2(N) times the shift scale.  The bound grows with
+# the chain length N, because correct modes of long chains come back with
+# larger residuals, but slowly enough to stay below 3e-11 for N < 1e9, under
+# the 1e-10 |H|_inf the tests ask of a zero mode; up to the tests' 300 sites
+# it is at most 8.2e-12, so a mode with gap 1e-6 |H| keeps a unit overlap
+# within 1e-10.  Measured: 142 random chains and 60 benchmark chains gave at
+# most 2.1e-14, random chains up to 1e4 sites at most 7.5e-15; correct modes
+# came back at 1.3e-12 to 2.4e-12 for the Hermitian chain n_reservoir = 239,
+# t_B = 0.75, t' = 0.5 (k = 6..48) and at 2.5e-12 to 1.3e-11 for
+# n_reservoir = 2e5, gamma = 2, t' = 0.2, which a constant 1e-12 rejected.
+# The split edge states of the Hermitian chain n_reservoir = 119,
+# t_B = t' = 0.5 came back at k = 6 with 1.1e-10 to 1.5e-10 (rejected; the
+# bound is 7e-12 there) and at k = 12 with 1.5e-16.
 SPARSE_RESIDUAL = 1e-12
 
 
@@ -336,11 +351,12 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
     memory.  A zero mode z is accepted only when ``|z - sigma| + 2 eps`` is
     below the largest distance of the k returned eigenvalues from sigma, so
     that no zero mode with a smaller |Im(omega)| lies outside them, and its
-    residual is below ``SPARSE_RESIDUAL`` times the scale; otherwise k
+    residual is below ``SPARSE_RESIDUAL * log2(N)`` times the scale; otherwise k
     doubles.  The start vector is fixed, so runs repeat bit for
     bit.  The eigenvector is scaled as LAPACK scales dense ones: unit norm,
     largest entry real and positive.  Beyond ``SPARSE_MAX_K`` eigenvalues
-    the dense path decides.
+    the dense path decides; a chain longer than ``DENSE_MAX_SITES`` raises
+    EigensolverError there instead.
     """
     n = spec.n_sites
     if n >= SPARSE_MIN_SITES:
@@ -367,12 +383,18 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
                 psi = v[:, i] / np.linalg.norm(v[:, i])
                 if abs(w[i] - sigma) + 2 * eps < np.abs(w - sigma).max() \
                         and np.linalg.norm(h @ psi - w[i] * psi) \
-                        <= SPARSE_RESIDUAL * scale:
+                        <= SPARSE_RESIDUAL * np.log2(n) * scale:
                     top = int(np.argmax(np.abs(psi)))
                     psi *= np.conj(psi[top]) / abs(psi[top])
                     psi[top] = psi[top].real
                     return _zero_mode(None, w[i], psi, spec, omega0, ZERO_TOL)
             k *= 2
+    if n > DENSE_MAX_SITES:
+        raise EigensolverError(
+            f"no zero mode accepted among the {SPARSE_MAX_K} eigenvalues "
+            f"nearest omega0 = {omega0:g}, and a {n}-site chain is too long "
+            f"for the dense eigensolver (at most {DENSE_MAX_SITES} sites, "
+            f"16 N^2 bytes per matrix)")
     zms = find_zero_modes(eigendecompose(assemble_hamiltonian(spec)), spec,
                           omega0)
     return zms[0] if zms else None

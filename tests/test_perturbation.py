@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nhzm
+from nhzm import perturbation
 from nhzm.errors import DegeneratePerturbationError, DomainError
-from nhzm.perturbation import DEGENERACY_GAP, PerturbationSetup
+from nhzm.perturbation import DEGENERACY_GAP, PerturbationSetup, _resolvent
 from nhzm.spectral import ZERO_TOL
 
 GAMMAS = np.round(np.arange(0.25, 3.01, 0.25), 10)
@@ -164,7 +167,9 @@ class TestFirstOrderWavefunction:
         spec = nhzm.coupled_chain(0.0, n_system=1, n_reservoir=3)
         setup = PerturbationSetup.from_spec(spec)
         assert setup.modes.eigenvalues[0] == 0.0
-        with pytest.raises(DegeneratePerturbationError):
+        # an exactly zero pivot, not the amplification guard
+        with pytest.raises(DegeneratePerturbationError,
+                           match="is an eigenvalue of the other block"):
             nhzm.first_order_wavefunction(setup, 0)
 
     @pytest.mark.parametrize("gamma", GAMMAS)
@@ -199,6 +204,107 @@ class TestFirstOrderWavefunction:
                                          0.7)
         np.testing.assert_allclose(np.abs(psi), np.abs(ref), rtol=0,
                                    atol=1e-10)
+
+
+def banded_resolvent(diag, off, w0, rhs):
+    """The reference: scipy's banded solve, which calls LAPACK's zgtsv, as
+    bits, or None where ``_resolvent`` must raise."""
+    from scipy.linalg import solve_banded
+
+    ab = np.zeros((3, len(diag)), dtype=complex)
+    ab[0, 1:] = -off
+    ab[1] = w0 - diag
+    ab[2, :-1] = -off
+    try:
+        x = solve_banded((1, 1), ab, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.linalg.norm(x) * DEGENERACY_GAP <= np.linalg.norm(rhs):
+        return None
+    return x.view(np.int64)
+
+
+def ported_resolvent(diag, off, w0, rhs):
+    """``_resolvent`` as bits, or None where it raises."""
+    try:
+        return _resolvent(diag, off, w0, rhs).view(np.int64)
+    except DegeneratePerturbationError:
+        return None
+
+
+def same_bits(a, b):
+    return a is b is None or (a is not None and b is not None
+                              and np.array_equal(a, b))
+
+
+def first_step_swaps(diag, off, w0):
+    """Whether ?gtsv's first elimination step interchanges rows 0 and 1."""
+    d = w0 - diag[0]
+    return abs(d.real) + abs(d.imag) < off[0]
+
+
+class TestResolvent:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(2, 120), st.floats(0.0, 3.5),
+           st.floats(0.3, 1.5), st.floats(0.05, 0.6),
+           st.one_of(st.none(), st.floats(-1.0, 1.0)),
+           st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+    def test_equals_lapack_gtsv_to_the_bit(self, half_system, n_reservoir,
+                                           gamma, t_b, t_prime, detuning,
+                                           system_draw, reservoir_draw):
+        n_system = 2 * half_system + 1
+        spec = nhzm.coupled_chain(gamma, n_system=n_system,
+                                  n_reservoir=n_reservoir, reservoir_t_b=t_b,
+                                  t_prime=t_prime, reservoir_onsite=detuning)
+        setup = PerturbationSetup.from_spec(spec)
+        # the system block's modes come first, then the reservoir's
+        modes = [system_draw % n_system,
+                 n_system + reservoir_draw % n_reservoir]
+        assume(not setup.modes.near_defective[modes].any())
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _resolvent(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(perturbation, "_resolvent", recording)
+            try:
+                nhzm.first_order_zero_mode(spec)
+                for i in modes:
+                    nhzm.first_order_wavefunction(setup, i)
+            except DegeneratePerturbationError:
+                assume(False)
+        # the system mode's solve runs on the reservoir block, the reservoir
+        # mode's on the system block
+        assert [len(c[0]) for c in calls] == \
+            [n_reservoir, n_reservoir, n_system]
+        # and the reservoir block shifted to its first site's energy, whose
+        # first elimination step swaps rows (the shift can be an eigenvalue),
+        # against a right-hand side with no zero entry
+        diag, off = calls[0][:2]
+        rhs = [1, 1j] @ np.random.default_rng(reservoir_draw).standard_normal(
+            (2, n_reservoir))
+        calls.append((diag, off, diag[0], rhs))
+        assert first_step_swaps(*calls[-1][:3])
+        for args in calls:
+            assert same_bits(ported_resolvent(*args), banded_resolvent(*args))
+
+    def test_paper_chains_take_both_pivot_branches(self):
+        # gamma = 0.5 < t_A: the junction row is swapped; gamma = 3: it is not
+        swaps = []
+        for gamma in (0.5, 3.0):
+            spec = nhzm.coupled_chain(gamma)
+            diag, off = spec.onsite[9:], spec.bonds[9:]
+            setup = PerturbationSetup.from_spec(spec)
+            w0 = setup.modes.eigenvalues[setup.zero_mode_index()]
+            rhs = np.eye(len(diag), 1, dtype=complex)[:, 0]
+            swaps.append(first_step_swaps(diag, off, w0))
+            x = ported_resolvent(diag, off, w0, rhs)
+            assert x is not None
+            assert same_bits(x, banded_resolvent(diag, off, w0, rhs))
+        assert swaps == [True, False]
+
 
 class TestAgainstExact:
     @pytest.mark.parametrize("gamma", [0.5, 2.0])

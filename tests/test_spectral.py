@@ -506,10 +506,13 @@ class TestLowestZeroMode:
     @settings(max_examples=30, deadline=None)
     # Hermitian chains with split edge states: a +/- pair with Im = 0 that
     # the dense order breaks by Re, 5.5e-9 apart (55) and 1.1e-11 apart (73);
-    # at 119 ARPACK's k = 6 vector has residual 1.5e-10 |H|
+    # at 119 ARPACK's k = 6 vector has residual 1.1e-10 to 1.5e-10 |H| and is
+    # rejected; at 239 every k returns a correct one at 1.3e-12 to 2.4e-12,
+    # which a bound that did not grow with N rejected
     @example(55, 0.0, 0.5, None, 0.5)
     @example(73, 0.0, 0.5, None, 0.5)
     @example(119, 0.0, 0.5, None, 0.5)
+    @example(239, 0.0, 0.75, None, 0.5)
     @given(st.integers(SPARSE_MIN_SITES - 9, 291),
            st.one_of(st.just(0.0), st.floats(0.0, 3.5)),
            st.one_of(st.just(1.0), st.floats(0.3, 1.5)),
@@ -549,6 +552,22 @@ class TestLowestZeroMode:
         assert abs(zm.omega) < 1e-12
         assert abs(zm.omega - ref.omega) < 1e-12
         assert abs(np.vdot(zm.wavefunction, ref.wavefunction)) >= 1 - 1e-10
+
+    def test_no_dense_fallback_beyond_its_size(self, monkeypatch):
+        # a detuned chain has no zero mode; past DENSE_MAX_SITES its 16 N^2
+        # byte matrices are never built (2e5 sites would need 596 GiB)
+        def refuse(spec):
+            raise AssertionError("dense path entered")
+
+        spec = nhzm.coupled_chain(1.0, n_reservoir=200, reservoir_onsite=0.3)
+        monkeypatch.setattr(nhzm.spectral, "DENSE_MAX_SITES",
+                            spec.n_sites - 1)
+        monkeypatch.setattr(nhzm.spectral, "assemble_hamiltonian", refuse)
+        with pytest.raises(EigensolverError, match="too long for the dense"):
+            nhzm.lowest_zero_mode(spec)
+        monkeypatch.setattr(nhzm.spectral, "DENSE_MAX_SITES", spec.n_sites)
+        with pytest.raises(AssertionError, match="dense path entered"):
+            nhzm.lowest_zero_mode(spec)
 
     @pytest.mark.parametrize("n_reservoir", [10, 100])
     def test_zero_measured_from_omega0(self, n_reservoir):
