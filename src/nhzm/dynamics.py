@@ -10,16 +10,28 @@ period while accumulating the discarded scale in log space.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EpSetupError, PropagationOverflowError
+from .errors import DomainError, EpSetupError, PropagationOverflowError
 from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian
 from .localization import _fit_line
 from .spectral import ZeroMode
 
 PERIOD = 2.0 * np.pi
+
+# The uint32 hash of numpy's SeedSequence (pool of 4 words, as in
+# numpy/random/bit_generator.pyx) and the 128-bit LCG multiplier of PCG64,
+# which ``_seeded_normals`` replays for many seeds at once.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 def propagate(h: Hamiltonian, psi0, duration: float,
@@ -82,25 +94,111 @@ def _evolve_normalized(h: Hamiltonian, states: np.ndarray, duration: float,
     except np.linalg.LinAlgError:
         recon_err = np.inf
     if recon_err <= 1e-8 * max(h.norm, 1e-300):
+        # coeff becomes the scaled coefficients in place: its unit phase
+        # (0 where |coeff| is not > 0), times the magnitude shifted in log
+        # space so that each column's largest is 1, times the phase factor
         coeff = np.linalg.solve(v, states)
+        mag = np.abs(coeff)
+        vanishing = ~(mag > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_mag = np.log(np.abs(coeff)) + ev.imag[:, None] * duration
-            shift = log_mag.max(axis=0)
-            mag = np.exp(log_mag - shift[None, :])
-            unit = np.where(np.abs(coeff) > 0, coeff / np.abs(coeff), 0.0)
-        scaled = mag * unit * np.exp(-1j * ev.real[:, None] * duration)
-        out = v @ scaled
+            np.divide(coeff, mag, out=coeff)
+            coeff[vanishing] = 0.0
+            np.log(mag, out=mag)
+            mag += ev.imag[:, None] * duration
+            mag -= mag.max(axis=0)
+            np.exp(mag, out=mag)
+        np.multiply(mag, coeff, out=coeff)
+        coeff *= np.exp(-1j * ev.real[:, None] * duration)
+        out = v @ coeff
     else:
         out = np.empty_like(states)
         for j in range(states.shape[1]):
             out[:, j], _ = propagate(h, states[:, j], duration,
                                      renormalize_each_period=True)
     if normalization == "max":
-        out = out / np.abs(out).max(axis=0, keepdims=True)
+        out /= np.abs(out).max(axis=0, keepdims=True)
     elif normalization == "l2":
-        out = out / np.linalg.norm(out, axis=0, keepdims=True)
+        out /= np.linalg.norm(out, axis=0, keepdims=True)
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
+    return out
+
+
+def _hash_constants(value: int, mult: int):
+    """SeedSequence's running hash constant: (before, after) each update."""
+    while True:
+        nxt = value * mult & _MASK32
+        yield np.uint32(value), np.uint32(nxt)
+        value = nxt
+
+
+def _hashmix(words: np.ndarray, constants) -> np.ndarray:
+    xor, mult = next(constants)
+    words = (words ^ xor) * mult
+    return words ^ (words >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _seeded_normals(seed: int, n_realizations: int, n: int) -> np.ndarray:
+    """Row i is ``default_rng(SeedSequence((seed, i))).standard_normal(n)``.
+
+    Equal bit for bit, without one SeedSequence and one generator per row
+    (~37 us each).  SeedSequence splits each non-negative integer of its
+    entropy into little-endian uint32 words (the seed's, then i's one word)
+    and hashes them into a pool of four words; that hash runs here on uint32
+    arrays over all i at once.  The pool's first 256 output bits seed PCG64
+    as its ``set_seed`` does (initial state, then stream, each 128 bits), and
+    one generator draws every row after its state is set.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if n_realizations >= 1 << 32:
+        raise DomainError(
+            f"{n_realizations} realizations: the realization index must fit "
+            f"one uint32 word of the noise seed")
+    n_words = max(1, -(-seed.bit_length() // 32))
+    seed_words = np.frombuffer(seed.to_bytes(4 * n_words, "little"), "<u4")
+    entropy = [np.full(n_realizations, w, dtype=np.uint32) for w in seed_words]
+    entropy.append(np.arange(n_realizations, dtype=np.uint32))
+
+    hash_a = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(entropy[k] if k < len(entropy)
+                     else np.zeros(n_realizations, dtype=np.uint32), hash_a)
+            for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_a))
+    for words in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(words, hash_a))
+
+    # generate_state(4, uint64): eight hashed uint32 words cycling through
+    # the pool, read in little-endian pairs
+    hash_b = _hash_constants(_INIT_B, _MULT_B)
+    halves = [_hashmix(pool[k % _POOL_SIZE], hash_b).astype(np.uint64)
+              for k in range(2 * _POOL_SIZE)]
+    seed_state = [(halves[2 * k] | halves[2 * k + 1] << np.uint64(32)).tolist()
+                  for k in range(_POOL_SIZE)]
+
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    out = np.empty((n_realizations, n))
+    for row, s0, s1, s2, s3 in zip(out, *seed_state):
+        # pcg_setseq_128_srandom_r: inc = 2 stream + 1; state = 0, step,
+        # add the initial state, step
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": (((s0 << 64 | s1) + inc) * _PCG_MULT
+                                            + inc) & _MASK128,
+                                  "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=row)
     return out
 
 
@@ -134,19 +232,22 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
     |psi| over the reservoir and the R^2 of a linear fit of the mean
     profile against the site index.
 
-    Realization i draws its noise from a generator seeded with (seed, i),
-    so results are deterministic and independent of batching.  Over many
-    periods the mode with the largest gain dominates any fixed noise
-    floor; choose ``periods`` with that in mind.
+    Realization i draws its noise s from
+    ``np.random.default_rng(np.random.SeedSequence((seed, i)))``, bit for
+    bit, so results are deterministic and independent of batching; the
+    draws for all realizations come from one generator (``_seeded_normals``).
+    A negative seed raises ValueError, as numpy does.  Over many periods the
+    mode with the largest gain dominates any fixed noise floor; choose
+    ``periods`` with that in mind.
     """
     h = assemble_hamiltonian(spec)
     sites = spec.reservoir_sites()
     reservoir = slice(sites.start, sites.stop)
+    noise = _seeded_normals(seed, n_realizations, len(sites))
+    noise *= sigma
     base = np.asarray(zero_mode.wavefunction, dtype=complex)
     states = np.tile(base[:, None], (1, n_realizations))
-    for i in range(n_realizations):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        states[reservoir, i] *= np.exp(sigma * rng.standard_normal(len(sites)))
+    states[reservoir, :] *= np.exp(noise, out=noise).T
 
     out = _evolve_normalized(h, states, periods * PERIOD, normalization)
     profiles = np.abs(out[reservoir, :])

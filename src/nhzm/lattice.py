@@ -15,7 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import EigensolverError, InvalidSpecError
+
+# Above this many sites no dense N x N matrix is built.  A complex one
+# (H, LAPACK's copy of it, the eigenvectors) takes 16 N^2 bytes, 1 GiB at
+# 8192 sites, where zgeev would take about an hour on two cores (1 s at
+# 509 sites, times (8192/509)^3); 2e5 sites would need 596 GiB apiece.
+DENSE_MAX_SITES = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,9 +243,21 @@ def couple(system: LatticeSpec, reservoir: LatticeSpec, t_prime: float) -> Latti
                        system.first_sublattice, partition=system.n_sites)
 
 
+def _require_dense(n: int) -> None:
+    """Raise EigensolverError before an N x N matrix too large to hold."""
+    if n > DENSE_MAX_SITES:
+        raise EigensolverError(
+            f"a {n}-site chain is too long for the dense eigensolver (at most "
+            f"{DENSE_MAX_SITES} sites, 16 N^2 bytes per matrix)")
+
+
 def assemble_hamiltonian(spec: LatticeSpec) -> Hamiltonian:
-    """Dense matrix with the spec's onsite energies and symmetric couplings."""
+    """Dense matrix with the spec's onsite energies and symmetric couplings.
+
+    A chain longer than ``DENSE_MAX_SITES`` raises EigensolverError.
+    """
     n = spec.n_sites
+    _require_dense(n)
     m = np.zeros((n, n), dtype=complex)
     i = np.arange(n)
     m[i, i] = spec.onsite

@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EigensolverError, FitError, ModeMatchingError
-from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian
+from .lattice import (Hamiltonian, LatticeSpec, _require_dense,
+                      assemble_hamiltonian)
 
 # A mode counts as near-defective when its eigenvalue gap or its c-product
 # self-overlap |psi^T psi| falls below these thresholds; such modes are
@@ -48,12 +49,6 @@ SHIFT = 1e-10
 # and at N = 1000 k = 96 and 192 took 0.6 s and 3.4 s against 3.1 s for
 # the dense solve, while k = 6..48 took 0.25 s together.
 SPARSE_MAX_K = 48
-# Above this many sites the dense path is refused.  It holds N x N complex
-# matrices (H, LAPACK's copy of it, the eigenvectors) of 16 N^2 bytes each,
-# 1 GiB apiece at 8192 sites, where zgeev would take about an hour on two
-# cores (1 s at 509 sites, times (8192/509)^3); 2e5 sites would need
-# 596 GiB apiece.
-DENSE_MAX_SITES = 8192
 # A sparse zero mode is accepted only with a residual |H psi - z psi| of at
 # most SPARSE_RESIDUAL * log2(N) times the shift scale.  The bound grows with
 # the chain length N, because correct modes of long chains come back with
@@ -240,6 +235,7 @@ def _real_form_modes(spec: LatticeSpec) -> ModeSet:
     if n < 2 or not np.all(re == re[0]):
         return eigendecompose(assemble_hamiltonian(spec))
     omega0 = re[0]
+    _require_dense(n)
     a = np.zeros((n, n))
     a.flat[::n + 1] = spec.onsite.imag
     a.flat[1::n + 1] = spec.bonds
@@ -355,8 +351,8 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
     doubles.  The start vector is fixed, so runs repeat bit for
     bit.  The eigenvector is scaled as LAPACK scales dense ones: unit norm,
     largest entry real and positive.  Beyond ``SPARSE_MAX_K`` eigenvalues
-    the dense path decides; a chain longer than ``DENSE_MAX_SITES`` raises
-    EigensolverError there instead.
+    the dense path decides, where ``assemble_hamiltonian`` raises
+    EigensolverError for a chain longer than ``DENSE_MAX_SITES``.
     """
     n = spec.n_sites
     if n >= SPARSE_MIN_SITES:
@@ -389,12 +385,6 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
                     psi[top] = psi[top].real
                     return _zero_mode(None, w[i], psi, spec, omega0, ZERO_TOL)
             k *= 2
-    if n > DENSE_MAX_SITES:
-        raise EigensolverError(
-            f"no zero mode accepted among the {SPARSE_MAX_K} eigenvalues "
-            f"nearest omega0 = {omega0:g}, and a {n}-site chain is too long "
-            f"for the dense eigensolver (at most {DENSE_MAX_SITES} sites, "
-            f"16 N^2 bytes per matrix)")
     zms = find_zero_modes(eigendecompose(assemble_hamiltonian(spec)), spec,
                           omega0)
     return zms[0] if zms else None

@@ -406,6 +406,18 @@ class TestShiftedOnsite:
                                    rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("task", ["spectrum", "ensemble"])
+def test_chain_beyond_the_dense_limit_exits_3(tmp_path, monkeypatch, capsys,
+                                              task):
+    # the lowered limit stands in for a 2e5-site chain, whose N x N matrix
+    # would need 596 GiB
+    monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", 6)
+    path = write_scenario(tmp_path, {**MINIMAL, "task": task})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert "7-site chain is too long for the dense eigensolver" \
+        in capsys.readouterr().err
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "nhzm.cli", "schema"],
                           capture_output=True, text=True, env=child_env())

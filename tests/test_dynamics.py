@@ -2,10 +2,33 @@ import numpy as np
 import pytest
 
 import nhzm
-from nhzm.dynamics import PERIOD, EpEvolution, _evolve_normalized
-from nhzm.errors import EpSetupError, PropagationOverflowError
+from nhzm.dynamics import (PERIOD, EpEvolution, _evolve_normalized,
+                           _seeded_normals)
+from nhzm.errors import DomainError, EpSetupError, PropagationOverflowError
 
 from conftest import baseline_zero_mode, chain_modes
+
+
+def numpy_normals(seed, n_realizations, n):
+    """numpy's construction: one SeedSequence and generator per row."""
+    return np.array([
+        np.random.default_rng(np.random.SeedSequence((seed, i)))
+        .standard_normal(n) for i in range(n_realizations)])
+
+
+def loop_ensemble(spec, zm, sigma, n_realizations, periods, seed):
+    """Mean and std of ``ensemble_experiment``, noise drawn row by row."""
+    h = nhzm.assemble_hamiltonian(spec)
+    sites = spec.reservoir_sites()
+    reservoir = slice(sites.start, sites.stop)
+    base = np.asarray(zm.wavefunction, dtype=complex)
+    states = np.tile(base[:, None], (1, n_realizations))
+    for i in range(n_realizations):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        states[reservoir, i] *= np.exp(sigma * rng.standard_normal(len(sites)))
+    out = _evolve_normalized(h, states, periods * PERIOD, "max")
+    profiles = np.abs(out[reservoir, :])
+    return profiles.mean(axis=1), profiles.std(axis=1)
 
 
 def ep_pair():
@@ -78,6 +101,84 @@ class TestPropagate:
             direct = nhzm.propagate(h, states[:, j], duration)
             direct = direct / np.abs(direct).max()
             np.testing.assert_allclose(fast[:, j], direct, atol=1e-8)
+
+
+    def test_defective_matrix_takes_the_renormalized_fallback(self):
+        # gain/loss equal to the coupling makes this dimer exactly
+        # defective: numpy's two eigenvectors are parallel, the eigenbasis
+        # fails its reconstruction check, and every column is stepped
+        # period by period
+        h = nhzm.Hamiltonian(np.array([[1j, 1.0], [1.0, -1j]]))
+        ev, v = np.linalg.eig(h.matrix)
+        assert np.linalg.norm(v @ np.diag(ev) @ np.linalg.inv(v) - h.matrix,
+                              2) > 1e-8 * h.norm
+        rng = np.random.default_rng(10)
+        states = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        duration = 3.5 * PERIOD
+        out = _evolve_normalized(h, states.copy(), duration, "max")
+        for j in range(3):
+            direct, _ = nhzm.propagate(h, states[:, j], duration,
+                                       renormalize_each_period=True)
+            np.testing.assert_array_equal(out[:, j],
+                                          direct / np.abs(direct).max())
+
+    def test_vanishing_coefficient_gets_no_phase(self):
+        # a diagonal H has exactly the identity as eigenvectors, so a zero
+        # entry of a state is an exactly zero coefficient, whose unit phase
+        # is taken as 0 rather than 0/0
+        w = np.array([1.0 + 0.1j, -0.5 - 0.2j, 0.3j, 0.7 - 0.05j])
+        h = nhzm.Hamiltonian(np.diag(w))
+        assert np.array_equal(np.linalg.eig(h.matrix)[1], np.eye(4))
+        states = np.array([[1.0, 0.5j], [0.0, 2.0], [0.3 - 0.2j, 0.0],
+                           [2.0, 1.0]], dtype=complex)
+        duration = 2.0
+        out = _evolve_normalized(h, states.copy(), duration, "max")
+        assert out[1, 0] == 0 and out[2, 1] == 0
+        expected = np.exp(-1j * w[:, None] * duration) * states
+        expected /= np.abs(expected).max(axis=0)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+
+
+SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 5 * 2 ** 40 + 7, 2 ** 64 + 3, 2 ** 100]
+
+
+class TestSeededNormals:
+    @pytest.mark.parametrize("n_realizations", [1, 3, 1000])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_equal_numpy_bit_for_bit(self, seed, n_realizations):
+        # 2**100 has five entropy words, one more than SeedSequence's pool
+        got = _seeded_normals(seed, n_realizations, 5)
+        want = numpy_normals(seed, n_realizations, 5)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 + 3])
+    def test_ensemble_equals_the_per_realization_loop(self, seed):
+        spec, zm = baseline_zero_mode(2.000316)
+        kwargs = dict(sigma=0.1, n_realizations=200, periods=0.17, seed=seed)
+        result = nhzm.ensemble_experiment(spec, zm, **kwargs)
+        mean, std = loop_ensemble(spec, zm, **kwargs)
+        assert result.mean_abs_profile.tobytes() == mean.tobytes()
+        assert result.std_profile.tobytes() == std.tobytes()
+
+    def test_negative_seed_raises_like_numpy(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence((-1, 0))
+        with pytest.raises(ValueError):
+            _seeded_normals(-1, 3, 5)
+        spec, zm = baseline_zero_mode(2.000316)
+        with pytest.raises(ValueError):
+            nhzm.ensemble_experiment(spec, zm, n_realizations=3,
+                                     periods=0.17, seed=-1)
+
+    def test_index_beyond_one_uint32_word_refused(self):
+        # refused before any allocation rather than wrapped to index 0
+        with pytest.raises(DomainError):
+            _seeded_normals(0, 2 ** 32, 5)
+        spec, zm = baseline_zero_mode(2.000316)
+        with pytest.raises(DomainError):
+            nhzm.ensemble_experiment(spec, zm, n_realizations=2 ** 32)
 
 
 class TestEnsemble:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nhzm
-from nhzm.errors import InvalidSpecError
+from nhzm.errors import EigensolverError, InvalidSpecError
 
 
 class TestBuildSshChain:
@@ -163,6 +163,16 @@ class TestAssemble:
         nz = np.nonzero(diff)
         assert len(nz[0]) == 2
         assert set(diff[nz]) == {0.3}
+
+    def test_refused_beyond_the_dense_limit(self, monkeypatch):
+        # the lowered limit stands in for a 2e5-site chain, whose matrix
+        # would need 596 GiB
+        spec = nhzm.coupled_chain(2.0)
+        monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites - 1)
+        with pytest.raises(EigensolverError, match="19-site chain is too long"):
+            nhzm.assemble_hamiltonian(spec)
+        monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites)
+        assert nhzm.assemble_hamiltonian(spec).dim == spec.n_sites
 
 
 @st.composite

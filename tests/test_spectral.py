@@ -395,6 +395,14 @@ class TestRealFormSweep:
         assert resid.max() <= 1e-12
         assert not modes.near_defective.any()
 
+    def test_real_matrix_refused_beyond_the_dense_limit(self, monkeypatch):
+        spec = nhzm.coupled_chain(2.0)
+        monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites - 1)
+        with pytest.raises(EigensolverError, match="too long for the dense"):
+            _real_form_modes(spec)
+        monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites)
+        assert _real_form_modes(spec).n_modes == spec.n_sites
+
     @pytest.mark.parametrize("spec", [
         nhzm.coupled_chain(2.0, reservoir_onsite=0.3),
         nhzm.LatticeSpec([0.2 - 0.5j], []),
@@ -556,18 +564,12 @@ class TestLowestZeroMode:
     def test_no_dense_fallback_beyond_its_size(self, monkeypatch):
         # a detuned chain has no zero mode; past DENSE_MAX_SITES its 16 N^2
         # byte matrices are never built (2e5 sites would need 596 GiB)
-        def refuse(spec):
-            raise AssertionError("dense path entered")
-
         spec = nhzm.coupled_chain(1.0, n_reservoir=200, reservoir_onsite=0.3)
-        monkeypatch.setattr(nhzm.spectral, "DENSE_MAX_SITES",
-                            spec.n_sites - 1)
-        monkeypatch.setattr(nhzm.spectral, "assemble_hamiltonian", refuse)
+        monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites - 1)
         with pytest.raises(EigensolverError, match="too long for the dense"):
             nhzm.lowest_zero_mode(spec)
-        monkeypatch.setattr(nhzm.spectral, "DENSE_MAX_SITES", spec.n_sites)
-        with pytest.raises(AssertionError, match="dense path entered"):
-            nhzm.lowest_zero_mode(spec)
+        monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites)
+        assert nhzm.lowest_zero_mode(spec) is None
 
     @pytest.mark.parametrize("n_reservoir", [10, 100])
     def test_zero_measured_from_omega0(self, n_reservoir):
