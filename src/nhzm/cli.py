@@ -26,9 +26,9 @@ from .localization import (RegimeReport, check_stagger_phase, classify_regime,
 from .perturbation import (PerturbationSetup, _compare_to_exact,
                            first_order_zero_mode)
 from .scenario import SCENARIO_SCHEMA, Scenario, ScenarioError, load_scenario
-from .spectral import (_zero_mode_indices, assign_mode_numbers,
-                       eigendecompose, find_zero_modes, fit_pair_threshold,
-                       lowest_zero_mode, sweep_gamma, track_modes)
+from .spectral import (ZERO_TOL, assign_mode_numbers, eigendecompose,
+                       find_zero_modes, fit_pair_threshold, lowest_zero_mode,
+                       sweep_gamma, track_modes)
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -146,6 +146,17 @@ def _task_mode_profile(scenario: Scenario, out: Path) -> None:
     _write_json(out / "regime.json", _regime_payload(report, extra), scenario)
 
 
+def _pair_r(im_omega: np.ndarray, gamma: np.ndarray,
+            t_ab: float) -> np.ndarray:
+    """r = (Im(omega)^2 - gamma^2) / (t_A t_B), elementwise.
+
+    Squares through ``np.float_power``, which calls libm's pow per element
+    as a scalar ``x ** 2`` does; an array's ``x ** 2`` is x * x, which
+    differs from pow in the last bit for about 0.1% of values.
+    """
+    return (np.float_power(im_omega, 2) - np.float_power(gamma, 2)) / t_ab
+
+
 def _task_sweep(scenario: Scenario, out: Path) -> None:
     blk = scenario.data["sweep"]
     grid = np.arange(blk["gamma_start"],
@@ -155,26 +166,32 @@ def _task_sweep(scenario: Scenario, out: Path) -> None:
     trajectories = assign_mode_numbers(track_modes(sweeps, grid), len(grid))
 
     omega0 = scenario.data["onsite"]
-    t_a = scenario.data["reservoir"]["tA"]
-    t_b = scenario.data["reservoir"]["tB"]
-    rows = []
-    for traj in trajectories:
-        mode_id = traj.mode_number if traj.mode_number is not None else -1
-        for g, w in zip(traj.parameters, traj.eigenvalues):
-            rows.append((g, mode_id, w.real, w.imag,
-                         (w.imag ** 2 - g ** 2) / (t_a * t_b)))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    t_ab = scenario.data["reservoir"]["tA"] * scenario.data["reservoir"]["tB"]
+    gamma = np.concatenate([t.parameters for t in trajectories])
+    mode_id = np.concatenate([
+        np.full(len(t.parameters),
+                t.mode_number if t.mode_number is not None else -1)
+        for t in trajectories])
+    w = np.concatenate([t.eigenvalues for t in trajectories])
+    # stable: rows of equal (gamma, mode_id) keep the trajectory order
+    order = np.lexsort((mode_id, gamma))
+    gamma, mode_id, w = gamma[order], mode_id[order], w[order]
     _write_csv(out / "sweep.csv",
                ("gamma", "mode_id", "re_omega", "im_omega", "r"),
-               tuple(zip(*rows)), scenario)
+               (gamma, mode_id, w.real, w.imag, _pair_r(w.imag, gamma, t_ab)),
+               scenario)
 
-    baseline = []
-    for g, modeset in zip(grid, sweeps):
-        zero = _zero_mode_indices(modeset.eigenvalues, omega0)
-        if zero.size:
-            w = complex(modeset.eigenvalues[zero[0]])
-            baseline.append({"gamma": float(g), "im_omega": w.imag,
-                             "r": (w.imag ** 2 - g ** 2) / (t_a * t_b)})
+    # each step's first zero mode in the order of ``find_zero_modes``: the
+    # smallest |Im omega| among |Re omega - omega0| <= ZERO_TOL, the lowest
+    # index among ties
+    ws = np.array([m.eigenvalues for m in sweeps])
+    zero = np.abs(ws.real - omega0) <= ZERO_TOL
+    first = np.where(zero, np.abs(ws.imag), np.inf).argmin(axis=1)
+    steps = np.flatnonzero(zero.any(axis=1))
+    im = ws[steps, first[steps]].imag
+    baseline = [{"gamma": g, "im_omega": i, "r": r} for g, i, r in zip(
+        grid[steps].tolist(), im.tolist(),
+        _pair_r(im, grid[steps], t_ab).tolist())]
     pairs = []
     by_number = {t.mode_number: t for t in trajectories if t.mode_number}
     for odd in range(1, len(by_number), 2):

@@ -208,10 +208,12 @@ def verify_recurrence(psi, sites, alpha: float, *, kappas=None,
     ``psi[n] = i*(kappa/t)*psi[n-1] - psi[n-2]`` is verified as well.
     Residuals are normalized by max|psi| over the range.
     """
-    sites = list(sites)
+    # a range is converted without a Python int per site
+    sites = np.arange(sites.start, sites.stop, sites.step) \
+        if isinstance(sites, range) else np.asarray(sites)
     if len(sites) < 5:
         raise DomainError("need at least 5 consecutive reservoir sites")
-    if any(b - a != 1 for a, b in zip(sites, sites[1:])):
+    if np.any(np.diff(sites) != 1):
         raise DomainError("sites must be consecutive")
     psi = np.asarray(psi)
     seg = psi[sites]
@@ -221,10 +223,12 @@ def verify_recurrence(psi, sites, alpha: float, *, kappas=None,
     res4 = np.abs(seg[4:] - alpha * seg[2:-2] + seg[:-4]).max() / scale
     worst = float(res4)
     if kappas is not None:
-        for pos in range(1, len(sites) - 1):
-            kappa = kappas[pos % 2]
-            r1 = abs(seg[pos + 1] - 1j * (kappa / t) * seg[pos] + seg[pos - 1])
-            worst = max(worst, float(r1) / scale)
+        # kappas[pos % 2] at the middle site pos = 1 .. len - 2
+        kappa = np.asarray(kappas)[np.arange(1, len(sites) - 1) % 2]
+        r1 = seg[2:] - 1j * (kappa / t) * seg[1:-1] + seg[:-2]
+        # hypot is the scalar abs(); numpy's array abs of complex values
+        # differs from it in the last bit
+        worst = max(worst, float(np.hypot(r1.real, r1.imag).max()) / scale)
     return worst
 
 
@@ -235,7 +239,7 @@ def verify_eigenmode_recurrence(zm: ZeroMode, spec: LatticeSpec) -> float:
     one-step check (their rows carry boundary terms); the four-step check
     runs over every site with four in-range predecessors.
     """
-    res = list(spec.reservoir_sites())
+    res = spec.reservoir_sites()
     t_a, t_b = spec.reservoir_couplings()
     if abs(t_a - t_b) <= 1e-12 * max(t_a, t_b):
         kappas = (zm.kappa_a, zm.kappa_b) if spec.onsite[res[0]].imag >= 0 \

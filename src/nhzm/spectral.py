@@ -214,10 +214,16 @@ def _modeset(w: np.ndarray, vr: np.ndarray, norm_bound: float) -> ModeSet:
 
 # i^j for j mod 4: the diagonal similarity D of ``_real_form_modes``
 _PHASES = np.array([1, 1j, -1, -1j])
+# Bytes of the A stack and of np.linalg.eig's complex vectors (8 + 16 B N^2 a
+# step) that ``_real_form_modes`` holds at once.  The ModeSets it returns
+# keep 16 B N^2 a step anyway; an unblocked stack would add 24 B N^2 a step
+# on top, a peak about 2.5 times as large for a long sweep of a long chain.
+# 301 steps fit in one block up to N = 96.
+STACK_BYTES = 64 * 2 ** 20
 
 
-def _real_form_modes(spec: LatticeSpec) -> ModeSet:
-    """``eigendecompose(assemble_hamiltonian(spec))``, up to rounding.
+def _real_form_modes(specs) -> list[ModeSet]:
+    """``eigendecompose`` of each spec's Hamiltonian, up to rounding.
 
     A chain whose onsite energies share one real part omega0 has the
     non-Hermitian particle-hole symmetry, and then -i(H - omega0) is
@@ -227,31 +233,50 @@ def _real_form_modes(spec: LatticeSpec) -> ModeSet:
     ``np.linalg.eig``) gives omega = omega0 + i lambda and psi = D v; a real
     lambda puts Re(omega) at omega0 exactly.  When every lambda is real,
     ``np.linalg.eig`` returns real lambda and v, which the same arithmetic
-    handles.  Any other spec (a detuned reservoir, a single site) takes the
-    dense complex path.
+    handles.  Such specs of one length N are solved together: their A are
+    stacked, in blocks of at most ``STACK_BYTES`` (24 N^2 bytes a step),
+    and each block takes one ``np.linalg.eig`` call, which runs dgeev on
+    every slice as a lone call would, bit for bit.  Any other spec (a
+    detuned reservoir, a single site) takes the dense complex path.
     """
-    n = spec.n_sites
-    re = spec.onsite.real
-    if n < 2 or not np.all(re == re[0]):
-        return eigendecompose(assemble_hamiltonian(spec))
-    omega0 = re[0]
-    _require_dense(n)
-    a = np.zeros((n, n))
-    a.flat[::n + 1] = spec.onsite.imag
-    a.flat[1::n + 1] = spec.bonds
-    a.flat[n::n + 1] = -spec.bonds
-    try:
-        lam, v = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
-        raise EigensolverError(f"dense eigensolver failed: {exc}", matrix=a) from exc
-    w = np.empty(n, dtype=complex)
-    w.real = omega0 - lam.imag
-    w.imag = lam.real
-    # |H|_1 = |H|_inf for symmetric H: the largest row sum of the chain
-    rows = np.abs(spec.onsite)
-    rows[:-1] += spec.bonds
-    rows[1:] += spec.bonds
-    return _modeset(w, v * _PHASES[np.arange(n) % 4, None], rows.max())
+    specs = list(specs)
+    modes = [None] * len(specs)
+    by_length = {}
+    for k, spec in enumerate(specs):
+        re = spec.onsite.real
+        if spec.n_sites < 2 or not np.all(re == re[0]):
+            modes[k] = eigendecompose(assemble_hamiltonian(spec))
+        else:
+            by_length.setdefault(spec.n_sites, []).append(k)
+    for n, steps in by_length.items():
+        _require_dense(n)
+        phases = _PHASES[np.arange(n) % 4, None]
+        per_block = max(1, STACK_BYTES // (24 * n * n))
+        for lo in range(0, len(steps), per_block):
+            block = steps[lo:lo + per_block]
+            a = np.zeros((len(block), n, n))
+            for s, k in zip(a, block):
+                s.flat[::n + 1] = specs[k].onsite.imag
+                s.flat[1::n + 1] = specs[k].bonds
+                s.flat[n::n + 1] = -specs[k].bonds
+            try:
+                lam, v = np.linalg.eig(a)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
+                raise EigensolverError(f"dense eigensolver failed: {exc}",
+                                       matrix=a) from exc
+            del a
+            for lam_k, v_k, k in zip(lam, v, block):
+                spec = specs[k]
+                w = np.empty(n, dtype=complex)
+                w.real = spec.onsite.real[0] - lam_k.imag
+                w.imag = lam_k.real
+                # |H|_1 = |H|_inf for symmetric H: the largest row sum of
+                # the chain
+                rows = np.abs(spec.onsite)
+                rows[:-1] += spec.bonds
+                rows[1:] += spec.bonds
+                modes[k] = _modeset(w, v_k * phases, rows.max())
+    return modes
 
 
 def _gaps(w: np.ndarray) -> np.ndarray:
@@ -393,33 +418,39 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
 def sweep_gamma(spec_of_gamma, gamma_grid) -> list[ModeSet]:
     """Decompose the lattice family ``spec_of_gamma(gamma)`` on a monotone grid.
 
-    Each step is solved by ``_real_form_modes``: a chain whose onsite
+    The steps are solved by ``_real_form_modes``: chains whose onsite
     energies share one real part omega0 (every ``coupled_chain`` without a
-    detuned ``reservoir_onsite``) is solved in real arithmetic, through the
-    real tridiagonal form of -i(H - omega0), and any other chain by
-    ``eigendecompose``.  Both give the same ``ModeSet`` up to rounding, but
-    on the real form an on-axis mode has Re(omega) == omega0 exactly and
-    the partners omega, -omega* of an NHPH pair have bitwise-equal Im, where
-    the complex solver leaves noise of order 1e-15 in both; a sweep's
-    outputs differ from the complex path's in those low bits and, through
-    tie-breaks, in which partner of a pair carries which mode number.
-    ``eigendecompose`` and the ``spectrum`` task stay complex: the order of
-    on-axis modes, and so a zero mode's ``mode_index``, follows their
-    rounding-level Re(omega), and moves on the real form.
+    detuned ``reservoir_onsite``) are solved in real arithmetic, through the
+    real tridiagonal form of -i(H - omega0), stacked into one
+    ``np.linalg.eig`` call per block of steps; a block holds at most
+    ``STACK_BYTES`` of matrices and raw vectors (24 N^2 bytes a step), so
+    the sweep's memory grows as the 16 N^2 bytes a step its ModeSets keep.
+    Any other chain is solved by ``eigendecompose``.  Both give the same
+    ``ModeSet`` up to rounding, but on the real form an on-axis mode has
+    Re(omega) == omega0 exactly and the partners omega, -omega* of an NHPH
+    pair have bitwise-equal Im, where the complex solver leaves noise of
+    order 1e-15 in both; a sweep's outputs differ from the complex path's
+    in those low bits and, through tie-breaks, in which partner of a pair
+    carries which mode number.  ``eigendecompose`` and the ``spectrum``
+    task stay complex: the order of on-axis modes, and so a zero mode's
+    ``mode_index``, follows their rounding-level Re(omega), and moves on
+    the real form.
     """
     grid = np.asarray(gamma_grid, dtype=float)
     if len(grid) > 1 and not (np.all(np.diff(grid) > 0) or np.all(np.diff(grid) < 0)):
         raise ValueError("gamma grid must be strictly monotone")
-    return [_real_form_modes(spec_of_gamma(g)) for g in grid]
+    return _real_form_modes(spec_of_gamma(g) for g in grid)
 
 
 def track_modes(sweep: list[ModeSet], parameters=None) -> list[ModeTrajectory]:
     """Follow mode identities through a sweep by maximal eigenvector overlap.
 
-    Consecutive mode sets are matched greedily on |<psi_i|psi_j>|.  When the
-    best available overlap for a mode drops below 0.5 its trajectory is
-    split: the old one ends and a new one starts at that step, with a
-    warning.
+    Consecutive mode sets are matched greedily on |<psi_i|psi_j>|: pairs
+    are taken in order of overlap, largest first, ties going to the lowest
+    flat index i * N + j, and each taken pair removes its row and column
+    (see ``_greedy_match``).  When the overlap of a mode's match is below
+    0.5 its trajectory is split: the old one ends and a new one starts at
+    that step, with a warning "mode trajectory split at step ...".
     """
     if len(sweep) < 2:
         raise ValueError("need at least two sweep points to track modes")
@@ -437,16 +468,11 @@ def track_modes(sweep: list[ModeSet], parameters=None) -> list[ModeTrajectory]:
     for step in range(1, len(sweep)):
         overlap = np.abs(sweep[step - 1].right_vectors.conj().T
                          @ sweep[step].right_vectors)
-        assignment = {}
-        work = overlap.copy()
-        for _ in range(n):
-            i, j = np.unravel_index(np.argmax(work), work.shape)
-            assignment[i] = (j, overlap[i, j])
-            work[i, :] = -1.0
-            work[:, j] = -1.0
+        match = _greedy_match(overlap).tolist()
         new_live = {}
         for i, traj in live.items():
-            j, ov = assignment[i]
+            j = match[i]
+            ov = overlap[i, j]
             if ov < 0.5:
                 warnings.warn(
                     f"mode trajectory split at step {step}: overlap {ov:.3f}",
@@ -465,6 +491,35 @@ def track_modes(sweep: list[ModeSet], parameters=None) -> list[ModeTrajectory]:
     finished.extend(_close(traj, params, len(sweep)) for traj in live.values())
     finished.sort(key=lambda t: (t.start, t.column_indices[0]))
     return finished
+
+
+def _greedy_match(overlap: np.ndarray) -> np.ndarray:
+    """Column matched to each row of a square matrix of overlaps >= 0.
+
+    The greedy max-weight matching: repeatedly take the largest remaining
+    entry, ties going to the lowest flat index, and remove its row and
+    column.  It is built in rounds that take every locally dominant pair
+    at once, a pair that is the first maximum of both its row and its
+    column (``argmax`` picks the lowest index among ties, so both orders
+    agree).  No entry that conflicts with such a pair precedes it in the
+    greedy order, so the greedy takes it too (Preis, STACS 1999), and a
+    round takes at least one pair: the largest remaining entry.
+    """
+    n = len(overlap)
+    work = overlap.copy()
+    match = np.empty(n, dtype=int)
+    rows = np.arange(n)
+    free = np.ones(n, dtype=bool)
+    while free.any():
+        best_col = work.argmax(axis=1)
+        best_row = work.argmax(axis=0)
+        taken = rows[free & (best_row[best_col] == rows)]
+        cols = best_col[taken]
+        match[taken] = cols
+        free[taken] = False
+        work[taken, :] = -1.0
+        work[:, cols] = -1.0
+    return match
 
 
 def _close(traj: dict, params: np.ndarray, end: int) -> ModeTrajectory:

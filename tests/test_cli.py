@@ -300,8 +300,8 @@ def read_csv(path):
 
 def test_fig2_matches_the_complex_path(tmp_path, monkeypatch):
     assert main(["run", "fig2", "--out", str(tmp_path / "real")]) == 0
-    monkeypatch.setattr(nhzm.spectral, "_real_form_modes", lambda spec:
-                        nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec)))
+    monkeypatch.setattr(nhzm.spectral, "_real_form_modes", lambda specs: [
+        nhzm.eigendecompose(nhzm.assemble_hamiltonian(s)) for s in specs])
     assert main(["run", "fig2", "--out", str(tmp_path / "complex")]) == 0
     real, ref = (read_csv(tmp_path / d / "sweep.csv")
                  for d in ("real", "complex"))

@@ -117,7 +117,43 @@ class TestClassifyRegime:
         assert abs(bp + bm - report.alpha) <= 1e-12
 
 
+def loop_verify_recurrence(psi, sites, alpha, kappas=None, t=1.0):
+    """``verify_recurrence`` as a Python loop over the sites."""
+    seg = np.asarray(psi)[list(sites)]
+    scale = float(np.abs(seg).max())
+    if scale == 0.0:
+        return 0.0
+    worst = float(np.abs(seg[4:] - alpha * seg[2:-2] + seg[:-4]).max()) / scale
+    if kappas is not None:
+        for pos in range(1, len(seg) - 1):
+            kappa = kappas[pos % 2]
+            r1 = abs(seg[pos + 1] - 1j * (kappa / t) * seg[pos] + seg[pos - 1])
+            worst = max(worst, float(r1) / scale)
+    return worst
+
+
 class TestVerifyRecurrence:
+    @pytest.mark.parametrize("kappas", [None, (0.3, -1.7)])
+    def test_matches_the_site_loop(self, kappas):
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=40) + 1j * rng.normal(size=40)
+        for sites in (range(40), range(3, 11), list(range(7, 30))):
+            assert nhzm.verify_recurrence(psi, sites, 1.9, kappas=kappas,
+                                          t=0.8) \
+                == loop_verify_recurrence(psi, sites, 1.9, kappas, t=0.8)
+
+    def test_exact_eigenvector_matches_the_site_loop(self):
+        spec, zm = baseline_zero_mode(2.0)
+        res = spec.reservoir_sites()
+        kappas = (zm.kappa_a, zm.kappa_b)
+        assert nhzm.verify_recurrence(zm.wavefunction, res, zm.alpha,
+                                      kappas=kappas) \
+            == loop_verify_recurrence(zm.wavefunction, res, zm.alpha, kappas)
+
+    def test_gap_in_sites_raises(self):
+        with pytest.raises(DomainError, match="consecutive"):
+            nhzm.verify_recurrence(np.ones(8), [0, 1, 2, 4, 5, 6], 2.0)
+
     def test_exact_eigenvector_satisfies_recurrence(self):
         spec, zm = baseline_zero_mode(2.0)
         assert nhzm.verify_eigenmode_recurrence(zm, spec) <= 1e-10

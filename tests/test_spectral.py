@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +285,35 @@ class TestSweepAndTracking:
             assert np.ptp(t.column_indices) == 0
             assert np.all(t.overlaps > 0.999999)
 
+    def test_matching_equals_the_one_argmax_at_a_time_greedy(self):
+        # vectors of multiples of 1/2 give overlaps of multiples of 1/4,
+        # exact in floating point: ties everywhere, splits below 0.5
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            n, steps = rng.integers(1, 9), rng.integers(2, 6)
+            sweep = vector_sweep(rng.integers(-2, 3, (steps, n, n)) * 0.5
+                                 + 0j)
+            params = np.linspace(0.0, 1.0, steps)
+            with warnings.catch_warnings(record=True) as got_warnings:
+                warnings.simplefilter("always")
+                got = nhzm.track_modes(sweep, params)
+            with warnings.catch_warnings(record=True) as ref_warnings:
+                warnings.simplefilter("always")
+                ref = reference_track_modes(sweep, params)
+            assert [str(w.message) for w in got_warnings] \
+                == [str(w.message) for w in ref_warnings]
+            assert [(t.start, t.parameters.tolist(), t.eigenvalues.tolist(),
+                     t.column_indices.tolist(), t.overlaps.tolist())
+                    for t in got] == ref
+
+    def test_forced_split_warns(self):
+        sweep = vector_sweep([np.eye(2), np.diag([0.4, 1.0])])
+        with pytest.warns(UserWarning, match=r"^mode trajectory split at "
+                          r"step 1: overlap 0\.400"):
+            trajectories = nhzm.track_modes(sweep)
+        assert [(t.start, t.column_indices.tolist()) for t in trajectories] \
+            == [(0, [0]), (0, [1, 1]), (1, [0])]
+
     def test_baseline_keeps_small_imaginary_part_between_crossings(self, gamma_sweep):
         grid, sweeps, _ = gamma_sweep
         # between avoided crossings the lowest zero mode hugs the real axis;
@@ -329,6 +360,71 @@ class TestSweepAndTracking:
         np.testing.assert_allclose(rs, -gamma_mu ** 2, rtol=0.05)
 
 
+def reference_track_modes(sweep, parameters):
+    """``track_modes`` with its greedy matching as one argmax at a time."""
+    n = sweep[0].n_modes
+    live = {j: {"start": 0, "eigenvalues": [sweep[0].eigenvalues[j]],
+                "columns": [j], "overlaps": []} for j in range(n)}
+    finished = []
+
+    def close(traj, end):
+        return (traj["start"], list(parameters[traj["start"]:end]),
+                traj["eigenvalues"], traj["columns"], traj["overlaps"])
+
+    for step in range(1, len(sweep)):
+        overlap = np.abs(sweep[step - 1].right_vectors.conj().T
+                         @ sweep[step].right_vectors)
+        assignment = {}
+        work = overlap.copy()
+        for _ in range(n):
+            i, j = np.unravel_index(np.argmax(work), work.shape)
+            assignment[i] = (j, overlap[i, j])
+            work[i, :] = -1.0
+            work[:, j] = -1.0
+        new_live = {}
+        for i, traj in live.items():
+            j, ov = assignment[i]
+            if ov < 0.5:
+                warnings.warn(
+                    f"mode trajectory split at step {step}: overlap {ov:.3f}")
+                finished.append(close(traj, step))
+                new_live[j] = {"start": step,
+                               "eigenvalues": [sweep[step].eigenvalues[j]],
+                               "columns": [j], "overlaps": []}
+            else:
+                traj["eigenvalues"].append(sweep[step].eigenvalues[j])
+                traj["columns"].append(j)
+                traj["overlaps"].append(ov)
+                new_live[j] = traj
+        live = new_live
+    finished.extend(close(traj, len(sweep)) for traj in live.values())
+    finished.sort(key=lambda t: (t[0], t[3][0]))
+    return finished
+
+
+def vector_sweep(vectors):
+    """A sweep whose step k has the given right vectors, omega = 100k + j."""
+    return [nhzm.ModeSet(100 * k + np.arange(v.shape[1]) + 0j, v,
+                         np.ones(v.shape[1]), np.ones(v.shape[1]),
+                         np.zeros(v.shape[1], dtype=bool))
+            for k, v in enumerate(vectors)]
+
+
+def real_form(spec):
+    """The real tridiagonal A of ``_real_form_modes``."""
+    return np.diag(spec.onsite.imag) + np.diag(spec.bonds, 1) \
+        - np.diag(spec.bonds, -1)
+
+
+def same_modesets(got, expected):
+    """Every field of each ModeSet equal bit for bit."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for field in dataclasses.fields(b):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def trajectory(eigenvalues):
     n = len(eigenvalues)
     return ModeTrajectory(start=0, parameters=np.arange(n, dtype=float),
@@ -354,7 +450,7 @@ class TestRealFormSweep:
                                   t_prime=t_prime)
         h = nhzm.assemble_hamiltonian(spec).matrix
         scale = np.abs(h).sum(axis=1).max()
-        real, ref = _real_form_modes(spec), nhzm.eigendecompose(
+        real, ref = _real_form_modes([spec])[0], nhzm.eigendecompose(
             nhzm.Hamiltonian(h))
         # near an exceptional point both solvers carry O(sqrt(eps)) error
         assume(not ref.near_defective.any())
@@ -366,9 +462,7 @@ class TestRealFormSweep:
         assert resid.max() <= 1e-10 * scale
         # the real form's real eigenvalues put Re(omega) at omega0 exactly;
         # an odd chain has at least one
-        a = np.diag(spec.onsite.imag) + np.diag(spec.bonds, 1) \
-            - np.diag(spec.bonds, -1)
-        n_real = int(np.sum(sla.eig(a)[0].imag == 0))
+        n_real = int(np.sum(sla.eig(real_form(spec))[0].imag == 0))
         assert np.sum(real.eigenvalues.real == omega0) == n_real
         assert n_real >= spec.n_sites % 2
 
@@ -378,11 +472,9 @@ class TestRealFormSweep:
         # lambda and v
         spec = nhzm.LatticeSpec(0.4 + 2j * np.array([1, -1, 1, -1, 1]),
                                 np.ones(4))
-        a = np.diag(spec.onsite.imag) + np.diag(spec.bonds, 1) \
-            - np.diag(spec.bonds, -1)
-        lam, v = np.linalg.eig(a)
+        lam, v = np.linalg.eig(real_form(spec))
         assert lam.dtype == v.dtype == np.float64
-        modes = _real_form_modes(spec)
+        modes = _real_form_modes([spec])[0]
         assert modes.right_vectors.dtype == complex
         assert (modes.eigenvalues.real == 0.4).all()
         np.testing.assert_allclose(modes.eigenvalues.imag,
@@ -399,16 +491,62 @@ class TestRealFormSweep:
         spec = nhzm.coupled_chain(2.0)
         monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites - 1)
         with pytest.raises(EigensolverError, match="too long for the dense"):
-            _real_form_modes(spec)
+            _real_form_modes([spec])[0]
         monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites)
-        assert _real_form_modes(spec).n_modes == spec.n_sites
+        assert _real_form_modes([spec])[0].n_modes == spec.n_sites
+
+    def test_stack_matches_lone_solves(self):
+        # gain/loss g against unit bonds: every lambda of A is real from
+        # g = 2 (see test_all_real_lambda), none is at g = 0
+        family = lambda g: nhzm.LatticeSpec(
+            0.4 + 1j * g * np.array([1, -1, 1, -1, 1]), np.ones(4))
+        grid = [0.0, 0.5, 2.0, 2.5]
+        # stacked, eig returns complex lambda and v for the all-real steps
+        # too, where a lone solve returns real ones
+        lam, _ = np.linalg.eig(np.stack([real_form(family(g)) for g in grid]))
+        assert lam.dtype == complex
+        assert (lam[2:].imag == 0).all()
+        lone = [_real_form_modes([family(g)])[0] for g in grid]
+        same_modesets(nhzm.sweep_gamma(family, grid), lone)
+
+    def test_blocks_match_one_stack(self, monkeypatch):
+        grid = np.linspace(0.0, 3.0, 7)
+        family = lambda g: nhzm.coupled_chain(g, system_gamma=0.4, onsite=0.3)
+        one_stack = nhzm.sweep_gamma(family, grid)
+        n = family(0.0).n_sites
+        for per_block in (1, 2, 3):
+            monkeypatch.setattr(nhzm.spectral, "STACK_BYTES",
+                                per_block * 24 * n * n)
+            same_modesets(nhzm.sweep_gamma(family, grid), one_stack)
+
+    def test_lengths_and_fallbacks_mixed_in_one_call(self):
+        specs = [nhzm.coupled_chain(1.0), nhzm.coupled_chain(2.0, onsite=0.3),
+                 nhzm.coupled_chain(2.0, reservoir_onsite=0.3),
+                 nhzm.coupled_chain(1.5, n_reservoir=12),
+                 nhzm.LatticeSpec([0.2 - 0.5j], [])]
+        same_modesets(_real_form_modes(specs),
+                      [_real_form_modes([s])[0] for s in specs])
+
+    def test_sweep_refused_before_the_stack_is_allocated(self, monkeypatch):
+        spec = nhzm.coupled_chain(2.0, n_reservoir=90)
+        n = spec.n_sites
+        monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", n - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EigensolverError, match="too long"):
+                nhzm.sweep_gamma(lambda g: spec, np.linspace(0.0, 3.0, 301))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # not one N x N matrix of the stack was allocated
+        assert peak < 8 * n * n
 
     @pytest.mark.parametrize("spec", [
         nhzm.coupled_chain(2.0, reservoir_onsite=0.3),
         nhzm.LatticeSpec([0.2 - 0.5j], []),
     ], ids=["detuned", "single-site"])
     def test_other_specs_fall_back_bit_for_bit(self, spec):
-        real = _real_form_modes(spec)
+        real = _real_form_modes([spec])[0]
         ref = nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))
         for field in dataclasses.fields(ref):
             assert np.array_equal(getattr(real, field.name),
