@@ -33,6 +33,14 @@ _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
+# Bytes that ``ensemble_experiment`` spends on one block of realizations, and
+# per realization and site of a block: its initial states, the solve's copy
+# of them, the coefficients and their magnitudes, the evolved states and the
+# moduli that normalize them (16 + 16 + 16 + 8 + 16 + 8 B).  32 MiB hold
+# 2048 realizations at N = 109.
+ENSEMBLE_BYTES = 32 * 2 ** 20
+_COLUMN_BYTES = 80
+
 
 def propagate(h: Hamiltonian, psi0, duration: float,
               renormalize_each_period: bool = False):
@@ -43,32 +51,44 @@ def propagate(h: Hamiltonian, psi0, duration: float,
     up to floating-point range.  A non-finite result without
     renormalization raises PropagationOverflowError.
     """
-    from scipy.linalg import expm
-
     psi = np.asarray(psi0, dtype=complex)
     if not renormalize_each_period:
+        from scipy.linalg import expm
+
         with np.errstate(over="ignore", invalid="ignore"):
             out = expm(-1j * h.matrix * duration) @ psi
         if not np.all(np.isfinite(out)):
             raise PropagationOverflowError(
                 "evolution overflowed; pass renormalize_each_period=True")
         return out
+    return _step_renormalized(psi, *_period_steps(h, duration))
+
+
+def _period_steps(h: Hamiltonian, duration: float):
+    """``(n_full, u, u_rest)``: the whole periods in the duration, the
+    propagator of one period and that of the remainder (None if unused)."""
+    from scipy.linalg import expm
 
     n_full = int(duration // PERIOD)
     remainder = duration - n_full * PERIOD
+    u = expm(-1j * h.matrix * PERIOD) if n_full else None
+    u_rest = expm(-1j * h.matrix * remainder) if remainder else None
+    return n_full, u, u_rest
+
+
+def _step_renormalized(psi: np.ndarray, n_full: int, u, u_rest):
+    """``propagate``'s per-period stepping with ``_period_steps``' output."""
     log_scale = 0.0
-    if n_full:
-        u = expm(-1j * h.matrix * PERIOD)
-        for _ in range(n_full):
-            psi = u @ psi
-            peak = float(np.abs(psi).max())
-            if peak == 0.0 or not math.isfinite(peak):
-                raise PropagationOverflowError(
-                    "state under/overflowed within a single period")
-            psi = psi / peak
-            log_scale += math.log(peak)
-    if remainder:
-        psi = expm(-1j * h.matrix * remainder) @ psi
+    for _ in range(n_full):
+        psi = u @ psi
+        peak = float(np.abs(psi).max())
+        if peak == 0.0 or not math.isfinite(peak):
+            raise PropagationOverflowError(
+                "state under/overflowed within a single period")
+        psi = psi / peak
+        log_scale += math.log(peak)
+    if u_rest is not None:
+        psi = u_rest @ psi
         peak = float(np.abs(psi).max())
         if peak == 0.0 or not math.isfinite(peak):
             raise PropagationOverflowError(
@@ -78,50 +98,71 @@ def propagate(h: Hamiltonian, psi0, duration: float,
     return psi, log_scale
 
 
-def _evolve_normalized(h: Hamiltonian, states: np.ndarray, duration: float,
-                       normalization: str) -> np.ndarray:
-    """Final-state directions for a batch of initial states (columns).
+def _evolver(h: Hamiltonian, duration: float, normalization: str):
+    """Final-state directions under h, as a function of a batch of initial
+    states (columns).
 
     Uses the eigenbasis with log-domain scaling when the matrix is
     diagonalizable to working precision, falling back to per-period
     renormalized stepping otherwise; both return the same normalized
-    states.
+    states.  The eigendecomposition and its reconstruction check, or the
+    fallback's two propagators, are computed here once, and batches of any
+    width share them.
     """
+    if normalization not in ("max", "l2"):
+        raise ValueError(f"unknown normalization {normalization!r}")
     ev, v = np.linalg.eig(h.matrix)
     try:
-        recon_err = np.linalg.norm(v @ np.diag(ev) @ np.linalg.inv(v)
-                                   - h.matrix, 2)
+        recon_err = np.linalg.norm((v * ev) @ np.linalg.inv(v) - h.matrix, 2)
     except np.linalg.LinAlgError:
         recon_err = np.inf
     if recon_err <= 1e-8 * max(h.norm, 1e-300):
-        # coeff becomes the scaled coefficients in place: its unit phase
-        # (0 where |coeff| is not > 0), times the magnitude shifted in log
-        # space so that each column's largest is 1, times the phase factor
-        coeff = np.linalg.solve(v, states)
-        mag = np.abs(coeff)
-        vanishing = ~(mag > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(coeff, mag, out=coeff)
-            coeff[vanishing] = 0.0
-            np.log(mag, out=mag)
-            mag += ev.imag[:, None] * duration
-            mag -= mag.max(axis=0)
-            np.exp(mag, out=mag)
-        np.multiply(mag, coeff, out=coeff)
-        coeff *= np.exp(-1j * ev.real[:, None] * duration)
-        out = v @ coeff
+        growth = ev.imag[:, None] * duration
+        phase = np.exp(-1j * ev.real[:, None] * duration)
+
+        def evolve(states):
+            # coeff becomes the scaled coefficients in place: its unit phase
+            # (0 where |coeff| is not > 0), times the magnitude shifted in
+            # log space so that each column's largest is 1, times the phase
+            # factor
+            coeff = np.linalg.solve(v, states)
+            mag = np.abs(coeff)
+            vanishing = ~(mag > 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(coeff, mag, out=coeff)
+                coeff[vanishing] = 0.0
+                np.log(mag, out=mag)
+                mag += growth
+                mag -= mag.max(axis=0)
+                np.exp(mag, out=mag)
+            np.multiply(mag, coeff, out=coeff)
+            del mag, vanishing
+            coeff *= phase
+            return v @ coeff
     else:
-        out = np.empty_like(states)
-        for j in range(states.shape[1]):
-            out[:, j], _ = propagate(h, states[:, j], duration,
-                                     renormalize_each_period=True)
-    if normalization == "max":
-        out /= np.abs(out).max(axis=0, keepdims=True)
-    elif normalization == "l2":
-        out /= np.linalg.norm(out, axis=0, keepdims=True)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    return out
+        steps = _period_steps(h, duration)
+
+        def evolve(states):
+            out = np.empty_like(states)
+            for j in range(states.shape[1]):
+                out[:, j], _ = _step_renormalized(states[:, j], *steps)
+            return out
+
+    def evolve_normalized(states):
+        out = evolve(states)
+        if normalization == "max":
+            out /= np.abs(out).max(axis=0, keepdims=True)
+        else:
+            out /= np.linalg.norm(out, axis=0, keepdims=True)
+        return out
+
+    return evolve_normalized
+
+
+def _evolve_normalized(h: Hamiltonian, states: np.ndarray, duration: float,
+                       normalization: str) -> np.ndarray:
+    """``_evolver``'s final-state directions for one batch of states."""
+    return _evolver(h, duration, normalization)(states)
 
 
 def _hash_constants(value: int, mult: int):
@@ -143,28 +184,45 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> np.uint32(16))
 
 
-def _seeded_normals(seed: int, n_realizations: int, n: int) -> np.ndarray:
-    """Row i is ``default_rng(SeedSequence((seed, i))).standard_normal(n)``.
+def _noise_seed(seed: int, stop: int) -> int:
+    """The seed as an int, once noise rows up to ``stop`` are drawable.
 
-    Equal bit for bit, without one SeedSequence and one generator per row
-    (~37 us each).  SeedSequence splits each non-negative integer of its
-    entropy into little-endian uint32 words (the seed's, then i's one word)
-    and hashes them into a pool of four words; that hash runs here on uint32
-    arrays over all i at once.  The pool's first 256 output bits seed PCG64
-    as its ``set_seed`` does (initial state, then stream, each 128 bits), and
-    one generator draws every row after its state is set.
+    Raises ValueError for a negative seed, as numpy does, and DomainError
+    from 2^32 rows on, so that every row index fits the one uint32 word it
+    takes in the seed; both before anything is allocated.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
-    if n_realizations >= 1 << 32:
+    if stop >= 1 << 32:
         raise DomainError(
-            f"{n_realizations} realizations: the realization index must fit "
+            f"{stop} realizations: the realization index must fit "
             f"one uint32 word of the noise seed")
+    return seed
+
+
+def _seeded_normals(seed: int, n_realizations: int, n: int,
+                    start: int = 0) -> np.ndarray:
+    """Noise rows from ``start`` on: row k is numpy's
+    ``default_rng(SeedSequence((seed, start + k))).standard_normal(n)``.
+
+    Equal bit for bit, without one SeedSequence and one generator per row
+    (~37 us each).  Each row depends only on ``(seed, start + k)``, so the
+    rows of an ensemble can be drawn in blocks of any width: the block from
+    ``start`` holds ``n_realizations`` rows.  SeedSequence splits each
+    non-negative integer of its entropy into little-endian uint32 words (the
+    seed's, then the row index's one word) and hashes them into a pool of
+    four words; that hash runs here on uint32 arrays over all rows at once.
+    The pool's first 256 output bits seed PCG64 as its ``set_seed`` does
+    (initial state, then stream, each 128 bits), and one generator draws
+    every row after its state is set.
+    """
+    seed = _noise_seed(seed, start + n_realizations)
     n_words = max(1, -(-seed.bit_length() // 32))
     seed_words = np.frombuffer(seed.to_bytes(4 * n_words, "little"), "<u4")
     entropy = [np.full(n_realizations, w, dtype=np.uint32) for w in seed_words]
-    entropy.append(np.arange(n_realizations, dtype=np.uint32))
+    entropy.append(np.arange(n_realizations, dtype=np.uint32)
+                   + np.uint32(start))
 
     hash_a = _hash_constants(_INIT_A, _MULT_A)
     pool = [_hashmix(entropy[k] if k < len(entropy)
@@ -202,6 +260,32 @@ def _seeded_normals(seed: int, n_realizations: int, n: int) -> np.ndarray:
     return out
 
 
+def _block_width(n: int) -> int:
+    """Realizations per ensemble block at N sites: a power of two.
+
+    As many as ``ENSEMBLE_BYTES`` hold at ``_COLUMN_BYTES`` per realization
+    and site, or 2N if that is more, rounded down.  A block of more
+    realizations than sites keeps the LU factorization that
+    ``np.linalg.solve`` repeats per block ((8/3) N^3 flops) small against
+    the block's solve and product back (16 N^2 flops per realization).
+    """
+    columns = max(ENSEMBLE_BYTES // (_COLUMN_BYTES * n), 2 * n)
+    return 1 << (columns.bit_length() - 1)
+
+
+def _mean_std(rows: np.ndarray):
+    """``rows.mean(axis=1)`` and ``rows.std(axis=1)``, bit for bit.
+
+    Does numpy's arithmetic for ``std`` (deviations from the mean, squared,
+    summed, divided by the count) in place in ``rows``, which it overwrites,
+    rather than in a temporary array of the same size.
+    """
+    mean = rows.mean(axis=1)
+    rows -= mean[:, None]
+    np.multiply(rows, rows, out=rows)
+    return mean, np.sqrt(np.add.reduce(rows, axis=1) / rows.shape[1])
+
+
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Ensemble-averaged reservoir profile of a noise-seeded zero mode.
@@ -234,25 +318,39 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
 
     Realization i draws its noise s from
     ``np.random.default_rng(np.random.SeedSequence((seed, i)))``, bit for
-    bit, so results are deterministic and independent of batching; the
-    draws for all realizations come from one generator (``_seeded_normals``).
-    A negative seed raises ValueError, as numpy does.  Over many periods the
-    mode with the largest gain dominates any fixed noise floor; choose
-    ``periods`` with that in mind.
+    bit, so results are deterministic and the noise does not depend on
+    batching; the draws of a block of realizations come from one generator
+    (``_seeded_normals``).  A negative seed raises ValueError, as numpy does.
+    Over many periods the mode with the largest gain dominates any fixed
+    noise floor; choose ``periods`` with that in mind.
+
+    H is diagonalized once.  The realizations are then drawn, evolved and
+    reduced to their reservoir moduli in blocks of a power-of-two width set
+    by ``ENSEMBLE_BYTES`` (2048 at N = 109, never fewer than N), so memory is
+    O(N^2 + N * block + n_res * R): the last term is the (n_res, R) array of
+    moduli that the mean and std are taken over, as a bit-exact mean needs.
+    The block width does not change the noise or the arithmetic per
+    realization, but BLAS may round one realization's solve and product
+    differently at another width (seen: up to 3.3e-16 relative in mean and
+    std).
     """
+    _noise_seed(seed, n_realizations)
     h = assemble_hamiltonian(spec)
     sites = spec.reservoir_sites()
     reservoir = slice(sites.start, sites.stop)
-    noise = _seeded_normals(seed, n_realizations, len(sites))
-    noise *= sigma
+    evolve = _evolver(h, periods * PERIOD, normalization)
     base = np.asarray(zero_mode.wavefunction, dtype=complex)
-    states = np.tile(base[:, None], (1, n_realizations))
-    states[reservoir, :] *= np.exp(noise, out=noise).T
-
-    out = _evolve_normalized(h, states, periods * PERIOD, normalization)
-    profiles = np.abs(out[reservoir, :])
-    mean = profiles.mean(axis=1)
-    std = profiles.std(axis=1)
+    profiles = np.empty((len(sites), n_realizations))
+    width = _block_width(h.dim)
+    for lo in range(0, n_realizations, width):
+        hi = min(lo + width, n_realizations)
+        noise = _seeded_normals(seed, hi - lo, len(sites), start=lo)
+        noise *= sigma
+        states = np.tile(base[:, None], (1, hi - lo))
+        states[reservoir, :] *= np.exp(noise, out=noise).T
+        del noise
+        np.abs(evolve(states)[reservoir, :], out=profiles[:, lo:hi])
+    mean, std = _mean_std(profiles)
 
     r2 = _fit_line(mean).r_squared
     return EnsembleResult(mean, std, float(np.clip(r2, 0.0, 1.0)),

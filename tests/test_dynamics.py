@@ -1,19 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import nhzm
-from nhzm.dynamics import (PERIOD, EpEvolution, _evolve_normalized,
-                           _seeded_normals)
+from nhzm import dynamics
+from nhzm.dynamics import (PERIOD, EpEvolution, _block_width,
+                           _evolve_normalized, _seeded_normals)
 from nhzm.errors import DomainError, EpSetupError, PropagationOverflowError
+from nhzm.spectral import ZeroMode
 
 from conftest import baseline_zero_mode, chain_modes
 
 
-def numpy_normals(seed, n_realizations, n):
+def numpy_normals(seed, n_realizations, n, start=0):
     """numpy's construction: one SeedSequence and generator per row."""
     return np.array([
         np.random.default_rng(np.random.SeedSequence((seed, i)))
-        .standard_normal(n) for i in range(n_realizations)])
+        .standard_normal(n) for i in range(start, start + n_realizations)])
 
 
 def loop_ensemble(spec, zm, sigma, n_realizations, periods, seed):
@@ -29,6 +33,11 @@ def loop_ensemble(spec, zm, sigma, n_realizations, periods, seed):
     out = _evolve_normalized(h, states, periods * PERIOD, "max")
     profiles = np.abs(out[reservoir, :])
     return profiles.mean(axis=1), profiles.std(axis=1)
+
+
+def defective_dimer():
+    """Gain/loss equal to the coupling: an exactly defective 2-site chain."""
+    return nhzm.Hamiltonian(np.array([[1j, 1.0], [1.0, -1j]]))
 
 
 def ep_pair():
@@ -108,7 +117,7 @@ class TestPropagate:
         # defective: numpy's two eigenvectors are parallel, the eigenbasis
         # fails its reconstruction check, and every column is stepped
         # period by period
-        h = nhzm.Hamiltonian(np.array([[1j, 1.0], [1.0, -1j]]))
+        h = defective_dimer()
         ev, v = np.linalg.eig(h.matrix)
         assert np.linalg.norm(v @ np.diag(ev) @ np.linalg.inv(v) - h.matrix,
                               2) > 1e-8 * h.norm
@@ -121,6 +130,23 @@ class TestPropagate:
                                        renormalize_each_period=True)
             np.testing.assert_array_equal(out[:, j],
                                           direct / np.abs(direct).max())
+
+    def test_fallback_computes_two_propagators_per_ensemble(self,
+                                                             monkeypatch):
+        # one expm for the period and one for the remainder, shared by every
+        # realization of every block, rather than two per realization
+        import scipy.linalg
+        expm = scipy.linalg.expm
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda a: calls.append(a) or expm(a))
+        monkeypatch.setattr(dynamics, "_block_width", lambda n: 2)
+        spec = nhzm.LatticeSpec(np.diag(defective_dimer().matrix), [1.0])
+        zm = ZeroMode(None, 0j, np.array([1.0, 1j]))
+        result = nhzm.ensemble_experiment(spec, zm, n_realizations=5,
+                                          periods=3.5, seed=1)
+        assert len(calls) == 2
+        assert np.all(np.isfinite(result.mean_abs_profile))
 
     def test_vanishing_coefficient_gets_no_phase(self):
         # a diagonal H has exactly the identity as eigenvectors, so a zero
@@ -171,6 +197,32 @@ class TestSeededNormals:
         with pytest.raises(ValueError):
             nhzm.ensemble_experiment(spec, zm, n_realizations=3,
                                      periods=0.17, seed=-1)
+
+    @pytest.mark.parametrize("start", [0, 1, 999, 2 ** 32 - 3])
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 + 3])
+    def test_rows_from_an_offset_equal_numpy(self, seed, start):
+        # from 2**32 - 3 two rows remain below the 2**32-row limit
+        count = min(3, 2 ** 32 - 1 - start)
+        got = _seeded_normals(seed, count, 5, start=start)
+        want = numpy_normals(seed, count, 5, start=start)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # the rows of a block are the matching rows of a wider draw
+        if start < 1000:
+            wide = _seeded_normals(seed, start + count, 5)
+            assert got.tobytes() == wide[start:].tobytes()
+
+    @pytest.mark.parametrize("count", [4, 10 ** 6])
+    def test_offset_beyond_one_uint32_word_refused_first(self, count):
+        # drawing first would allocate 40 MB of rows for count = 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError):
+                _seeded_normals(0, count, 5, start=2 ** 32 - 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_index_beyond_one_uint32_word_refused(self):
         # refused before any allocation rather than wrapped to index 0
@@ -236,6 +288,52 @@ class TestEnsemble:
                                                      zm.omega, 1e3)
         delta = modes.eigenvalues.imag.max() - zm.omega.imag
         assert np.exp(delta * periods * PERIOD) == pytest.approx(1e3)
+
+
+class TestEnsembleBlocks:
+    def test_block_width(self):
+        assert _block_width(109) == 2048
+        for n in (1, 19, 109, 459, 1009, 8192):
+            width = _block_width(n)
+            assert width & (width - 1) == 0
+            assert width > n
+            assert (width * dynamics._COLUMN_BYTES * n
+                    <= max(dynamics.ENSEMBLE_BYTES,
+                           2 * n * dynamics._COLUMN_BYTES * n))
+
+    @pytest.mark.parametrize("normalization", ["max", "l2"])
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    def test_width_moves_mean_and_std_only_by_rounding(self, monkeypatch,
+                                                       width, normalization):
+        spec, zm = baseline_zero_mode(2.000316)
+        kwargs = dict(sigma=0.1, n_realizations=200, periods=0.17, seed=4,
+                      normalization=normalization)
+        assert _block_width(spec.n_sites) >= 200
+        one = nhzm.ensemble_experiment(spec, zm, **kwargs)
+        monkeypatch.setattr(dynamics, "_block_width", lambda n: width)
+        blocked = nhzm.ensemble_experiment(spec, zm, **kwargs)
+        np.testing.assert_allclose(blocked.mean_abs_profile,
+                                   one.mean_abs_profile, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(blocked.std_profile, one.std_profile,
+                                   rtol=1e-14, atol=0)
+
+    def test_traced_memory_is_the_budget_and_the_moduli(self, monkeypatch):
+        # all realizations at once trace ~80 MB here; blocks of the budget
+        # and the (n_res, R) moduli that mean and std are taken over, ~9 MB
+        monkeypatch.setattr(dynamics, "ENSEMBLE_BYTES", 4 * 2 ** 20)
+        spec = nhzm.coupled_chain(2.0, n_reservoir=100)
+        zm = nhzm.lowest_zero_mode(spec)
+        n_res, n_realizations = len(spec.reservoir_sites()), 10_000
+        tracemalloc.start()
+        try:
+            nhzm.ensemble_experiment(spec, zm, n_realizations=n_realizations,
+                                     periods=0.17, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        margin = 2 * 2 ** 20
+        assert peak <= (dynamics.ENSEMBLE_BYTES + 8 * n_res * n_realizations
+                        + margin)
 
 
 class TestEpEvolution:
