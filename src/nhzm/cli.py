@@ -91,15 +91,10 @@ def _regime_payload(report: RegimeReport, extra: dict | None = None) -> dict:
     return payload
 
 
-def _zero_modes(scenario: Scenario):
+def _task_spectrum(scenario: Scenario, out: Path) -> None:
     spec = scenario.build_spec()
     modes = eigendecompose(assemble_hamiltonian(spec))
     zms = find_zero_modes(modes, spec, scenario.data["onsite"])
-    return spec, modes, zms
-
-
-def _task_spectrum(scenario: Scenario, out: Path) -> None:
-    spec, modes, zms = _zero_modes(scenario)
     w = modes.eigenvalues
     _write_csv(out / "spectrum.csv", ("mode_index", "re_omega", "im_omega"),
                (np.arange(len(w)), w.real, w.imag), scenario)
@@ -244,7 +239,8 @@ def _task_ensemble(scenario: Scenario, out: Path) -> None:
 
 
 def _task_perturbation(scenario: Scenario, out: Path) -> None:
-    spec, modes, _ = _zero_modes(scenario)
+    spec = scenario.build_spec()
+    modes = eigendecompose(assemble_hamiltonian(spec))
     setup = PerturbationSetup.from_spec(spec)
     mode_index = setup.zero_mode_index()
     comparison, pert, j = _compare_to_exact(setup, modes, mode_index)

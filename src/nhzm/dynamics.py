@@ -9,6 +9,7 @@ period while accumulating the discarded scale in log space.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -79,20 +80,13 @@ def _period_steps(h: Hamiltonian, duration: float):
 def _step_renormalized(psi: np.ndarray, n_full: int, u, u_rest):
     """``propagate``'s per-period stepping with ``_period_steps``' output."""
     log_scale = 0.0
-    for _ in range(n_full):
-        psi = u @ psi
+    rest = [] if u_rest is None else [u_rest]
+    for step in itertools.chain(itertools.repeat(u, n_full), rest):
+        psi = step @ psi
         peak = float(np.abs(psi).max())
         if peak == 0.0 or not math.isfinite(peak):
             raise PropagationOverflowError(
                 "state under/overflowed within a single period")
-        psi = psi / peak
-        log_scale += math.log(peak)
-    if u_rest is not None:
-        psi = u_rest @ psi
-        peak = float(np.abs(psi).max())
-        if peak == 0.0 or not math.isfinite(peak):
-            raise PropagationOverflowError(
-                "state under/overflowed in the final partial period")
         psi = psi / peak
         log_scale += math.log(peak)
     return psi, log_scale
@@ -157,12 +151,6 @@ def _evolver(h: Hamiltonian, duration: float, normalization: str):
         return out
 
     return evolve_normalized
-
-
-def _evolve_normalized(h: Hamiltonian, states: np.ndarray, duration: float,
-                       normalization: str) -> np.ndarray:
-    """``_evolver``'s final-state directions for one batch of states."""
-    return _evolver(h, duration, normalization)(states)
 
 
 def _hash_constants(value: int, mult: int):

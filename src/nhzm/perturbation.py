@@ -1,15 +1,16 @@
 """First-order biorthogonal perturbation theory in the junction coupling.
 
-The uncoupled Hamiltonian is the block-diagonal sum of the system and
-reservoir blocks; the perturbation is the junction bond, a structure matrix
-with two unit entries scaled by t_prime.  Because every unperturbed mode
-lives entirely in one block while the perturbation only bridges the blocks,
-all first-order energy corrections vanish and the first-order wave-function
+The chain is cut at its partition index p: the uncoupled Hamiltonian H0 is
+the block-diagonal sum of the system (sites < p) and reservoir blocks, and
+the perturbation is the junction bond between sites p-1 and p, the unit
+bond H' scaled by t_prime.  Because every unperturbed mode lives entirely
+in one block while the perturbation only bridges the blocks, all
+first-order energy corrections vanish and the first-order wave-function
 correction of a system mode lives entirely in the reservoir.  That
-correction is the junction resolvent t' (omega0 - H0_other)^-1 H' psi0 of the
-other block, one tridiagonal solve instead of a sum over its modes.  The
-solve is LAPACK's ?gtsv algorithm written out in Python (``_resolvent``), so
-this module needs numpy alone.
+correction is the junction resolvent t' (omega0 - H0_other)^-1 H' psi0 of
+the other block, one tridiagonal solve instead of a sum over its modes.
+The solve is LAPACK's ?gtsv algorithm written out in Python
+(``_resolvent``), so this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePerturbationError, DomainError
-from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian
+from .lattice import LatticeSpec, assemble_hamiltonian
 from .spectral import ModeSet, _gaps, eigendecompose, match_mode
 
 DEGENERACY_GAP = 1e-8
@@ -27,52 +28,44 @@ DEGENERACY_GAP = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class PerturbationSetup:
-    """Unperturbed block Hamiltonian, coupling structure, and strength.
+    """A coupled chain cut at its junction: the uncoupled modes and t_prime.
 
-    ``modes`` holds the uncoupled eigensystem assembled block by block so
-    that system modes are exactly zero on reservoir sites and vice versa.
-    ``omega0`` is the system sites' common real onsite energy, where the
-    zero mode sits, or None when they have none.
+    The cut is ``spec.partition``, the index p of the first reservoir site;
+    the junction bond ``spec.bonds[p - 1]`` is ``t_prime``, and no
+    Hamiltonian matrix is kept.  ``modes`` holds the uncoupled eigensystem,
+    each block decomposed on its own: the system block's modes come first,
+    then the reservoir's, each with its own block's near-defective flags,
+    and the right vectors are block diagonal, so system modes are exactly
+    zero on reservoir sites and vice versa.  Those vectors are the setup's
+    one N x N array.  ``omega0`` is the system sites' common real onsite
+    energy, where the zero mode sits, or None when they have none.
     """
 
-    h0: Hamiltonian
-    h_prime: np.ndarray
+    spec: LatticeSpec
     t_prime: float
     modes: ModeSet
     omega0: float | None
 
     @classmethod
     def from_spec(cls, spec: LatticeSpec) -> "PerturbationSetup":
-        """Build the setup from a coupled spec by cutting the junction bond.
-
-        The junction coupling strength becomes t_prime and each block is
-        eigendecomposed separately; omega0 is read from the system sites.
-        """
-        if spec.partition is None:
-            raise DomainError("spec has no partition; nothing to cut")
-        p = spec.partition
-        full = assemble_hamiltonian(spec).matrix
-        t_prime = float(full[p - 1, p].real)
-        blocks = [eigendecompose(Hamiltonian(full[:p, :p])),
-                  eigendecompose(Hamiltonian(full[p:, p:]))]
-        h0 = np.zeros_like(full)
-        h0[:p, :p] = full[:p, :p]
-        h0[p:, p:] = full[p:, p:]
-        h_prime = (full - h0).real / t_prime
-
+        """Cut a partitioned spec at its junction and decompose each block."""
+        system, reservoir = _blocks(spec)
+        p = system.n_sites
+        blocks = [eigendecompose(assemble_hamiltonian(system)),
+                  eigendecompose(assemble_hamiltonian(reservoir))]
         # the screen keeps each block's flags: a mode is not defective
         # because the other block has an eigenvalue next to it
         w = np.concatenate([b.eigenvalues for b in blocks])
-        vectors = np.zeros_like(full)
+        vectors = np.zeros((spec.n_sites, spec.n_sites), dtype=complex)
         vectors[:p, :p] = blocks[0].right_vectors
         vectors[p:, p:] = blocks[1].right_vectors
         modes = ModeSet(
             w, vectors, _gaps(w),
             np.concatenate([b.lr_overlaps for b in blocks]),
             np.concatenate([b.near_defective for b in blocks]))
-        re = spec.onsite[:p].real
+        re = system.onsite.real
         omega0 = float(re[0]) if (re == re[0]).all() else None
-        return cls(Hamiltonian(h0), h_prime, t_prime, modes, omega0)
+        return cls(spec, float(spec.bonds[p - 1]), modes, omega0)
 
     def zero_mode_index(self) -> int:
         """Index of the unperturbed mode closest to omega0."""
@@ -82,18 +75,58 @@ class PerturbationSetup:
         return int(np.argmin(np.abs(self.modes.eigenvalues - self.omega0)))
 
 
-def first_order_energy(setup: PerturbationSetup, mode_index: int) -> complex:
-    """Energy correction t_prime * <phi_mu|H'|psi_mu>.
+def _blocks(spec: LatticeSpec) -> tuple[LatticeSpec, LatticeSpec]:
+    """The system and reservoir chains of a partitioned spec, bond cut."""
+    if spec.partition is None:
+        raise DomainError("spec has no partition; nothing to cut")
+    p = spec.partition
+    return (LatticeSpec(spec.onsite[:p], spec.bonds[:p - 1],
+                        spec.first_sublattice),
+            LatticeSpec(spec.onsite[p:], spec.bonds[p:], spec.sublattice(p)))
 
-    Zero for every mode of a junction-only perturbation; the general matrix
-    element is evaluated so synthetic structure matrices work too.
-    """
-    if setup.modes.near_defective[mode_index]:
+
+def _unperturbed(modes: ModeSet, index: int) -> tuple[complex, np.ndarray]:
+    """Eigenvalue and right vector of one uncoupled mode, which first-order
+    theory needs to be biorthonormalizable: a near-defective one raises."""
+    if modes.near_defective[index]:
         raise DegeneratePerturbationError(
-            f"unperturbed mode {mode_index} is near-defective")
-    phi = setup.modes.left_vectors[mode_index]
-    psi = setup.modes.right_vectors[:, mode_index]
-    return complex(setup.t_prime * (phi @ setup.h_prime @ psi))
+            f"unperturbed mode {index} is near-defective")
+    return modes.eigenvalues[index], modes.right_vectors[:, index]
+
+
+def _junction_solve(spec: LatticeSpec, w0: complex,
+                    psi0: np.ndarray) -> np.ndarray:
+    """(w0 - H0_other)^-1 H' psi0 for the unit junction bond H', on N sites.
+
+    psi0 lives in one block, so H' psi0 is its amplitude at its own
+    junction site moved to the other block's, and w0 - H0 is inverted on
+    that other block alone, by ``_resolvent``; the result is zero on the
+    block of psi0.
+    """
+    p = spec.partition
+    rhs = np.zeros(spec.n_sites, dtype=complex)
+    rhs[p - 1], rhs[p] = psi0[p], psi0[p - 1]
+    if psi0[p:].any():
+        other, bonds = slice(0, p), spec.bonds[:p - 1]
+    else:
+        other, bonds = slice(p, None), spec.bonds[p:]
+    out = np.zeros_like(rhs)
+    out[other] = _resolvent(spec.onsite[other], bonds, w0, rhs[other])
+    return out
+
+
+def first_order_energy(setup: PerturbationSetup, mode_index: int) -> complex:
+    """Energy correction t' <phi_mu|H'|psi_mu> of one unperturbed mode.
+
+    The junction bond is H''s one element, so this is
+    t' (phi[p-1] psi[p] + phi[p] psi[p-1]), with the left vector
+    phi = psi^T / (psi^T psi).  It is zero for every mode, which lives in
+    one block and so vanishes on one side of the junction.
+    """
+    _, psi = _unperturbed(setup.modes, mode_index)
+    p = setup.spec.partition
+    phi = psi[[p - 1, p]] / (psi @ psi)
+    return complex(setup.t_prime * (phi @ psi[[p, p - 1]]))
 
 
 def first_order_wavefunction(setup: PerturbationSetup,
@@ -103,25 +136,13 @@ def first_order_wavefunction(setup: PerturbationSetup,
     H' psi0 lies in the block the mode does not occupy, where w0 - H0 is
     regular, so this equals the sum over that block's modes nu of
     psi_nu <phi_nu|H'|psi0> / (w0 - w_nu), at the cost of one tridiagonal
-    solve.  ``h_prime`` must be the junction bond ``from_spec`` builds.
-    Raises for a near-defective mode, and when the solve amplifies by more
-    than 1/DEGENERACY_GAP, which happens when w0 is (nearly) an eigenvalue
-    of the other block, as at an exceptional point of the uncoupled
-    reservoir.
+    solve.  Raises for a near-defective mode, and when the solve amplifies
+    by more than 1/DEGENERACY_GAP, which happens when w0 is (nearly) an
+    eigenvalue of the other block, as at an exceptional point of the
+    uncoupled reservoir.
     """
-    modes = setup.modes
-    if modes.near_defective[mode_index]:
-        raise DegeneratePerturbationError(
-            f"unperturbed mode {mode_index} is near-defective")
-    rhs = setup.h_prime @ modes.right_vectors[:, mode_index]
-    # the first reservoir site closes the junction bond
-    p = int(np.flatnonzero(np.diagonal(setup.h_prime, 1))[0]) + 1
-    other = slice(p, None) if rhs[p:].any() else slice(0, p)
-    block = setup.h0.matrix[other, other]
-    correction = np.zeros_like(rhs)
-    correction[other] = _resolvent(np.diagonal(block), np.diagonal(block, 1).real,
-                                   modes.eigenvalues[mode_index], rhs[other])
-    return setup.t_prime * correction
+    w0, psi0 = _unperturbed(setup.modes, mode_index)
+    return setup.t_prime * _junction_solve(setup.spec, w0, psi0)
 
 
 def first_order_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> np.ndarray:
@@ -129,26 +150,18 @@ def first_order_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> np.ndarray:
 
     The unperturbed mode is the system-block eigenvector with the eigenvalue
     closest to omega0, unit-norm and zero on the reservoir; the correction is
-    ``first_order_wavefunction``'s reservoir solve.  Only the system block
-    is decomposed, so the cost is O(N) in the reservoir length.
+    ``first_order_wavefunction``'s reservoir solve, scaled by the junction
+    bond.  Only the system block is decomposed, so the cost is O(N) in the
+    reservoir length.
     """
-    if spec.partition is None:
-        raise DomainError("spec has no partition; nothing to cut")
-    p = spec.partition
-    system = LatticeSpec(spec.onsite[:p], spec.bonds[:p - 1],
-                         spec.first_sublattice)
-    sys_modes = eigendecompose(assemble_hamiltonian(system))
-    idx = int(np.argmin(np.abs(sys_modes.eigenvalues - omega0)))
-    if sys_modes.near_defective[idx]:
-        raise DegeneratePerturbationError(
-            f"unperturbed mode {idx} is near-defective")
-    psi = np.zeros(spec.n_sites, dtype=complex)
-    psi[:p] = sys_modes.right_vectors[:, idx]
-    rhs = np.zeros(spec.n_sites - p, dtype=complex)
-    rhs[0] = psi[p - 1]
-    psi[p:] = spec.bonds[p - 1] * _resolvent(spec.onsite[p:], spec.bonds[p:],
-                                             sys_modes.eigenvalues[idx], rhs)
-    return psi
+    system = _blocks(spec)[0]
+    modes = eigendecompose(assemble_hamiltonian(system))
+    w0, psi = _unperturbed(
+        modes, int(np.argmin(np.abs(modes.eigenvalues - omega0))))
+    psi0 = np.zeros(spec.n_sites, dtype=complex)
+    psi0[:system.n_sites] = psi
+    return psi0 + spec.bonds[system.n_sites - 1] * \
+        _junction_solve(spec, w0, psi0)
 
 
 def _resolvent(diag: np.ndarray, off: np.ndarray, w0: complex,

@@ -239,6 +239,23 @@ class TestReportCommand:
         assert main(["report", str(out)]) == 0
         assert "vector error" in capsys.readouterr().out
 
+    def test_perturbation_task_takes_a_one_site_reservoir(self, tmp_path):
+        # a one-site reservoir has no internal couplings, which the
+        # comparison never reads
+        scenario = {
+            "task": "perturbation",
+            "system": {"n": 9, "tA": 1.0, "tB": 0.2},
+            "reservoir": {"n": 1, "tA": 1.0, "tB": 1.0, "gamma": 2.0},
+            "coupling": 0.2,
+        }
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, scenario),
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "perturbation.json").read_text())
+        assert np.isfinite(payload["vector_error"])
+        rows = (out / "perturbation.csv").read_text().splitlines()[3:]
+        assert len(rows) == 10
+
     def test_hermitian_reservoir_reports_constant_regime(self, tmp_path, capsys):
         scenario = dict(MINIMAL, task="mode-profile",
                         system={"n": 9, "tA": 1.0, "tB": 0.2},

@@ -5,8 +5,8 @@ import pytest
 
 import nhzm
 from nhzm import dynamics
-from nhzm.dynamics import (PERIOD, EpEvolution, _block_width,
-                           _evolve_normalized, _seeded_normals)
+from nhzm.dynamics import (PERIOD, EpEvolution, _block_width, _evolver,
+                           _seeded_normals)
 from nhzm.errors import DomainError, EpSetupError, PropagationOverflowError
 from nhzm.spectral import ZeroMode
 
@@ -30,7 +30,7 @@ def loop_ensemble(spec, zm, sigma, n_realizations, periods, seed):
     for i in range(n_realizations):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         states[reservoir, i] *= np.exp(sigma * rng.standard_normal(len(sites)))
-    out = _evolve_normalized(h, states, periods * PERIOD, "max")
+    out = _evolver(h, periods * PERIOD, "max")(states)
     profiles = np.abs(out[reservoir, :])
     return profiles.mean(axis=1), profiles.std(axis=1)
 
@@ -105,7 +105,7 @@ class TestPropagate:
         rng = np.random.default_rng(8)
         states = rng.normal(size=(19, 4)) + 1j * rng.normal(size=(19, 4))
         duration = 2.0 * PERIOD
-        fast = _evolve_normalized(h, states.copy(), duration, "max")
+        fast = _evolver(h, duration, "max")(states.copy())
         for j in range(4):
             direct = nhzm.propagate(h, states[:, j], duration)
             direct = direct / np.abs(direct).max()
@@ -124,7 +124,7 @@ class TestPropagate:
         rng = np.random.default_rng(10)
         states = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         duration = 3.5 * PERIOD
-        out = _evolve_normalized(h, states.copy(), duration, "max")
+        out = _evolver(h, duration, "max")(states.copy())
         for j in range(3):
             direct, _ = nhzm.propagate(h, states[:, j], duration,
                                        renormalize_each_period=True)
@@ -158,7 +158,7 @@ class TestPropagate:
         states = np.array([[1.0, 0.5j], [0.0, 2.0], [0.3 - 0.2j, 0.0],
                            [2.0, 1.0]], dtype=complex)
         duration = 2.0
-        out = _evolve_normalized(h, states.copy(), duration, "max")
+        out = _evolver(h, duration, "max")(states.copy())
         assert out[1, 0] == 0 and out[2, 1] == 0
         expected = np.exp(-1j * w[:, None] * duration) * states
         expected /= np.abs(expected).max(axis=0)
