@@ -309,10 +309,23 @@ def _cmd_report(args) -> int:
         scenario = payload.get("meta", {}).get("scenario", {})
         print(f"== {name} (task: {scenario.get('task', '?')})")
         _summarize(name, payload)
+        if name == "sweep_summary.json" and (directory / "sweep.csv").exists():
+            unnumbered, rows = _unnumbered_rows(directory / "sweep.csv")
+            print(f"  {unnumbered} of {rows} sweep.csv rows have mode_id = -1 "
+                  "(tracks that split before the last step)")
     if not found:
         print(f"no recognized output files in {directory}", file=sys.stderr)
         return EXIT_SCENARIO
     return EXIT_OK
+
+
+def _unnumbered_rows(path: Path) -> tuple[int, int]:
+    """Rows of a sweep.csv with mode_id = -1, and all its rows."""
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith("#")]
+    column = lines[0].split(",").index("mode_id")
+    ids = [line.split(",")[column] for line in lines[1:]]
+    return ids.count("-1"), len(ids)
 
 
 def _summarize(name: str, payload: dict) -> None:

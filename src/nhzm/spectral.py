@@ -14,6 +14,8 @@ shift-invert Arnoldi on the tridiagonal matrix (``lowest_zero_mode``).
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -198,12 +200,20 @@ def _modeset(w: np.ndarray, vr: np.ndarray, norm_bound: float) -> ModeSet:
     """The ``ModeSet`` of eigenpairs (w, vr) of a matrix of scale norm_bound.
 
     Sorts by (Re, Im), scales the vectors to unit norm and runs the
-    near-defective screen of ``eigendecompose``.
+    near-defective screen of ``eigendecompose``.  Beside the sorted copy of
+    vr, its temporaries hold at most ``SCRATCH_BYTES`` at a time.
     """
+    n = len(w)
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     vr = vr[:, order]
-    vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
+    # column blocks of the norm, then one in-place division: no second
+    # N x N copy and no N x N temporary
+    cols = max(1, SCRATCH_BYTES // (16 * n))
+    norms = np.empty(n)
+    for lo in range(0, n, cols):
+        norms[lo:lo + cols] = np.linalg.norm(vr[:, lo:lo + cols], axis=0)
+    vr /= norms
 
     gaps = _gaps(w)
     self_overlaps = np.abs(np.einsum("ij,ij->j", vr, vr))
@@ -214,12 +224,78 @@ def _modeset(w: np.ndarray, vr: np.ndarray, norm_bound: float) -> ModeSet:
 
 # i^j for j mod 4: the diagonal similarity D of ``_real_form_modes``
 _PHASES = np.array([1, 1j, -1, -1j])
-# Bytes of the A stack and of np.linalg.eig's complex vectors (8 + 16 B N^2 a
-# step) that ``_real_form_modes`` holds at once.  The ModeSets it returns
-# keep 16 B N^2 a step anyway; an unblocked stack would add 24 B N^2 a step
-# on top, a peak about 2.5 times as large for a long sweep of a long chain.
-# 301 steps fit in one block up to N = 96.
+# Bytes of the A stack and of its complex eigenvalues and vectors (8 + 16 B
+# N^2 a step) that ``_real_form_modes`` holds at once.  The ModeSets it
+# returns keep 16 B N^2 a step anyway; an unblocked stack would add 24 B N^2
+# a step on top, a peak about 2.5 times as large for a long sweep of a long
+# chain.  301 steps fit in one block up to N = 96.
 STACK_BYTES = 64 * 2 ** 20
+# Bytes of one chunk of a block, counted as in ``STACK_BYTES``: each chunk
+# is one ``np.linalg.eig`` call on a worker thread.  16 steps at N = 59.
+CHUNK_BYTES = 1_400_000
+# Chunks of chains up to this many sites run on every CPU; longer chains
+# run on the calling thread alone, where OpenBLAS threads dgeev itself and
+# a second concurrent caller only slows it.  Sweeps timed against one
+# thread (2 vCPUs, OpenBLAS 0.3.31, median of 3): N = 59 0.53 -> 0.37 s,
+# 119 0.46-0.55 -> 0.42-0.47 s, 139 and 159 even, 199 0.67-0.68 ->
+# 0.68-0.84 s, 259 0.96-1.05 -> 1.14-1.16 s, 509 2.56 -> 3.21 s.
+THREADED_MAX_SITES = 128
+# Bytes of the temporaries ``_modeset`` builds at once, beside the vectors.
+SCRATCH_BYTES = 2 ** 18
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
+
+
+def _chunked_eig(a: np.ndarray, per_chunk: int):
+    """Complex ``np.linalg.eig(a)`` of a real stack, in chunks on threads.
+
+    The chunks of ``per_chunk`` slices are dealt round-robin to one thread
+    per CPU, never more threads than chunks; the calling thread is one of
+    them, so with one CPU, or for matrices beyond ``THREADED_MAX_SITES``,
+    no thread starts.  A worker calls nothing but ``np.linalg.eig``, which
+    releases the GIL, and copies each result at once into the complex
+    arrays allocated here.  dgeev solves each slice alone, so every bit
+    equals that of one call on the whole stack: a chunk whose lambdas are
+    all real comes back real and is stored with Im = 0, the value the
+    stacked call gives it.  Every thread is joined before the first error
+    a worker met is raised.
+    """
+    steps, n, _ = a.shape
+    lam = np.empty((steps, n), dtype=complex)
+    v = np.empty((steps, n, n), dtype=complex)
+    chunks = [slice(lo, lo + per_chunk) for lo in range(0, steps, per_chunk)]
+    n_threads = min(_cpu_count(), len(chunks)) \
+        if n <= THREADED_MAX_SITES else 1
+    errors = []
+
+    def work(share):
+        for c in share:
+            if errors:
+                return
+            try:
+                lam[c], v[c] = np.linalg.eig(a[c])
+            except Exception as exc:
+                # any failure: else the caller reads rows never written
+                errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(chunks[t::n_threads],))
+               for t in range(1, n_threads)]
+    for t in threads:
+        t.start()
+    try:
+        work(chunks[::n_threads])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return lam, v
 
 
 def _real_form_modes(specs) -> list[ModeSet]:
@@ -231,13 +307,13 @@ def _real_form_modes(specs) -> list[ModeSet]:
     upper band t_j and lower band -t_j: A = D^-1 (-i(H - omega0)) D with
     D = diag(i^j).  One real eigensolve of A (LAPACK's dgeev through
     ``np.linalg.eig``) gives omega = omega0 + i lambda and psi = D v; a real
-    lambda puts Re(omega) at omega0 exactly.  When every lambda is real,
-    ``np.linalg.eig`` returns real lambda and v, which the same arithmetic
-    handles.  Such specs of one length N are solved together: their A are
-    stacked, in blocks of at most ``STACK_BYTES`` (24 N^2 bytes a step),
-    and each block takes one ``np.linalg.eig`` call, which runs dgeev on
-    every slice as a lone call would, bit for bit.  Any other spec (a
-    detuned reservoir, a single site) takes the dense complex path.
+    lambda puts Re(omega) at omega0 exactly.  Such specs of one length N
+    are solved together: their A are stacked, in blocks of at most
+    ``STACK_BYTES`` (24 N^2 bytes a step), and each block is solved in
+    chunks of at most ``CHUNK_BYTES`` on every CPU (``_chunked_eig``).
+    dgeev solves every slice as a lone call would, so the result is the
+    same bit for bit for any block, chunk and thread count.  Any other
+    spec (a detuned reservoir, a single site) takes the dense complex path.
     """
     specs = list(specs)
     modes = [None] * len(specs)
@@ -252,6 +328,7 @@ def _real_form_modes(specs) -> list[ModeSet]:
         _require_dense(n)
         phases = _PHASES[np.arange(n) % 4, None]
         per_block = max(1, STACK_BYTES // (24 * n * n))
+        per_chunk = max(1, CHUNK_BYTES // (24 * n * n))
         for lo in range(0, len(steps), per_block):
             block = steps[lo:lo + per_block]
             a = np.zeros((len(block), n, n))
@@ -260,8 +337,8 @@ def _real_form_modes(specs) -> list[ModeSet]:
                 s.flat[1::n + 1] = specs[k].bonds
                 s.flat[n::n + 1] = -specs[k].bonds
             try:
-                lam, v = np.linalg.eig(a)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
+                lam, v = _chunked_eig(a, per_chunk)
+            except np.linalg.LinAlgError as exc:
                 raise EigensolverError(f"dense eigensolver failed: {exc}",
                                        matrix=a) from exc
             del a
@@ -280,10 +357,18 @@ def _real_form_modes(specs) -> list[ModeSet]:
 
 
 def _gaps(w: np.ndarray) -> np.ndarray:
-    """Distance from each eigenvalue to the nearest other one (inf if alone)."""
-    diff = np.abs(w[:, None] - w[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return diff.min(axis=1)
+    """Distance from each eigenvalue to the nearest other one (inf if alone).
+
+    Built in row blocks of at most ``SCRATCH_BYTES`` of complex distances.
+    """
+    n = len(w)
+    rows = max(1, SCRATCH_BYTES // (16 * n))
+    gaps = np.empty(n)
+    for lo in range(0, n, rows):
+        diff = np.abs(w[lo:lo + rows, None] - w[None, :])
+        diff[np.arange(len(diff)), np.arange(lo, lo + len(diff))] = np.inf
+        gaps[lo:lo + rows] = diff.min(axis=1)
+    return gaps
 
 
 def _involution(kind: str, omega0: float):
@@ -421,15 +506,17 @@ def sweep_gamma(spec_of_gamma, gamma_grid) -> list[ModeSet]:
     The steps are solved by ``_real_form_modes``: chains whose onsite
     energies share one real part omega0 (every ``coupled_chain`` without a
     detuned ``reservoir_onsite``) are solved in real arithmetic, through the
-    real tridiagonal form of -i(H - omega0), stacked into one
-    ``np.linalg.eig`` call per block of steps; a block holds at most
-    ``STACK_BYTES`` of matrices and raw vectors (24 N^2 bytes a step), so
-    the sweep's memory grows as the 16 N^2 bytes a step its ModeSets keep.
-    Any other chain is solved by ``eigendecompose``.  Both give the same
-    ``ModeSet`` up to rounding, but on the real form an on-axis mode has
-    Re(omega) == omega0 exactly and the partners omega, -omega* of an NHPH
-    pair have bitwise-equal Im, where the complex solver leaves noise of
-    order 1e-15 in both; a sweep's outputs differ from the complex path's
+    real tridiagonal form of -i(H - omega0), stacked in blocks of at most
+    ``STACK_BYTES`` of matrices and vectors (24 N^2 bytes a step), so the
+    sweep's memory grows as the 16 N^2 bytes a step its ModeSets keep.
+    Each block is solved in chunks of ``CHUNK_BYTES``, one
+    ``np.linalg.eig`` call each, on one thread per CPU for chains of up to
+    ``THREADED_MAX_SITES`` sites; every output bit is that of one call on
+    the whole stack, whatever the CPU count.  Any other chain is solved by
+    ``eigendecompose``.  Both give the same ``ModeSet`` up to rounding,
+    but on the real form an on-axis mode has Re(omega) == omega0 exactly
+    and the partners omega, -omega* of an NHPH pair have bitwise-equal Im,
+    where the complex solver leaves noise of order 1e-15 in both; a sweep's outputs differ from the complex path's
     in those low bits and, through tie-breaks, in which partner of a pair
     carries which mode number.  ``eigendecompose`` and the ``spectrum``
     task stay complex: the order of on-axis modes, and so a zero mode's

@@ -406,6 +406,19 @@ class TestShiftedOnsite:
         assert [p["modes"] for p in shifted["pair_thresholds"]] == \
             [p["modes"] for p in ref["pair_thresholds"]]
 
+    def test_report_counts_unnumbered_sweep_rows(self, tmp_path, capsys):
+        with pytest.warns(UserWarning, match="trajectory split"):
+            out = self.run(tmp_path, "sweep", 0.0, sweep=self.SWEEP)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        rows = read_csv(out / "sweep.csv")
+        unnumbered = int(np.sum(rows["mode_id"] == -1))
+        assert unnumbered > 0
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        assert f"{unnumbered} of {len(rows['mode_id'])} sweep.csv rows have " \
+            "mode_id = -1" in capsys.readouterr().out
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_perturbation(self, tmp_path):
         # the compared mode is the zero mode at omega0, not the mode nearest 0
         reservoir = {"n": 10, "tA": 1.0, "tB": 1.0, "gamma": 0.5}

@@ -1,4 +1,7 @@
 import dataclasses
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -13,7 +16,8 @@ import nhzm
 from nhzm.errors import EigensolverError, FitError
 from nhzm.spectral import (DEFECT_GAP_FRACTION, DEFECT_OVERLAP,
                            SPARSE_MIN_SITES, ZERO_TOL, ModeTrajectory,
-                           _real_form_modes, _zero_mode_indices)
+                           _gaps, _modeset, _real_form_modes,
+                           _zero_mode_indices)
 
 from conftest import KNOWN_ZERO_OMEGAS, baseline_zero_mode, chain_modes
 
@@ -150,6 +154,38 @@ class TestEigendecompose:
             left[0, 0] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             modes.left_vectors = left.copy()
+
+    def test_peak_memory_stays_near_the_vectors(self):
+        # LAPACK's vectors and their sorted, normalized copy are 2 x 16 N^2
+        # bytes; the norms and eigenvalue gaps add only SCRATCH_BYTES
+        n = 400
+        h = nhzm.assemble_hamiltonian(nhzm.coupled_chain(
+            2.0, n_reservoir=n - 9))
+        tracemalloc.start()
+        try:
+            nhzm.eigendecompose(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 16 * n * n
+
+    @pytest.mark.parametrize("scratch", [1, 7, 10 ** 9])
+    def test_blocked_scratch_matches_whole_arrays(self, monkeypatch, scratch):
+        # blocks of 1 row or column, of 7 and of everything at once
+        n = 400
+        h = nhzm.assemble_hamiltonian(nhzm.coupled_chain(
+            0.7, n_reservoir=n - 9))
+        w, vr = np.linalg.eig(h.matrix)
+        monkeypatch.setattr(nhzm.spectral, "SCRATCH_BYTES", scratch * 16 * n)
+        modes = _modeset(w, vr, 1.0)
+        order = np.lexsort((w.imag, w.real))
+        ref = vr[:, order]
+        ref = ref / np.linalg.norm(ref, axis=0, keepdims=True)
+        assert modes.right_vectors.strides == ref.strides
+        assert modes.right_vectors.tobytes() == ref.tobytes()
+        dist = np.abs(w[:, None] - w[None, :])
+        np.fill_diagonal(dist, np.inf)
+        assert _gaps(w).tobytes() == dist.min(axis=1).tobytes()
 
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 3.0])
     def test_biorthonormal_within_tolerance(self, gamma):
@@ -509,15 +545,97 @@ class TestRealFormSweep:
         lone = [_real_form_modes([family(g)])[0] for g in grid]
         same_modesets(nhzm.sweep_gamma(family, grid), lone)
 
-    def test_blocks_match_one_stack(self, monkeypatch):
-        grid = np.linspace(0.0, 3.0, 7)
-        family = lambda g: nhzm.coupled_chain(g, system_gamma=0.4, onsite=0.3)
-        one_stack = nhzm.sweep_gamma(family, grid)
+    @pytest.mark.parametrize("family, grid", [
+        (lambda g: nhzm.coupled_chain(g, system_gamma=0.4, onsite=0.3),
+         np.linspace(0.0, 3.0, 7)),
+        # chunks of 2 steps: one chunk has every lambda real, and eig
+        # returns real arrays for it alone (see test_stack_matches_lone_solves)
+        (lambda g: nhzm.LatticeSpec(
+            0.4 + 1j * g * np.array([1, -1, 1, -1, 1]), np.ones(4)),
+         [0.0, 0.5, 2.0, 2.5]),
+    ], ids=["coupled-chain", "all-real-chunk"])
+    def test_blocks_match_one_stack(self, monkeypatch, family, grid):
         n = family(0.0).n_sites
-        for per_block in (1, 2, 3):
-            monkeypatch.setattr(nhzm.spectral, "STACK_BYTES",
-                                per_block * 24 * n * n)
-            same_modesets(nhzm.sweep_gamma(family, grid), one_stack)
+        step = 24 * n * n
+        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", len(grid) * step)
+        one_call = nhzm.sweep_gamma(family, grid)
+        threads = threading.active_count()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
+            for per_block in (1, 2, 3, len(grid)):
+                monkeypatch.setattr(nhzm.spectral, "STACK_BYTES",
+                                    per_block * step)
+                for per_chunk in (1, 2, 3):
+                    monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES",
+                                        per_chunk * step)
+                    same_modesets(nhzm.sweep_gamma(family, grid), one_call)
+                    assert threading.active_count() == threads
+
+    def test_one_thread_per_cpu_and_chunk(self, monkeypatch):
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(nhzm.spectral.threading, "Thread", Thread)
+        family = lambda g: nhzm.coupled_chain(g)
+        n = family(0.0).n_sites
+        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 2 * 24 * n * n)
+        for cpus, steps, workers in ((1, 9, 0), (3, 9, 2), (3, 3, 1),
+                                     (8, 9, 4)):
+            monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
+            started.clear()
+            nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, steps))
+            # the calling thread takes one share of the chunks
+            assert len(started) == workers
+        monkeypatch.setattr(nhzm.spectral, "THREADED_MAX_SITES", n - 1)
+        started.clear()
+        nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, 9))
+        assert started == []
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # one-step chunks on 8 threads, switching every microsecond: a
+        # chunk written to the wrong slice or not at all changes the bits
+        family = lambda g: nhzm.coupled_chain(g, system_gamma=0.4)
+        grid = np.linspace(0.0, 3.0, 40)
+        n = family(0.0).n_sites
+        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 1)
+        one_thread = nhzm.sweep_gamma(family, grid)
+        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 24 * n * n)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            for _ in range(3):
+                same_modesets(nhzm.sweep_gamma(family, grid), one_thread)
+            assert time.perf_counter() - start < 30.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+
+    def test_worker_failure_is_an_eigensolver_error(self, monkeypatch):
+        eig = np.linalg.eig
+
+        def failing_off_the_calling_thread(a):
+            if threading.current_thread() is not threading.main_thread():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", failing_off_the_calling_thread)
+        family = lambda g: nhzm.coupled_chain(g)
+        n = family(0.0).n_sites
+        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 24 * n * n)
+        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(EigensolverError, match="did not converge") as info:
+            nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, 4))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert threading.active_count() == threads
 
     def test_lengths_and_fallbacks_mixed_in_one_call(self):
         specs = [nhzm.coupled_chain(1.0), nhzm.coupled_chain(2.0, onsite=0.3),
