@@ -230,16 +230,17 @@ _PHASES = np.array([1, 1j, -1, -1j])
 # a step on top, a peak about 2.5 times as large for a long sweep of a long
 # chain.  301 steps fit in one block up to N = 96.
 STACK_BYTES = 64 * 2 ** 20
-# Bytes of one chunk of a block, counted as in ``STACK_BYTES``: each chunk
-# is one ``np.linalg.eig`` call on a worker thread.  16 steps at N = 59.
-CHUNK_BYTES = 1_400_000
-# Chunks of chains up to this many sites run on every CPU; longer chains
-# run on the calling thread alone, where OpenBLAS threads dgeev itself and
-# a second concurrent caller only slows it.  Sweeps timed against one
-# thread (2 vCPUs, OpenBLAS 0.3.31, median of 3): N = 59 0.53 -> 0.37 s,
-# 119 0.46-0.55 -> 0.42-0.47 s, 139 and 159 even, 199 0.67-0.68 ->
-# 0.68-0.84 s, 259 0.96-1.05 -> 1.14-1.16 s, 509 2.56 -> 3.21 s.
-THREADED_MAX_SITES = 128
+# Bytes of the chunks that ``_chunked_eig``'s threads solve at once, all
+# threads together, counted as in ``STACK_BYTES``: 16 steps a thread at
+# N = 59 on 2 CPUs, one step from 17 CPUs on, one thread above N = 241.
+# Each thread's malloc arena keeps its chunks' temporaries after the
+# sweep, so this total, not the thread count, bounds the memory the
+# threads add.  Peak RSS of the in-process benchmark (2 vCPUs, threads
+# forced): 118.9 MB as one eig call, 119.6 on 2 threads, 122.8 on 19;
+# fixed 16-step chunks gave 149.5 MB on 19 threads, one contiguous share
+# a thread 126.8 MB on 2.  Two one-step threads at N = 509 raised a
+# 16-step sweep's peak from 157 to 174 MB.
+CHUNK_BYTES = 2_800_000
 # Bytes of the temporaries ``_modeset`` builds at once, beside the vectors.
 SCRATCH_BYTES = 2 ** 18
 
@@ -252,26 +253,29 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _chunked_eig(a: np.ndarray, per_chunk: int):
+def _chunked_eig(a: np.ndarray):
     """Complex ``np.linalg.eig(a)`` of a real stack, in chunks on threads.
 
-    The chunks of ``per_chunk`` slices are dealt round-robin to one thread
-    per CPU, never more threads than chunks; the calling thread is one of
-    them, so with one CPU, or for matrices beyond ``THREADED_MAX_SITES``,
-    no thread starts.  A worker calls nothing but ``np.linalg.eig``, which
-    releases the GIL, and copies each result at once into the complex
-    arrays allocated here.  dgeev solves each slice alone, so every bit
-    equals that of one call on the whole stack: a chunk whose lambdas are
-    all real comes back real and is stored with Im = 0, the value the
-    stacked call gives it.  Every thread is joined before the first error
-    a worker met is raised.
+    The chunks are dealt round-robin to one thread per CPU, the calling
+    thread among them, never more threads than chunks or than slices fit
+    in ``CHUNK_BYTES``; the chunks in flight hold at most ``CHUNK_BYTES``
+    together, or one slice where a slice is larger.  So with one CPU, or
+    slices over half of ``CHUNK_BYTES`` (N > 241), no thread starts.  A
+    worker calls nothing but ``np.linalg.eig``, which releases the GIL,
+    and copies each result at once into the complex arrays allocated
+    here.  dgeev solves each slice alone, so every bit equals that of one
+    call on the whole stack: a chunk whose lambdas are all real comes back
+    real and is stored with Im = 0, the value the stacked call gives it.
+    Every thread is joined before the first error a worker met is raised.
     """
     steps, n, _ = a.shape
     lam = np.empty((steps, n), dtype=complex)
     v = np.empty((steps, n, n), dtype=complex)
+    step = 24 * n * n
+    n_threads = min(_cpu_count(), steps, max(1, CHUNK_BYTES // step))
+    per_chunk = max(1, CHUNK_BYTES // (step * n_threads))
     chunks = [slice(lo, lo + per_chunk) for lo in range(0, steps, per_chunk)]
-    n_threads = min(_cpu_count(), len(chunks)) \
-        if n <= THREADED_MAX_SITES else 1
+    n_threads = min(n_threads, len(chunks))
     errors = []
 
     def work(share):
@@ -310,7 +314,7 @@ def _real_form_modes(specs) -> list[ModeSet]:
     lambda puts Re(omega) at omega0 exactly.  Such specs of one length N
     are solved together: their A are stacked, in blocks of at most
     ``STACK_BYTES`` (24 N^2 bytes a step), and each block is solved in
-    chunks of at most ``CHUNK_BYTES`` on every CPU (``_chunked_eig``).
+    chunks on every CPU, at most ``CHUNK_BYTES`` at once (``_chunked_eig``).
     dgeev solves every slice as a lone call would, so the result is the
     same bit for bit for any block, chunk and thread count.  Any other
     spec (a detuned reservoir, a single site) takes the dense complex path.
@@ -328,7 +332,6 @@ def _real_form_modes(specs) -> list[ModeSet]:
         _require_dense(n)
         phases = _PHASES[np.arange(n) % 4, None]
         per_block = max(1, STACK_BYTES // (24 * n * n))
-        per_chunk = max(1, CHUNK_BYTES // (24 * n * n))
         for lo in range(0, len(steps), per_block):
             block = steps[lo:lo + per_block]
             a = np.zeros((len(block), n, n))
@@ -337,7 +340,7 @@ def _real_form_modes(specs) -> list[ModeSet]:
                 s.flat[1::n + 1] = specs[k].bonds
                 s.flat[n::n + 1] = -specs[k].bonds
             try:
-                lam, v = _chunked_eig(a, per_chunk)
+                lam, v = _chunked_eig(a)
             except np.linalg.LinAlgError as exc:
                 raise EigensolverError(f"dense eigensolver failed: {exc}",
                                        matrix=a) from exc
@@ -509,14 +512,15 @@ def sweep_gamma(spec_of_gamma, gamma_grid) -> list[ModeSet]:
     real tridiagonal form of -i(H - omega0), stacked in blocks of at most
     ``STACK_BYTES`` of matrices and vectors (24 N^2 bytes a step), so the
     sweep's memory grows as the 16 N^2 bytes a step its ModeSets keep.
-    Each block is solved in chunks of ``CHUNK_BYTES``, one
-    ``np.linalg.eig`` call each, on one thread per CPU for chains of up to
-    ``THREADED_MAX_SITES`` sites; every output bit is that of one call on
-    the whole stack, whatever the CPU count.  Any other chain is solved by
-    ``eigendecompose``.  Both give the same ``ModeSet`` up to rounding,
-    but on the real form an on-axis mode has Re(omega) == omega0 exactly
-    and the partners omega, -omega* of an NHPH pair have bitwise-equal Im,
-    where the complex solver leaves noise of order 1e-15 in both; a sweep's outputs differ from the complex path's
+    Each block is solved in chunks, one ``np.linalg.eig`` call each, on
+    one thread per CPU; the chunks in flight hold ``CHUNK_BYTES``
+    together, or one step a thread where a step is larger.  Every output
+    bit is that of one call on the whole stack, whatever the CPU count.
+    Any other chain is solved by ``eigendecompose``.  Both give the same
+    ``ModeSet`` up to rounding, but on the real form an on-axis mode has
+    Re(omega) == omega0 exactly and the partners omega, -omega* of an NHPH
+    pair have bitwise-equal Im, where the complex solver leaves noise of
+    order 1e-15 in both; a sweep's outputs differ from the complex path's
     in those low bits and, through tie-breaks, in which partner of a pair
     carries which mode number.  ``eigendecompose`` and the ``spectrum``
     task stay complex: the order of on-axis modes, and so a zero mode's

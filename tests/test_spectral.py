@@ -568,7 +568,7 @@ class TestRealFormSweep:
                                     per_block * step)
                 for per_chunk in (1, 2, 3):
                     monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES",
-                                        per_chunk * step)
+                                        per_chunk * step * cpus)
                     same_modesets(nhzm.sweep_gamma(family, grid), one_call)
                     assert threading.active_count() == threads
 
@@ -583,18 +583,16 @@ class TestRealFormSweep:
         monkeypatch.setattr(nhzm.spectral.threading, "Thread", Thread)
         family = lambda g: nhzm.coupled_chain(g)
         n = family(0.0).n_sites
-        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 2 * 24 * n * n)
-        for cpus, steps, workers in ((1, 9, 0), (3, 9, 2), (3, 3, 1),
-                                     (8, 9, 4)):
+        # (CPUs, steps that fit in CHUNK_BYTES, steps, threads started)
+        for cpus, fit, steps, workers in ((1, 2, 9, 0), (3, 6, 9, 2),
+                                          (3, 6, 3, 1), (8, 16, 9, 4),
+                                          (8, 3, 9, 2), (8, 1, 9, 0)):
             monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", fit * 24 * n * n)
             started.clear()
             nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, steps))
             # the calling thread takes one share of the chunks
             assert len(started) == workers
-        monkeypatch.setattr(nhzm.spectral, "THREADED_MAX_SITES", n - 1)
-        started.clear()
-        nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, 9))
-        assert started == []
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         # one-step chunks on 8 threads, switching every microsecond: a
@@ -605,7 +603,7 @@ class TestRealFormSweep:
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 1)
         one_thread = nhzm.sweep_gamma(family, grid)
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 8)
-        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 24 * n * n)
+        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 8 * 24 * n * n)
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -618,6 +616,34 @@ class TestRealFormSweep:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
 
+    def test_long_sweep_on_many_cpus(self, monkeypatch):
+        # the 301-step sweep of a 59-site chain on 19 CPUs: 19 threads of
+        # one-step chunks, within CHUNK_BYTES together, and the bits of one
+        family = lambda g: nhzm.coupled_chain(g, n_reservoir=50, t_prime=0.2)
+        grid = np.arange(0.0, 3.0 + 0.005, 0.01)
+        n = family(0.0).n_sites
+        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 1)
+        one_thread = nhzm.sweep_gamma(family, grid)
+        started, sizes = [], []
+        eig = np.linalg.eig
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def recording_eig(a):
+            sizes.append(len(a))
+            return eig(a)
+
+        monkeypatch.setattr(nhzm.spectral.threading, "Thread", Thread)
+        monkeypatch.setattr(np.linalg, "eig", recording_eig)
+        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 19)
+        same_modesets(nhzm.sweep_gamma(family, grid), one_thread)
+        assert len(started) == 18
+        assert sizes == [1] * len(grid)
+        assert 19 * 24 * n * n <= nhzm.spectral.CHUNK_BYTES
+
     def test_worker_failure_is_an_eigensolver_error(self, monkeypatch):
         eig = np.linalg.eig
 
@@ -629,7 +655,7 @@ class TestRealFormSweep:
         monkeypatch.setattr(np.linalg, "eig", failing_off_the_calling_thread)
         family = lambda g: nhzm.coupled_chain(g)
         n = family(0.0).n_sites
-        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 24 * n * n)
+        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 2 * 24 * n * n)
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 2)
         threads = threading.active_count()
         with pytest.raises(EigensolverError, match="did not converge") as info:
