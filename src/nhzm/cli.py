@@ -13,22 +13,19 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .bands import band_energies
-from .dynamics import ensemble_experiment
 from .errors import NhzmError
-from .lattice import assemble_hamiltonian
-from .localization import (RegimeReport, check_stagger_phase, classify_regime,
-                           linear_peak_amplitude)
-from .perturbation import (PerturbationSetup, _compare_to_exact,
-                           first_order_zero_mode)
 from .scenario import SCENARIO_SCHEMA, Scenario, ScenarioError, load_scenario
-from .spectral import (ZERO_TOL, assign_mode_numbers, eigendecompose,
-                       find_zero_modes, fit_pair_threshold, lowest_zero_mode,
-                       sweep_gamma, track_modes)
+
+if TYPE_CHECKING:
+    from .localization import RegimeReport
+
+# Each task imports its own layers when it runs, so a process loads only
+# what its command uses: ``report`` and ``schema`` load no layer at all.
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -92,6 +89,10 @@ def _regime_payload(report: RegimeReport, extra: dict | None = None) -> dict:
 
 
 def _task_spectrum(scenario: Scenario, out: Path) -> None:
+    from .lattice import assemble_hamiltonian
+    from .localization import classify_regime
+    from .spectral import eigendecompose, find_zero_modes
+
     spec = scenario.build_spec()
     modes = eigendecompose(assemble_hamiltonian(spec))
     zms = find_zero_modes(modes, spec, scenario.data["onsite"])
@@ -105,6 +106,8 @@ def _task_spectrum(scenario: Scenario, out: Path) -> None:
 
 
 def _baseline_zero_mode(scenario: Scenario):
+    from .spectral import lowest_zero_mode
+
     spec = scenario.build_spec()
     zm = lowest_zero_mode(spec, scenario.data["onsite"])
     if zm is None:
@@ -113,6 +116,10 @@ def _baseline_zero_mode(scenario: Scenario):
 
 
 def _task_mode_profile(scenario: Scenario, out: Path) -> None:
+    from .localization import (check_stagger_phase, classify_regime,
+                               linear_peak_amplitude)
+    from .perturbation import first_order_zero_mode
+
     spec, zm = _baseline_zero_mode(scenario)
     psi = zm.wavefunction / np.abs(zm.wavefunction).max()
 
@@ -153,6 +160,9 @@ def _pair_r(im_omega: np.ndarray, gamma: np.ndarray,
 
 
 def _task_sweep(scenario: Scenario, out: Path) -> None:
+    from .spectral import (ZERO_TOL, assign_mode_numbers, fit_pair_threshold,
+                           sweep_gamma, track_modes)
+
     blk = scenario.data["sweep"]
     grid = np.arange(blk["gamma_start"],
                      blk["gamma_stop"] + 0.5 * blk["gamma_step"],
@@ -203,6 +213,8 @@ def _task_sweep(scenario: Scenario, out: Path) -> None:
 
 
 def _task_bands(scenario: Scenario, out: Path) -> None:
+    from .bands import band_energies
+
     res = scenario.data["reservoir"]
     blk = scenario.data["bands"]
     all_eps = []
@@ -224,6 +236,8 @@ def _task_bands(scenario: Scenario, out: Path) -> None:
 
 
 def _task_ensemble(scenario: Scenario, out: Path) -> None:
+    from .dynamics import ensemble_experiment
+
     spec, zm = _baseline_zero_mode(scenario)
     blk = scenario.data["ensemble"]
     result = ensemble_experiment(
@@ -239,6 +253,10 @@ def _task_ensemble(scenario: Scenario, out: Path) -> None:
 
 
 def _task_perturbation(scenario: Scenario, out: Path) -> None:
+    from .lattice import assemble_hamiltonian
+    from .perturbation import PerturbationSetup, _compare_to_exact
+    from .spectral import eigendecompose
+
     spec = scenario.build_spec()
     modes = eigendecompose(assemble_hamiltonian(spec))
     setup = PerturbationSetup.from_spec(spec)
@@ -293,6 +311,18 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+# what a truncated, hand-edited or foreign output file raises when read:
+# no access (OSError), bad JSON or text (ValueError), a missing key or
+# column (KeyError, ValueError, IndexError), a wrong type (TypeError)
+_UNREADABLE = (OSError, ValueError, KeyError, IndexError, TypeError)
+
+
+def _unreadable(path: Path, exc: Exception) -> int:
+    print(f"unreadable output file {path}: {type(exc).__name__}: {exc}",
+          file=sys.stderr)
+    return EXIT_SCENARIO
+
+
 def _cmd_report(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
@@ -305,12 +335,21 @@ def _cmd_report(args) -> int:
         if not path.exists():
             continue
         found = True
-        payload = json.loads(path.read_text())
-        scenario = payload.get("meta", {}).get("scenario", {})
-        print(f"== {name} (task: {scenario.get('task', '?')})")
-        _summarize(name, payload)
-        if name == "sweep_summary.json" and (directory / "sweep.csv").exists():
-            unnumbered, rows = _unnumbered_rows(directory / "sweep.csv")
+        try:
+            payload = json.loads(path.read_text())
+            if not isinstance(payload, dict):
+                raise ValueError("not a JSON object")
+            scenario = payload.get("meta", {}).get("scenario", {})
+            print(f"== {name} (task: {scenario.get('task', '?')})")
+            _summarize(name, payload)
+        except _UNREADABLE as exc:
+            return _unreadable(path, exc)
+        csv = directory / "sweep.csv"
+        if name == "sweep_summary.json" and csv.exists():
+            try:
+                unnumbered, rows = _unnumbered_rows(csv)
+            except _UNREADABLE as exc:
+                return _unreadable(csv, exc)
             print(f"  {unnumbered} of {rows} sweep.csv rows have mode_id = -1 "
                   "(tracks that split before the last step)")
     if not found:

@@ -31,6 +31,12 @@ MINIMAL = {
     "reservoir": {"n": 4, "tA": 1.0, "tB": 1.0, "gamma": 1.0},
     "coupling": 0.2,
 }
+PERTURBATION = {
+    "task": "perturbation",
+    "system": {"n": 9, "tA": 1.0, "tB": 0.2},
+    "reservoir": {"n": 10, "tA": 1.0, "tB": 1.0, "gamma": 2.0},
+    "coupling": 0.2,
+}
 
 
 class TestScenarioValidation:
@@ -267,6 +273,38 @@ class TestReportCommand:
         assert main(["report", str(out)]) == 0
         assert "ConstantDelocalized" in capsys.readouterr().out
 
+    def test_truncated_json_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "fig1c", "--out", str(out)]) == 0
+        path = out / "regime.json"
+        path.write_text(path.read_text()[:200])
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert f"unreadable output file {path}: JSONDecodeError" \
+            in capsys.readouterr().err
+
+    def test_regime_without_regime_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "fig1c", "--out", str(out)]) == 0
+        path = out / "regime.json"
+        payload = json.loads(path.read_text())
+        del payload["regime"]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert f"unreadable output file {path}: KeyError: 'regime'" \
+            in capsys.readouterr().err
+
+    def test_sweep_csv_without_mode_id_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "fig2", "--out", str(out)]) == 0
+        path = out / "sweep.csv"
+        path.write_text(path.read_text().replace("mode_id", "mode"))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert f"unreadable output file {path}: ValueError" \
+            in capsys.readouterr().err
+
 
 class TestSchemaCommand:
     def test_prints_the_published_schema(self, capsys):
@@ -460,11 +498,8 @@ def test_import_and_paper_runs_stay_within_the_import_budget(tmp_path):
     # Python port of ?gtsv, so every paper-sized run, a mode-profile and a
     # 19-site perturbation included, loads neither scipy nor jsonschema;
     # scipy is imported only by the long-chain and propagation paths
-    names = [*bundled_scenario_names(), write_scenario(tmp_path, {
-        "task": "perturbation",
-        "system": {"n": 9, "tA": 1.0, "tB": 0.2},
-        "reservoir": {"n": 10, "tA": 1.0, "tB": 1.0, "gamma": 2.0},
-        "coupling": 0.2})]
+    names = [*bundled_scenario_names(), write_scenario(tmp_path,
+                                                      PERTURBATION)]
     code = "\n".join([
         "import json, sys",
         "def heavy():",
@@ -484,6 +519,72 @@ def test_import_and_paper_runs_stay_within_the_import_budget(tmp_path):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert list(loaded) == ["import nhzm", *names]
     assert loaded == dict.fromkeys(loaded, [])
+
+
+CLI_MODULES = {"nhzm", "nhzm.cli", "nhzm.errors", "nhzm.lattice",
+               "nhzm.scenario"}
+
+
+def loaded_modules(statement):
+    """The nhzm modules a fresh interpreter holds after one statement."""
+    code = "\n".join([
+        "import json, sys",
+        statement,
+        "print(json.dumps(sorted(m for m in sys.modules",
+        "                        if m.split('.')[0] == 'nhzm')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestLoadedModules:
+    # a process imports only the layers its command uses; an import
+    # hoisted back to the top of nhzm.cli or nhzm/__init__.py fails here
+
+    def test_import_nhzm_loads_no_submodule(self):
+        assert loaded_modules("import nhzm") == {"nhzm"}
+
+    @pytest.mark.parametrize("attribute, module", [
+        ("band_energies", "bands"), ("bands", "bands"), ("errors", "errors")])
+    def test_an_attribute_loads_its_own_module(self, attribute, module):
+        assert loaded_modules(f"import nhzm; nhzm.{attribute}") \
+            == {"nhzm", f"nhzm.{module}"}
+
+    def test_import_cli_loads_no_layer(self):
+        assert loaded_modules("import nhzm.cli") == CLI_MODULES
+
+    @pytest.mark.parametrize("scenario, layers", [
+        ("figS6-defect", {"spectral", "localization"}),
+        ("fig1c", {"spectral", "localization", "perturbation"}),
+        ("fig2", {"spectral"}),
+        ("figS2", {"bands"}),
+        ("ensemble-fig4c", {"spectral", "localization", "dynamics"}),
+        (PERTURBATION, {"spectral", "perturbation"}),
+    ], ids=["spectrum", "mode-profile", "sweep", "bands", "ensemble",
+            "perturbation"])
+    def test_each_task_loads_its_own_layers(self, tmp_path, scenario,
+                                            layers):
+        if isinstance(scenario, dict):
+            scenario = write_scenario(tmp_path, scenario)
+        argv = ["run", scenario, "--out", str(tmp_path / "out")]
+        assert loaded_modules(
+            f"from nhzm.cli import main; assert main({argv!r}) == 0") \
+            == CLI_MODULES | {f"nhzm.{layer}" for layer in layers}
+
+    def test_report_and_schema_load_no_layer(self, tmp_path):
+        # one directory holding the output files of every task, so that
+        # the report summarizes each kind
+        out = str(tmp_path / "out")
+        for scenario in ("figS6-defect", "fig1c", "fig2", "figS2",
+                         "ensemble-fig4c", write_scenario(tmp_path,
+                                                          PERTURBATION)):
+            assert main(["run", scenario, "--out", out]) == 0
+        for argv in (["report", out], ["schema"]):
+            assert loaded_modules(
+                f"from nhzm.cli import main; assert main({argv!r}) == 0") \
+                == CLI_MODULES
 
 
 class TestLongChain:

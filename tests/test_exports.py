@@ -1,15 +1,27 @@
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import nhzm
 
 
 def test_every_exported_name_resolves():
-    # __all__ and the imports above it are kept by hand; a name deleted
-    # from a module but left in the list must fail here
-    missing = [name for name in nhzm.__all__ if not hasattr(nhzm, name)]
-    assert missing == []
+    # one table lists each module's exports and gives both __all__ and the
+    # lazy lookup; a name deleted from a module but left in the table, or
+    # listed under the wrong module, must fail here
+    names = [name for name in nhzm.__all__ if name != "__version__"]
+    wrong = [name for name in names if getattr(nhzm, name) is not getattr(
+        importlib.import_module(f"nhzm.{nhzm._MODULE_OF[name]}"), name)]
+    assert wrong == []
     assert len(set(nhzm.__all__)) == len(nhzm.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nhzm.no_such_name
+
+
+def test_dir_lists_every_export():
+    assert set(nhzm.__all__) <= set(dir(nhzm))
 
 
 def public_definitions(tree: ast.Module):
