@@ -24,13 +24,13 @@ _EXPORTS = {
                  "amplification_limited_periods", "critical_damping",
                  "ensemble_experiment", "ep_evolution", "propagate"),
     "lattice": ("Hamiltonian", "LatticeSpec", "assemble_hamiltonian",
-                "build_reservoir", "build_ssh_chain", "couple",
+                "build_reservoir", "couple",
                 "coupled_chain"),
     "localization": ("Regime", "RegimeReport", "StaggerReport", "TailFit",
                      "characteristic_roots", "check_stagger_phase",
                      "classify_regime", "compute_alpha", "compute_kappa",
                      "fit_tail", "fit_two_root_expansion", "hermitian_alpha",
-                     "linear_peak_amplitude", "ssh_localization_length",
+                     "linear_peak_amplitude",
                      "verify_eigenmode_recurrence", "verify_recurrence"),
     "perturbation": ("PerturbationComparison", "PerturbationSetup",
                      "first_order_energy", "first_order_wavefunction",

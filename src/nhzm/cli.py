@@ -115,17 +115,22 @@ def _baseline_zero_mode(scenario: Scenario):
     return spec, zm
 
 
+def _unit_peak_pair(exact: np.ndarray, pert: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The exact vector scaled to unit peak modulus, and the first-order
+    vector scaled onto it by least-squares projection."""
+    exact = exact / np.abs(exact).max()
+    return exact, (np.vdot(pert, exact) / np.vdot(pert, pert)) * pert
+
+
 def _task_mode_profile(scenario: Scenario, out: Path) -> None:
     from .localization import (check_stagger_phase, classify_regime,
                                linear_peak_amplitude)
     from .perturbation import first_order_zero_mode
 
     spec, zm = _baseline_zero_mode(scenario)
-    psi = zm.wavefunction / np.abs(zm.wavefunction).max()
-
-    pert = first_order_zero_mode(spec, scenario.data["onsite"])
-    scale = np.vdot(pert, psi) / np.vdot(pert, pert)
-    pert = scale * pert
+    psi, pert = _unit_peak_pair(
+        zm.wavefunction, first_order_zero_mode(spec, scenario.data["onsite"]))
 
     _write_csv(out / "profile.csv",
                ("site", "sublattice", "abs_exact", "re_exact", "im_exact",
@@ -253,24 +258,18 @@ def _task_ensemble(scenario: Scenario, out: Path) -> None:
 
 
 def _task_perturbation(scenario: Scenario, out: Path) -> None:
-    from .lattice import assemble_hamiltonian
-    from .perturbation import PerturbationSetup, _compare_to_exact
-    from .spectral import eigendecompose
+    from .perturbation import perturbation_vs_exact
 
     spec = scenario.build_spec()
-    modes = eigendecompose(assemble_hamiltonian(spec))
-    setup = PerturbationSetup.from_spec(spec)
-    mode_index = setup.zero_mode_index()
-    comparison, pert, j = _compare_to_exact(setup, modes, mode_index)
-    exact = modes.right_vectors[:, j]
-    exact = exact / np.abs(exact).max()
-    pert = (np.vdot(pert, exact) / np.vdot(pert, pert)) * pert
+    comparison = perturbation_vs_exact(spec)
+    exact, pert = _unit_peak_pair(comparison.psi_exact,
+                                  comparison.psi_perturbative)
     n = spec.n_sites
     _write_csv(out / "perturbation.csv",
                ("site", "abs_exact", "abs_pert", "mode_index"),
                (np.arange(n), np.hypot(exact.real, exact.imag),
                 np.hypot(pert.real, pert.imag),
-                np.full(n, mode_index)), scenario)
+                np.full(n, comparison.mode_index)), scenario)
     _write_json(out / "perturbation.json", {
         "vector_error": comparison.vector_error,
         "energy_error": comparison.energy_error,

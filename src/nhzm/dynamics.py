@@ -92,9 +92,9 @@ def _step_renormalized(psi: np.ndarray, n_full: int, u, u_rest):
     return psi, log_scale
 
 
-def _evolver(h: Hamiltonian, duration: float, normalization: str):
-    """Final-state directions under h, as a function of a batch of initial
-    states (columns).
+def _evolver(h: Hamiltonian, duration: float):
+    """Final-state directions under h, each scaled to unit peak modulus, as
+    a function of a batch of initial states (columns).
 
     Uses the eigenbasis with log-domain scaling when the matrix is
     diagonalizable to working precision, falling back to per-period
@@ -103,8 +103,6 @@ def _evolver(h: Hamiltonian, duration: float, normalization: str):
     fallback's two propagators, are computed here once, and batches of any
     width share them.
     """
-    if normalization not in ("max", "l2"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     ev, v = np.linalg.eig(h.matrix)
     try:
         recon_err = np.linalg.norm((v * ev) @ np.linalg.inv(v) - h.matrix, 2)
@@ -144,10 +142,7 @@ def _evolver(h: Hamiltonian, duration: float, normalization: str):
 
     def evolve_normalized(states):
         out = evolve(states)
-        if normalization == "max":
-            out /= np.abs(out).max(axis=0, keepdims=True)
-        else:
-            out /= np.linalg.norm(out, axis=0, keepdims=True)
+        out /= np.abs(out).max(axis=0, keepdims=True)
         return out
 
     return evolve_normalized
@@ -293,8 +288,7 @@ class EnsembleResult:
 
 def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
                         sigma: float = 0.1, n_realizations: int = 1000,
-                        periods: float = 1e4, seed: int = 0,
-                        normalization: str = "max") -> EnsembleResult:
+                        periods: float = 1e4, seed: int = 0) -> EnsembleResult:
     """Noise-robustness experiment on a zero mode's reservoir tail.
 
     Each realization multiplies the zero-mode amplitude at every reservoir
@@ -326,7 +320,7 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
     h = assemble_hamiltonian(spec)
     sites = spec.reservoir_sites()
     reservoir = slice(sites.start, sites.stop)
-    evolve = _evolver(h, periods * PERIOD, normalization)
+    evolve = _evolver(h, periods * PERIOD)
     base = np.asarray(zero_mode.wavefunction, dtype=complex)
     profiles = np.empty((len(sites), n_realizations))
     width = _block_width(h.dim)
@@ -362,9 +356,7 @@ def amplification_limited_periods(eigenvalues, zero_omega: complex,
 class EpEvolution:
     """Second-order exceptional point data: eigenvalue and Jordan chain.
 
-    ``psi1`` is normalized so that ``(H - eigenvalue) psi1 = psi0`` exactly;
-    the conjugate overlap <psi0|psi1> is kept as a diagnostic of the
-    alternative left-vector normalization convention.
+    ``psi1`` is normalized so that ``(H - eigenvalue) psi1 = psi0`` exactly.
     """
 
     eigenvalue: complex
@@ -401,10 +393,6 @@ class EpEvolution:
             raise EpSetupError("(H - lambda) psi1 != psi0 within tolerance")
         if np.linalg.norm(shifted @ shifted @ self.psi1) > tol * scale:
             raise EpSetupError("(H - lambda)^2 psi1 != 0 within tolerance")
-
-    @property
-    def conjugate_overlap(self) -> complex:
-        return complex(np.vdot(self.psi0, self.psi1))
 
 
 def ep_expansion(ep: EpEvolution, psi_init,

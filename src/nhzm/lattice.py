@@ -188,18 +188,6 @@ class Hamiltonian:
         return float(np.linalg.norm(self.matrix, 2)) if self.matrix.size else 0.0
 
 
-def build_ssh_chain(n_sites: int, t_a: float, t_b: float, onsite: float = 0.0,
-                    start_sublattice: str = "A") -> LatticeSpec:
-    """Hermitian chain with couplings alternating t_a, t_b starting with t_a.
-
-    With ``t_a > t_b`` and an odd site count the chain hosts a zero-energy
-    mode localized exponentially on its right edge.  This is
-    ``build_reservoir`` at gamma = 0.
-    """
-    return build_reservoir(n_sites, t_a, t_b, 0.0, onsite,
-                           start_sublattice=start_sublattice)
-
-
 def build_reservoir(n_sites: int, t_a: float, t_b: float, gamma: float,
                     onsite: float = 0.0, first_sign: int = +1,
                     start_sublattice: str = "A") -> LatticeSpec:

@@ -312,22 +312,6 @@ def hermitian_alpha(omega_mode: float, onsite_reservoir: float,
     return (omega_mode - onsite_reservoir) / t
 
 
-def ssh_localization_length(t_a: float, t_b: float,
-                            lattice_const: float = 1.0) -> float:
-    """Edge-mode localization length of an alternating Hermitian chain.
-
-    ``(ln t_a - ln t_b)^(-1) * lattice_const`` for t_a > t_b > 0; equal
-    couplings return inf (the mode turns periodic and the length diverges).
-    """
-    if not (t_b > 0 and t_a > 0):
-        raise DomainError("couplings must be positive")
-    if t_a < t_b:
-        raise DomainError("expects t_a >= t_b > 0")
-    if t_a == t_b:
-        return math.inf
-    return lattice_const / (math.log(t_a) - math.log(t_b))
-
-
 def fit_two_root_expansion(values, roots) -> tuple[complex, complex]:
     """Coefficients (beta1, beta2) of psi_m = beta1*b+^m + beta2*b-^m."""
     vals = np.asarray(values, dtype=complex)

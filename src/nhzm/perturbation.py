@@ -218,12 +218,23 @@ def _resolvent(diag: np.ndarray, off: np.ndarray, w0: complex,
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationComparison:
+    """First-order theory against the exact coupled mode it matched.
+
+    ``mode_index`` is the unperturbed mode compared, ``psi_exact`` the
+    matched exact right vector as the eigensolver returns it, and
+    ``psi_perturbative`` the unnormalized first-order vector: the
+    unperturbed vector plus its correction.
+    """
+
     vector_error: float
     energy_error: float
     omega_exact: complex
     omega_perturbative: complex
+    mode_index: int
+    psi_exact: np.ndarray
+    psi_perturbative: np.ndarray
 
 
 def perturbation_vs_exact(spec: LatticeSpec, mode_index: int | None = None
@@ -231,24 +242,15 @@ def perturbation_vs_exact(spec: LatticeSpec, mode_index: int | None = None
     """Compare first-order theory against the exact coupled eigenvector.
 
     Defaults to the zero mode, the unperturbed mode closest to the system
-    sites' real onsite energy omega0.  The perturbative vector is matched
-    to the exact one in phase and normalization by least-squares
+    sites' real onsite energy omega0.  The exact mode is the one that
+    ``match_mode`` pairs with the first-order vector.  That vector is
+    matched to the exact one in phase and normalization by least-squares
     projection before the 2-norm error is taken.
     """
     setup = PerturbationSetup.from_spec(spec)
     if mode_index is None:
         mode_index = setup.zero_mode_index()
-    return _compare_to_exact(setup, eigendecompose(assemble_hamiltonian(spec)),
-                             mode_index)[0]
-
-
-def _compare_to_exact(setup: PerturbationSetup, exact: ModeSet, mode_index: int
-                      ) -> tuple[PerturbationComparison, np.ndarray, int]:
-    """``perturbation_vs_exact`` on a prebuilt setup and exact spectrum.
-
-    Also returns the unnormalized first-order vector and the index of the
-    exact mode it matched, so callers need not evaluate it again.
-    """
+    exact = eigendecompose(assemble_hamiltonian(spec))
     omega_pert = setup.modes.eigenvalues[mode_index] + first_order_energy(
         setup, mode_index)
     psi_pert = setup.modes.right_vectors[:, mode_index] + \
@@ -261,7 +263,7 @@ def _compare_to_exact(setup: PerturbationSetup, exact: ModeSet, mode_index: int
     scale = np.vdot(unit, psi_exact)
     vector_error = float(np.linalg.norm(psi_exact - scale * unit))
     energy_error = float(abs(exact.eigenvalues[j] - omega_pert))
-    comparison = PerturbationComparison(vector_error, energy_error,
-                                        complex(exact.eigenvalues[j]),
-                                        complex(omega_pert))
-    return comparison, psi_pert, j
+    return PerturbationComparison(vector_error, energy_error,
+                                  complex(exact.eigenvalues[j]),
+                                  complex(omega_pert), mode_index, psi_exact,
+                                  psi_pert)

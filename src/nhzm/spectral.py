@@ -143,9 +143,8 @@ class ZeroMode:
 
 @dataclass(frozen=True)
 class SymmetryPairing:
-    """Result of matching a spectrum against an involution about omega0."""
+    """Result of matching a spectrum against its NHPH image about omega0."""
 
-    kind: str
     pairs: tuple[tuple[int, int], ...]
     unmatched: tuple[int, ...]
     max_mismatch: float
@@ -374,24 +373,15 @@ def _gaps(w: np.ndarray) -> np.ndarray:
     return gaps
 
 
-def _involution(kind: str, omega0: float):
-    if kind == "nhph":
-        return lambda w: -(np.conj(w) - omega0) + omega0
-    if kind == "chiral":
-        return lambda w: -(w - omega0) + omega0
-    raise ValueError(f"unknown symmetry kind {kind!r}")
-
-
 def check_spectral_symmetry(modes: ModeSet, omega0: float = 0.0,
-                            kind: str = "nhph", tol: float = 1e-8) -> SymmetryPairing:
-    """Match every eigenvalue to a partner under the chosen involution.
+                            tol: float = 1e-8) -> SymmetryPairing:
+    """Match every eigenvalue to a partner under the NHPH involution.
 
-    NHPH pairs omega with -(omega - omega0)* + omega0; chiral drops the
-    conjugation.  Modes on the symmetry axis self-pair.  Unmatched modes
-    are reported, not raised.
+    NHPH pairs omega with -(omega - omega0)* + omega0.  Modes on the
+    symmetry axis self-pair.  Unmatched modes are reported, not raised.
     """
     w = modes.eigenvalues
-    image = _involution(kind, omega0)(w)
+    image = -(np.conj(w) - omega0) + omega0
     remaining = list(range(len(w)))
     pairs = []
     unmatched = []
@@ -409,7 +399,7 @@ def check_spectral_symmetry(modes: ModeSet, omega0: float = 0.0,
         else:
             unmatched.append(i)
             remaining.remove(i)
-    return SymmetryPairing(kind, tuple(pairs), tuple(unmatched), max_mismatch)
+    return SymmetryPairing(tuple(pairs), tuple(unmatched), max_mismatch)
 
 
 def find_zero_modes(modes: ModeSet, spec: LatticeSpec | None = None,

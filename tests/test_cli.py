@@ -262,6 +262,25 @@ class TestReportCommand:
         rows = (out / "perturbation.csv").read_text().splitlines()[3:]
         assert len(rows) == 10
 
+    def test_perturbation_csv_holds_the_library_comparison(self, tmp_path):
+        # the task writes perturbation_vs_exact's vectors, the exact one at
+        # unit peak and the first-order one projected onto it
+        path = write_scenario(tmp_path, PERTURBATION)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        rows = read_csv(out / "perturbation.csv")
+        comparison = nhzm.perturbation_vs_exact(
+            load_scenario(path).build_spec())
+        exact = comparison.psi_exact / np.abs(comparison.psi_exact).max()
+        pert = comparison.psi_perturbative
+        pert = np.vdot(pert, exact) / np.vdot(pert, pert) * pert
+        assert rows["abs_exact"].max() == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_allclose(rows["abs_exact"], np.abs(exact),
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(rows["abs_pert"], np.abs(pert),
+                                   rtol=1e-13, atol=1e-15)
+        assert (rows["mode_index"] == comparison.mode_index).all()
+
     def test_hermitian_reservoir_reports_constant_regime(self, tmp_path, capsys):
         scenario = dict(MINIMAL, task="mode-profile",
                         system={"n": 9, "tA": 1.0, "tB": 0.2},

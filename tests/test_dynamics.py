@@ -30,7 +30,7 @@ def loop_ensemble(spec, zm, sigma, n_realizations, periods, seed):
     for i in range(n_realizations):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         states[reservoir, i] *= np.exp(sigma * rng.standard_normal(len(sites)))
-    out = _evolver(h, periods * PERIOD, "max")(states)
+    out = _evolver(h, periods * PERIOD)(states)
     profiles = np.abs(out[reservoir, :])
     return profiles.mean(axis=1), profiles.std(axis=1)
 
@@ -105,7 +105,7 @@ class TestPropagate:
         rng = np.random.default_rng(8)
         states = rng.normal(size=(19, 4)) + 1j * rng.normal(size=(19, 4))
         duration = 2.0 * PERIOD
-        fast = _evolver(h, duration, "max")(states.copy())
+        fast = _evolver(h, duration)(states.copy())
         for j in range(4):
             direct = nhzm.propagate(h, states[:, j], duration)
             direct = direct / np.abs(direct).max()
@@ -124,7 +124,7 @@ class TestPropagate:
         rng = np.random.default_rng(10)
         states = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         duration = 3.5 * PERIOD
-        out = _evolver(h, duration, "max")(states.copy())
+        out = _evolver(h, duration)(states.copy())
         for j in range(3):
             direct, _ = nhzm.propagate(h, states[:, j], duration,
                                        renormalize_each_period=True)
@@ -158,7 +158,7 @@ class TestPropagate:
         states = np.array([[1.0, 0.5j], [0.0, 2.0], [0.3 - 0.2j, 0.0],
                            [2.0, 1.0]], dtype=complex)
         duration = 2.0
-        out = _evolver(h, duration, "max")(states.copy())
+        out = _evolver(h, duration)(states.copy())
         assert out[1, 0] == 0 and out[2, 1] == 0
         expected = np.exp(-1j * w[:, None] * duration) * states
         expected /= np.abs(expected).max(axis=0)
@@ -301,13 +301,11 @@ class TestEnsembleBlocks:
                     <= max(dynamics.ENSEMBLE_BYTES,
                            2 * n * dynamics._COLUMN_BYTES * n))
 
-    @pytest.mark.parametrize("normalization", ["max", "l2"])
     @pytest.mark.parametrize("width", [1, 7, 64])
     def test_width_moves_mean_and_std_only_by_rounding(self, monkeypatch,
-                                                       width, normalization):
+                                                       width):
         spec, zm = baseline_zero_mode(2.000316)
-        kwargs = dict(sigma=0.1, n_realizations=200, periods=0.17, seed=4,
-                      normalization=normalization)
+        kwargs = dict(sigma=0.1, n_realizations=200, periods=0.17, seed=4)
         assert _block_width(spec.n_sites) >= 200
         one = nhzm.ensemble_experiment(spec, zm, **kwargs)
         monkeypatch.setattr(dynamics, "_block_width", lambda n: width)

@@ -24,6 +24,12 @@ def test_dir_lists_every_export():
     assert set(nhzm.__all__) <= set(dir(nhzm))
 
 
+def source_trees() -> dict[str, ast.Module]:
+    """The syntax tree of each nhzm module, by file name."""
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(Path(nhzm.__file__).parent.glob("*.py"))}
+
+
 def public_definitions(tree: ast.Module):
     """Public top-level functions, classes and constants of one module."""
     for node in tree.body:
@@ -52,10 +58,44 @@ def references(tree: ast.Module):
 def test_every_public_name_is_exported_or_used():
     # a public name that neither the package exports nor src/ reads is
     # dead code, e.g. a helper left behind when its last caller went
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(Path(nhzm.__file__).parent.glob("*.py"))}
+    trees = source_trees()
     used = {name for tree in trees.values() for name in references(tree)}
     dead = [f"{module}:{name}" for module, tree in trees.items()
             for name in public_definitions(tree)
             if name not in nhzm.__all__ and name not in used]
     assert dead == []
+
+
+def public_methods(tree: ast.Module):
+    """(class, name) of each public method or property of one module's
+    top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name, item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+
+
+def test_every_public_method_is_referenced():
+    # a method or property that nothing in src/ or tests/ reads is dead
+    # code that no test pins
+    src = source_trees()
+    tests = [ast.parse(path.read_text())
+             for path in sorted(Path(__file__).parent.glob("*.py"))]
+    used = {name for tree in [*src.values(), *tests]
+            for name in references(tree)}
+    dead = [f"{module}:{cls}.{name}" for module, tree in src.items()
+            for cls, name in public_methods(tree) if name not in used]
+    assert dead == []
+
+
+def test_cli_imports_no_private_name():
+    # the CLI composes the layers' public functions only, so each task is
+    # something a library user can do too
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(source_trees()["cli.py"])
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("nhzm"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []

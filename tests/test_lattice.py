@@ -10,25 +10,43 @@ from nhzm.errors import EigensolverError, InvalidSpecError
 
 
 class TestBuildSshChain:
+    # the Hermitian alternating chain is build_reservoir at gamma = 0
     def test_single_site_has_no_couplings(self):
-        spec = nhzm.build_ssh_chain(1, 1.0, 0.2)
+        spec = nhzm.build_reservoir(1, 1.0, 0.2, 0.0)
         assert spec.n_sites == 1
         assert spec.bonds.shape == (0,)
 
     def test_nine_site_chain_alternates_starting_with_t_a(self):
-        spec = nhzm.build_ssh_chain(9, 1.0, 0.2)
+        spec = nhzm.build_reservoir(9, 1.0, 0.2, 0.0)
         assert spec.bonds.tolist() == [1.0, 0.2, 1.0, 0.2, 1.0, 0.2, 1.0, 0.2]
         assert not spec.onsite.imag.any()
 
     def test_three_site_coupling_list(self):
-        spec = nhzm.build_ssh_chain(3, 1.0, 0.5)
+        spec = nhzm.build_reservoir(3, 1.0, 0.5, 0.0)
         assert spec.bonds.tolist() == [1.0, 0.5]
         assert spec.sublattices() == ("A", "B", "A")
 
     @pytest.mark.parametrize("args", [(0, 1.0, 0.2), (3, 0.0, 0.2), (3, 1.0, -1.0)])
     def test_invalid_arguments_raise(self, args):
         with pytest.raises(InvalidSpecError):
-            nhzm.build_ssh_chain(*args)
+            nhzm.build_reservoir(*args, 0.0)
+
+    @pytest.mark.parametrize("t_a, t_b", [(1.0, 0.2), (1.0, 0.5),
+                                          (2.0 * np.e, 2.0)])
+    def test_odd_chain_zero_mode_grows_by_t_a_over_t_b_per_cell(self, t_a,
+                                                                t_b):
+        # the edge mode's localization length is 1 / ln(t_a / t_b) cells:
+        # it sits on the A sites and grows towards the right edge
+        spec = nhzm.build_reservoir(9, t_a, t_b, 0.0)
+        modes = nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))
+        k = int(np.argmin(np.abs(modes.eigenvalues)))
+        assert abs(modes.eigenvalues[k]) <= 1e-12
+        psi = modes.right_vectors[:, k]
+        assert np.abs(psi[1::2]).max() <= 1e-12 * np.abs(psi).max()
+        ratios = psi[2::2] / psi[:-2:2]
+        np.testing.assert_allclose(ratios, -t_a / t_b, rtol=1e-9)
+        np.testing.assert_allclose(np.log(np.abs(ratios)),
+                                   np.log(t_a) - np.log(t_b), rtol=1e-9)
 
 
 class TestBuildReservoir:
@@ -95,7 +113,7 @@ class TestCouple:
         assert spec.onsite[9].imag == +2.0
 
     def test_coupling_count_is_sum_minus_one(self):
-        system = nhzm.build_ssh_chain(5, 1.0, 0.3)
+        system = nhzm.build_reservoir(5, 1.0, 0.3, 0.0)
         reservoir = nhzm.build_reservoir(6, 1.0, 1.0, 0.7, start_sublattice="B")
         coupled = nhzm.couple(system, reservoir, 0.4)
         assert len(coupled.bonds) == 5 + 6 - 1
@@ -107,13 +125,13 @@ class TestCouple:
         assert spec.bonds[8] == 0.6
 
     def test_sublattice_clash_raises(self):
-        system = nhzm.build_ssh_chain(9, 1.0, 0.2)  # starts and ends on A
+        system = nhzm.build_reservoir(9, 1.0, 0.2, 0.0)  # starts and ends on A
         reservoir = nhzm.build_reservoir(10, 1.0, 1.0, 2.0)  # starts on A
         with pytest.raises(InvalidSpecError):
             nhzm.couple(system, reservoir, 0.2)
 
     def test_nonpositive_junction_raises(self):
-        system = nhzm.build_ssh_chain(3, 1.0, 0.2)
+        system = nhzm.build_reservoir(3, 1.0, 0.2, 0.0)
         reservoir = nhzm.build_reservoir(2, 1.0, 1.0, 1.0, start_sublattice="B")
         with pytest.raises(InvalidSpecError):
             nhzm.couple(system, reservoir, 0.0)
@@ -121,7 +139,7 @@ class TestCouple:
 
 class TestAssemble:
     def test_single_site_zero_matrix(self):
-        spec = nhzm.build_ssh_chain(1, 1.0, 0.2, onsite=0.0)
+        spec = nhzm.build_reservoir(1, 1.0, 0.2, 0.0, onsite=0.0)
         h = nhzm.assemble_hamiltonian(spec)
         assert h.dim == 1
         assert h.matrix[0, 0] == 0.0
@@ -153,7 +171,7 @@ class TestAssemble:
         assert np.all(np.abs(i - j) <= 1)
 
     def test_coupled_differs_from_block_diagonal_in_two_entries(self):
-        system = nhzm.build_ssh_chain(4, 1.0, 0.4)  # even length, ends on B
+        system = nhzm.build_reservoir(4, 1.0, 0.4, 0.0)  # even length, ends on B
         reservoir = nhzm.build_reservoir(5, 1.0, 1.0, 1.1, start_sublattice="A")
         coupled = nhzm.assemble_hamiltonian(nhzm.couple(system, reservoir, 0.3))
         block = np.zeros((9, 9), dtype=complex)

@@ -299,25 +299,8 @@ class TestHermitianReservoir:
         spec = nhzm.coupled_chain(0.0, reservoir_onsite=-2.0)
         modes = nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))
         assert nhzm.find_zero_modes(modes, spec) == []
-        pairing = nhzm.check_spectral_symmetry(modes, kind="chiral", tol=1e-8)
+        pairing = nhzm.check_spectral_symmetry(modes, tol=1e-8)
         assert len(pairing.unmatched) > 0
-
-
-class TestSshLocalizationLength:
-    def test_reference_value(self):
-        assert nhzm.ssh_localization_length(1.0, 0.2) == \
-            pytest.approx(1.0 / math.log(5.0))
-
-    def test_log_ratio_one(self):
-        assert nhzm.ssh_localization_length(math.e * 0.7, 0.7) == \
-            pytest.approx(1.0)
-
-    def test_equal_couplings_diverge(self):
-        assert nhzm.ssh_localization_length(1.0, 1.0) == math.inf
-
-    def test_wrong_order_raises(self):
-        with pytest.raises(DomainError):
-            nhzm.ssh_localization_length(0.2, 1.0)
 
 
 class TestZigzagCandidates:

@@ -345,3 +345,34 @@ class TestAgainstExact:
         assert abs(shifted.omega_perturbative.real - 0.7) <= ZERO_TOL
         assert abs(shifted.vector_error - ref.vector_error) <= 1e-10
         assert abs(shifted.energy_error - ref.energy_error) <= 1e-10
+
+    def test_returns_the_compared_vectors(self):
+        spec, setup = setup_for(2.0)
+        comparison = nhzm.perturbation_vs_exact(spec)
+        index = setup.zero_mode_index()
+        assert comparison.mode_index == index
+        assert same_bits(comparison.psi_perturbative,
+                         setup.modes.right_vectors[:, index]
+                         + nhzm.first_order_wavefunction(setup, index))
+        exact = nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))
+        j = nhzm.match_mode(comparison.psi_perturbative, exact)
+        assert same_bits(comparison.psi_exact, exact.right_vectors[:, j])
+        assert comparison.omega_exact == exact.eigenvalues[j]
+
+    def test_explicit_zero_mode_index_matches_the_default(self):
+        spec, setup = setup_for(0.5)
+        default = nhzm.perturbation_vs_exact(spec)
+        explicit = nhzm.perturbation_vs_exact(spec, setup.zero_mode_index())
+        for field in dataclasses.fields(default):
+            a, b = (getattr(c, field.name) for c in (default, explicit))
+            assert same_bits(np.asarray(a), np.asarray(b)), field.name
+
+    def test_vector_error_is_the_distance_of_the_returned_vectors(self):
+        comparison = nhzm.perturbation_vs_exact(nhzm.coupled_chain(2.0))
+        unit = comparison.psi_perturbative / np.linalg.norm(
+            comparison.psi_perturbative)
+        residual = comparison.psi_exact - np.vdot(
+            unit, comparison.psi_exact) * unit
+        assert np.linalg.norm(comparison.psi_exact) == pytest.approx(1.0)
+        assert comparison.vector_error == pytest.approx(
+            np.linalg.norm(residual), rel=1e-12)

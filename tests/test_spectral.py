@@ -227,29 +227,30 @@ class TestSpectralSymmetry:
         # O(sqrt(eps)) error, so a 1e-8 pairing check is only meaningful for
         # non-defective draws
         assume(not modes.near_defective.any())
-        pairing = nhzm.check_spectral_symmetry(modes, kind="nhph", tol=1e-8)
+        pairing = nhzm.check_spectral_symmetry(modes, tol=1e-8)
         assert pairing.all_paired
 
     def test_full_chain_nhph_paired(self):
         _, modes = chain_modes(2.0)
-        pairing = nhzm.check_spectral_symmetry(modes, kind="nhph", tol=1e-8)
+        pairing = nhzm.check_spectral_symmetry(modes, tol=1e-8)
         assert pairing.all_paired
         assert len(modes.eigenvalues) == 19
 
     def test_hermitian_ssh_chain_chiral_paired(self):
-        spec = nhzm.build_ssh_chain(8, 1.0, 0.4)
+        # real eigenvalues: the NHPH image -omega* is the chiral one, -omega
+        spec = nhzm.build_reservoir(8, 1.0, 0.4, 0.0)
         modes = nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))
-        pairing = nhzm.check_spectral_symmetry(modes, kind="chiral", tol=1e-8)
+        pairing = nhzm.check_spectral_symmetry(modes, tol=1e-8)
         assert pairing.all_paired
 
     def test_lossy_single_site_self_pairs_under_nhph(self):
         modes = nhzm.eigendecompose(nhzm.Hamiltonian([[-0.3j]]))
-        pairing = nhzm.check_spectral_symmetry(modes, kind="nhph")
+        pairing = nhzm.check_spectral_symmetry(modes)
         assert pairing.pairs == ((0, 0),)
 
     def test_unmatched_modes_are_reported_not_raised(self):
         modes = nhzm.eigendecompose(nhzm.Hamiltonian([[0.5 + 0j]]))
-        pairing = nhzm.check_spectral_symmetry(modes, kind="nhph", tol=1e-10)
+        pairing = nhzm.check_spectral_symmetry(modes, tol=1e-10)
         assert pairing.unmatched == (0,)
 
 
