@@ -164,6 +164,20 @@ def _pair_r(im_omega: np.ndarray, gamma: np.ndarray,
     return (np.float_power(im_omega, 2) - np.float_power(gamma, 2)) / t_ab
 
 
+def _step_eigenvalues(trajectories, n_steps: int) -> np.ndarray:
+    """Each sweep step's eigenvalues in column order, from ``track_modes``.
+
+    At every step the live trajectories hold each column exactly once, so
+    row k is step k's ``ModeSet.eigenvalues``, bit for bit.
+    """
+    steps = np.concatenate([t.start + np.arange(len(t.eigenvalues))
+                            for t in trajectories])
+    columns = np.concatenate([t.column_indices for t in trajectories])
+    ws = np.empty((n_steps, columns.max() + 1), dtype=complex)
+    ws[steps, columns] = np.concatenate([t.eigenvalues for t in trajectories])
+    return ws
+
+
 def _task_sweep(scenario: Scenario, out: Path) -> None:
     from .spectral import (ZERO_TOL, assign_mode_numbers, fit_pair_threshold,
                            sweep_gamma, track_modes)
@@ -172,8 +186,8 @@ def _task_sweep(scenario: Scenario, out: Path) -> None:
     grid = np.arange(blk["gamma_start"],
                      blk["gamma_stop"] + 0.5 * blk["gamma_step"],
                      blk["gamma_step"])
-    sweeps = sweep_gamma(scenario.build_spec, grid)
-    trajectories = assign_mode_numbers(track_modes(sweeps, grid), len(grid))
+    trajectories = assign_mode_numbers(
+        track_modes(sweep_gamma(scenario.build_spec, grid), grid), len(grid))
 
     omega0 = scenario.data["onsite"]
     t_ab = scenario.data["reservoir"]["tA"] * scenario.data["reservoir"]["tB"]
@@ -194,7 +208,7 @@ def _task_sweep(scenario: Scenario, out: Path) -> None:
     # each step's first zero mode in the order of ``find_zero_modes``: the
     # smallest |Im omega| among |Re omega - omega0| <= ZERO_TOL, the lowest
     # index among ties
-    ws = np.array([m.eigenvalues for m in sweeps])
+    ws = _step_eigenvalues(trajectories, len(grid))
     zero = np.abs(ws.real - omega0) <= ZERO_TOL
     first = np.where(zero, np.abs(ws.imag), np.inf).argmin(axis=1)
     steps = np.flatnonzero(zero.any(axis=1))

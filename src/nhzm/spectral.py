@@ -224,10 +224,15 @@ def _modeset(w: np.ndarray, vr: np.ndarray, norm_bound: float) -> ModeSet:
 # i^j for j mod 4: the diagonal similarity D of ``_real_form_modes``
 _PHASES = np.array([1, 1j, -1, -1j])
 # Bytes of the A stack and of its complex eigenvalues and vectors (8 + 16 B
-# N^2 a step) that ``_real_form_modes`` holds at once.  The ModeSets it
-# returns keep 16 B N^2 a step anyway; an unblocked stack would add 24 B N^2
-# a step on top, a peak about 2.5 times as large for a long sweep of a long
-# chain.  301 steps fit in one block up to N = 96.
+# N^2 a step) that ``_real_form_modes`` holds at once.  A tracked sweep
+# holds this block and the two ModeSets ``track_modes`` compares, whatever
+# the number of steps: 301 steps fit in one block up to N = 96, and the
+# ``sweep`` task of 101 steps at N = 209 peaked at 102.5 MB RSS (160 MB
+# with every ModeSet kept).  Blocks of ``CHUNK_BYTES`` held less, but
+# made the in-process benchmark's 301-step sweep at N = 59 about 1.5 times
+# as slow (2 vCPUs, 43 against 64 MB peak in a loop of that sweep alone),
+# likely because the tracker's BLAS calls between blocks wake OpenBLAS
+# threads that then compete with the next block's dgeev.
 STACK_BYTES = 64 * 2 ** 20
 # Bytes of the chunks that ``_chunked_eig``'s threads solve at once, all
 # threads together, counted as in ``STACK_BYTES``: 16 steps a thread at
@@ -301,8 +306,8 @@ def _chunked_eig(a: np.ndarray):
     return lam, v
 
 
-def _real_form_modes(specs) -> list[ModeSet]:
-    """``eigendecompose`` of each spec's Hamiltonian, up to rounding.
+def _real_form_modes(specs):
+    """``eigendecompose`` of each spec's Hamiltonian, up to rounding, in order.
 
     A chain whose onsite energies share one real part omega0 has the
     non-Hermitian particle-hole symmetry, and then -i(H - omega0) is
@@ -310,52 +315,61 @@ def _real_form_modes(specs) -> list[ModeSet]:
     upper band t_j and lower band -t_j: A = D^-1 (-i(H - omega0)) D with
     D = diag(i^j).  One real eigensolve of A (LAPACK's dgeev through
     ``np.linalg.eig``) gives omega = omega0 + i lambda and psi = D v; a real
-    lambda puts Re(omega) at omega0 exactly.  Such specs of one length N
-    are solved together: their A are stacked, in blocks of at most
+    lambda puts Re(omega) at omega0 exactly.  Consecutive such specs of one
+    length N are solved together: their A are stacked, in blocks of at most
     ``STACK_BYTES`` (24 N^2 bytes a step), and each block is solved in
     chunks on every CPU, at most ``CHUNK_BYTES`` at once (``_chunked_eig``).
     dgeev solves every slice as a lone call would, so the result is the
     same bit for bit for any block, chunk and thread count.  Any other
     spec (a detuned reservoir, a single site) takes the dense complex path.
+    A generator: the specs are read, and each block solved, only as the
+    ModeSets are consumed, so it holds one block and no ModeSet it yielded.
     """
-    specs = list(specs)
-    modes = [None] * len(specs)
-    by_length = {}
-    for k, spec in enumerate(specs):
+    block = []
+    for spec in specs:
         re = spec.onsite.real
         if spec.n_sites < 2 or not np.all(re == re[0]):
-            modes[k] = eigendecompose(assemble_hamiltonian(spec))
-        else:
-            by_length.setdefault(spec.n_sites, []).append(k)
-    for n, steps in by_length.items():
-        _require_dense(n)
-        phases = _PHASES[np.arange(n) % 4, None]
-        per_block = max(1, STACK_BYTES // (24 * n * n))
-        for lo in range(0, len(steps), per_block):
-            block = steps[lo:lo + per_block]
-            a = np.zeros((len(block), n, n))
-            for s, k in zip(a, block):
-                s.flat[::n + 1] = specs[k].onsite.imag
-                s.flat[1::n + 1] = specs[k].bonds
-                s.flat[n::n + 1] = -specs[k].bonds
-            try:
-                lam, v = _chunked_eig(a)
-            except np.linalg.LinAlgError as exc:
-                raise EigensolverError(f"dense eigensolver failed: {exc}",
-                                       matrix=a) from exc
-            del a
-            for lam_k, v_k, k in zip(lam, v, block):
-                spec = specs[k]
-                w = np.empty(n, dtype=complex)
-                w.real = spec.onsite.real[0] - lam_k.imag
-                w.imag = lam_k.real
-                # |H|_1 = |H|_inf for symmetric H: the largest row sum of
-                # the chain
-                rows = np.abs(spec.onsite)
-                rows[:-1] += spec.bonds
-                rows[1:] += spec.bonds
-                modes[k] = _modeset(w, v_k * phases, rows.max())
-    return modes
+            yield from _stacked_modes(block)
+            block = []
+            yield eigendecompose(assemble_hamiltonian(spec))
+            continue
+        n = spec.n_sites
+        if block and (n != block[0].n_sites
+                      or len(block) == max(1, STACK_BYTES // (24 * n * n))):
+            yield from _stacked_modes(block)
+            block = []
+        if not block:
+            _require_dense(n)
+        block.append(spec)
+    yield from _stacked_modes(block)
+
+
+def _stacked_modes(block):
+    """The ModeSets of real-form specs of one length, solved as one stack."""
+    if not block:
+        return
+    n = block[0].n_sites
+    phases = _PHASES[np.arange(n) % 4, None]
+    a = np.zeros((len(block), n, n))
+    for s, spec in zip(a, block):
+        s.flat[::n + 1] = spec.onsite.imag
+        s.flat[1::n + 1] = spec.bonds
+        s.flat[n::n + 1] = -spec.bonds
+    try:
+        lam, v = _chunked_eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"dense eigensolver failed: {exc}",
+                               matrix=a) from exc
+    del a
+    for lam_k, v_k, spec in zip(lam, v, block):
+        w = np.empty(n, dtype=complex)
+        w.real = spec.onsite.real[0] - lam_k.imag
+        w.imag = lam_k.real
+        # |H|_1 = |H|_inf for symmetric H: the largest row sum of the chain
+        rows = np.abs(spec.onsite)
+        rows[:-1] += spec.bonds
+        rows[1:] += spec.bonds
+        yield _modeset(w, v_k * phases, rows.max())
 
 
 def _gaps(w: np.ndarray) -> np.ndarray:
@@ -493,29 +507,33 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
     return zms[0] if zms else None
 
 
-def sweep_gamma(spec_of_gamma, gamma_grid) -> list[ModeSet]:
+def sweep_gamma(spec_of_gamma, gamma_grid):
     """Decompose the lattice family ``spec_of_gamma(gamma)`` on a monotone grid.
 
-    The steps are solved by ``_real_form_modes``: chains whose onsite
-    energies share one real part omega0 (every ``coupled_chain`` without a
-    detuned ``reservoir_onsite``) are solved in real arithmetic, through the
-    real tridiagonal form of -i(H - omega0), stacked in blocks of at most
-    ``STACK_BYTES`` of matrices and vectors (24 N^2 bytes a step), so the
-    sweep's memory grows as the 16 N^2 bytes a step its ModeSets keep.
-    Each block is solved in chunks, one ``np.linalg.eig`` call each, on
-    one thread per CPU; the chunks in flight hold ``CHUNK_BYTES``
-    together, or one step a thread where a step is larger.  Every output
-    bit is that of one call on the whole stack, whatever the CPU count.
-    Any other chain is solved by ``eigendecompose``.  Both give the same
-    ``ModeSet`` up to rounding, but on the real form an on-axis mode has
-    Re(omega) == omega0 exactly and the partners omega, -omega* of an NHPH
-    pair have bitwise-equal Im, where the complex solver leaves noise of
-    order 1e-15 in both; a sweep's outputs differ from the complex path's
-    in those low bits and, through tie-breaks, in which partner of a pair
-    carries which mode number.  ``eigendecompose`` and the ``spectrum``
-    task stay complex: the order of on-axis modes, and so a zero mode's
-    ``mode_index``, follows their rounding-level Re(omega), and moves on
-    the real form.
+    Returns an iterator over the steps' ModeSets, in grid order; the grid
+    is checked at the call, each step is built and solved only as the
+    iterator reaches it, and the iterator keeps no ModeSet it returned.
+    Fed to ``track_modes``, a sweep of any length then holds one block of
+    ``STACK_BYTES`` and two ModeSets (16 N^2 bytes each); ``list()`` it to
+    keep every step.  The steps are solved by ``_real_form_modes``: chains
+    whose onsite energies share one real part omega0 (every
+    ``coupled_chain`` without a detuned ``reservoir_onsite``) are solved in
+    real arithmetic, through the real tridiagonal form of -i(H - omega0),
+    stacked in blocks of at most ``STACK_BYTES`` of matrices and vectors
+    (24 N^2 bytes a step).  Each block is solved in chunks, one
+    ``np.linalg.eig`` call each, on one thread per CPU; the chunks in
+    flight hold ``CHUNK_BYTES`` together, or one step a thread where a step
+    is larger.  Every output bit is that of one call on the whole stack,
+    whatever the CPU count.  Any other chain is solved by
+    ``eigendecompose``.  Both give the same ``ModeSet`` up to rounding, but
+    on the real form an on-axis mode has Re(omega) == omega0 exactly and
+    the partners omega, -omega* of an NHPH pair have bitwise-equal Im, where
+    the complex solver leaves noise of order 1e-15 in both; a sweep's
+    outputs differ from the complex path's in those low bits and, through
+    tie-breaks, in which partner of a pair carries which mode number.
+    ``eigendecompose`` and the ``spectrum`` task stay complex: the order of
+    on-axis modes, and so a zero mode's ``mode_index``, follows their
+    rounding-level Re(omega), and moves on the real form.
     """
     grid = np.asarray(gamma_grid, dtype=float)
     if len(grid) > 1 and not (np.all(np.diff(grid) > 0) or np.all(np.diff(grid) < 0)):
@@ -523,32 +541,33 @@ def sweep_gamma(spec_of_gamma, gamma_grid) -> list[ModeSet]:
     return _real_form_modes(spec_of_gamma(g) for g in grid)
 
 
-def track_modes(sweep: list[ModeSet], parameters=None) -> list[ModeTrajectory]:
+def track_modes(sweep, parameters=None) -> list[ModeTrajectory]:
     """Follow mode identities through a sweep by maximal eigenvector overlap.
 
+    ``sweep`` is any iterable of ModeSets, such as ``sweep_gamma``'s
+    iterator; only the previous and the current step are held.
+    ``parameters`` gives each step's parameter (default 0, 1, ...), one
+    entry per step, else ValueError once the sweep is consumed.
     Consecutive mode sets are matched greedily on |<psi_i|psi_j>|: pairs
     are taken in order of overlap, largest first, ties going to the lowest
     flat index i * N + j, and each taken pair removes its row and column
     (see ``_greedy_match``).  When the overlap of a mode's match is below
     0.5 its trajectory is split: the old one ends and a new one starts at
-    that step, with a warning "mode trajectory split at step ...".
+    that step, with a warning "mode trajectory split at step ...".  At
+    every step the live trajectories hold each column exactly once.
     """
-    if len(sweep) < 2:
-        raise ValueError("need at least two sweep points to track modes")
-    n = sweep[0].n_modes
-    params = np.arange(len(sweep), dtype=float) if parameters is None \
-        else np.asarray(parameters, dtype=float)
-
-    live = {
-        j: {"start": 0, "eigenvalues": [sweep[0].eigenvalues[j]],
+    steps = iter(sweep)
+    prev = next(steps, None)
+    live = {} if prev is None else {
+        j: {"start": 0, "eigenvalues": [prev.eigenvalues[j]],
             "columns": [j], "overlaps": []}
-        for j in range(n)
+        for j in range(prev.n_modes)
     }
     finished = []
+    n_steps = 0 if prev is None else 1
 
-    for step in range(1, len(sweep)):
-        overlap = np.abs(sweep[step - 1].right_vectors.conj().T
-                         @ sweep[step].right_vectors)
+    for step, modes in enumerate(steps, start=1):
+        overlap = np.abs(prev.right_vectors.conj().T @ modes.right_vectors)
         match = _greedy_match(overlap).tolist()
         new_live = {}
         for i, traj in live.items():
@@ -558,20 +577,30 @@ def track_modes(sweep: list[ModeSet], parameters=None) -> list[ModeTrajectory]:
                 warnings.warn(
                     f"mode trajectory split at step {step}: overlap {ov:.3f}",
                     stacklevel=2)
-                finished.append(_close(traj, params, step))
+                finished.append((traj, step))
                 new_live[j] = {"start": step,
-                               "eigenvalues": [sweep[step].eigenvalues[j]],
+                               "eigenvalues": [modes.eigenvalues[j]],
                                "columns": [j], "overlaps": []}
             else:
-                traj["eigenvalues"].append(sweep[step].eigenvalues[j])
+                traj["eigenvalues"].append(modes.eigenvalues[j])
                 traj["columns"].append(j)
                 traj["overlaps"].append(ov)
                 new_live[j] = traj
         live = new_live
+        prev = modes
+        n_steps = step + 1
 
-    finished.extend(_close(traj, params, len(sweep)) for traj in live.values())
-    finished.sort(key=lambda t: (t.start, t.column_indices[0]))
-    return finished
+    if n_steps < 2:
+        raise ValueError("need at least two sweep points to track modes")
+    params = np.arange(n_steps, dtype=float) if parameters is None \
+        else np.asarray(parameters, dtype=float)
+    if len(params) != n_steps:
+        raise ValueError(f"{len(params)} parameters for {n_steps} sweep "
+                         "points; need one a step")
+    finished.extend((traj, n_steps) for traj in live.values())
+    trajectories = [_close(traj, params, end) for traj, end in finished]
+    trajectories.sort(key=lambda t: (t.start, t.column_indices[0]))
+    return trajectories
 
 
 def _greedy_match(overlap: np.ndarray) -> np.ndarray:

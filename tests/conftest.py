@@ -33,7 +33,7 @@ def baseline_zero_mode(gamma, **kwargs):
 def gamma_sweep():
     """Dense sweep of the default chain with tracked, numbered trajectories."""
     grid = np.round(np.arange(0.0, 3.0 + 0.005, 0.01), 10)
-    sweeps = nhzm.sweep_gamma(nhzm.coupled_chain, grid)
+    sweeps = list(nhzm.sweep_gamma(nhzm.coupled_chain, grid))
     trajectories = nhzm.assign_mode_numbers(
         nhzm.track_modes(sweeps, grid), len(grid))
     return grid, sweeps, trajectories

@@ -4,13 +4,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nhzm
-from nhzm.cli import main
+from nhzm.cli import _step_eigenvalues, main
 from nhzm.scenario import (SCENARIO_SCHEMA, ScenarioError,
                            bundled_scenario_names, load_scenario)
 from nhzm.spectral import ZERO_TOL
@@ -364,6 +365,25 @@ def test_sweep_baseline_is_the_first_zero_mode(tmp_path):
         == expected
 
 
+@pytest.mark.parametrize("blk, splits", [
+    (load_scenario("fig2").data["sweep"], False),
+    # the onsite-0 sweep of ``TestShiftedOnsite``: fig2's chain on a
+    # coarser grid, which splits a trajectory
+    ({"gamma_start": 0.0, "gamma_stop": 3.0, "gamma_step": 0.05}, True),
+], ids=["fig2", "splitting"])
+def test_step_eigenvalues_rebuilt_from_the_trajectories(blk, splits):
+    grid = np.arange(blk["gamma_start"],
+                     blk["gamma_stop"] + 0.5 * blk["gamma_step"],
+                     blk["gamma_step"])
+    sweep = list(nhzm.sweep_gamma(load_scenario("fig2").build_spec, grid))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trajectories = nhzm.track_modes(iter(sweep), grid)
+    assert bool(caught) == splits
+    ws = _step_eigenvalues(trajectories, len(grid))
+    assert ws.tobytes() == np.array([m.eigenvalues for m in sweep]).tobytes()
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()[2:]
     header = lines[0].split(",")
@@ -447,8 +467,10 @@ class TestShiftedOnsite:
                                    ref_profile["abs_pert"], atol=1e-10)
 
     def test_sweep(self, tmp_path):
-        outs = [self.run(tmp_path, "sweep", x, sweep=self.SWEEP)
-                for x in (0.0, 0.3)]
+        # the onsite-0 sweep splits a trajectory (see the report test below)
+        with pytest.warns(UserWarning, match="trajectory split"):
+            outs = [self.run(tmp_path, "sweep", x, sweep=self.SWEEP)
+                    for x in (0.0, 0.3)]
         ref_rows, rows = (read_csv(o / "sweep.csv") for o in outs)
         assert np.array_equal(rows["mode_id"], ref_rows["mode_id"])
         self.assert_shifted(rows["re_omega"] + 1j * rows["im_omega"],

@@ -304,7 +304,7 @@ class TestFindZeroModes:
 
 class TestSweepAndTracking:
     def test_single_point_hermitian_sweep(self):
-        sweeps = nhzm.sweep_gamma(nhzm.coupled_chain, [0.0])
+        sweeps = list(nhzm.sweep_gamma(nhzm.coupled_chain, [0.0]))
         assert len(sweeps) == 1
         assert np.abs(sweeps[0].eigenvalues.imag).max() < 1e-10
 
@@ -314,7 +314,7 @@ class TestSweepAndTracking:
 
     def test_constant_sweep_matches_identically(self):
         spec, _ = chain_modes(1.0)
-        sweeps = nhzm.sweep_gamma(lambda g: spec, [0.0, 1.0, 2.0])
+        sweeps = list(nhzm.sweep_gamma(lambda g: spec, [0.0, 1.0, 2.0]))
         trajectories = nhzm.track_modes(sweeps, [0.0, 1.0, 2.0])
         assert len(trajectories) == 19
         for t in trajectories:
@@ -350,6 +350,36 @@ class TestSweepAndTracking:
             trajectories = nhzm.track_modes(sweep)
         assert [(t.start, t.column_indices.tolist()) for t in trajectories] \
             == [(0, [0]), (0, [1, 1]), (1, [0])]
+
+    def test_an_iterator_tracks_as_the_list_does(self):
+        # the random tie-laden sweeps of the greedy test, and a physical
+        # sweep streamed from ``sweep_gamma``
+        rng = np.random.default_rng(11)
+        sweeps = [vector_sweep(rng.integers(-2, 3, (rng.integers(2, 6), n, n))
+                               * 0.5 + 0j) for n in rng.integers(1, 9, 100)]
+        grid = np.linspace(0.0, 3.0, 13)
+        family = lambda g: nhzm.coupled_chain(g, n_reservoir=30)
+        cases = [(sweep, None) for sweep in sweeps] + [
+            (list(nhzm.sweep_gamma(family, grid)), grid)]
+        for sweep, params in cases:
+            got_iter, warned_iter = tracked(iter(sweep), params)
+            got_list, warned_list = tracked(sweep, params)
+            assert warned_iter == warned_list
+            assert got_iter == got_list
+        streamed, warned = tracked(nhzm.sweep_gamma(family, grid), grid)
+        assert warned and (streamed, warned) == tracked(cases[-1][0], grid)
+
+    @pytest.mark.parametrize("n_params", [2, 4])
+    def test_one_parameter_a_step(self, n_params):
+        sweep = vector_sweep([np.eye(2)] * 3)
+        with pytest.raises(ValueError, match=f"{n_params} parameters for 3 "
+                           "sweep points"):
+            nhzm.track_modes(iter(sweep), np.arange(n_params, dtype=float))
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_fewer_than_two_points_refused_from_a_stream(self, steps):
+        with pytest.raises(ValueError, match="at least two sweep points"):
+            nhzm.track_modes(iter(vector_sweep([np.eye(2)] * steps)))
 
     def test_baseline_keeps_small_imaginary_part_between_crossings(self, gamma_sweep):
         grid, sweeps, _ = gamma_sweep
@@ -395,6 +425,16 @@ class TestSweepAndTracking:
               if g > 2.2 and abs(w.real) < 1e-8]
         assert rs
         np.testing.assert_allclose(rs, -gamma_mu ** 2, rtol=0.05)
+
+
+def tracked(sweep, parameters):
+    """``track_modes``'s trajectories as lists, and its warning messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = nhzm.track_modes(sweep, parameters)
+    return ([(t.start, t.parameters.tobytes(), t.eigenvalues.tobytes(),
+              t.column_indices.tolist(), t.overlaps.tobytes()) for t in got],
+            [str(w.message) for w in caught])
 
 
 def reference_track_modes(sweep, parameters):
@@ -487,7 +527,7 @@ class TestRealFormSweep:
                                   t_prime=t_prime)
         h = nhzm.assemble_hamiltonian(spec).matrix
         scale = np.abs(h).sum(axis=1).max()
-        real, ref = _real_form_modes([spec])[0], nhzm.eigendecompose(
+        real, ref = next(_real_form_modes([spec])), nhzm.eigendecompose(
             nhzm.Hamiltonian(h))
         # near an exceptional point both solvers carry O(sqrt(eps)) error
         assume(not ref.near_defective.any())
@@ -511,7 +551,7 @@ class TestRealFormSweep:
                                 np.ones(4))
         lam, v = np.linalg.eig(real_form(spec))
         assert lam.dtype == v.dtype == np.float64
-        modes = _real_form_modes([spec])[0]
+        modes = next(_real_form_modes([spec]))
         assert modes.right_vectors.dtype == complex
         assert (modes.eigenvalues.real == 0.4).all()
         np.testing.assert_allclose(modes.eigenvalues.imag,
@@ -528,9 +568,9 @@ class TestRealFormSweep:
         spec = nhzm.coupled_chain(2.0)
         monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites - 1)
         with pytest.raises(EigensolverError, match="too long for the dense"):
-            _real_form_modes([spec])[0]
+            next(_real_form_modes([spec]))
         monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites)
-        assert _real_form_modes([spec])[0].n_modes == spec.n_sites
+        assert next(_real_form_modes([spec])).n_modes == spec.n_sites
 
     def test_stack_matches_lone_solves(self):
         # gain/loss g against unit bonds: every lambda of A is real from
@@ -543,8 +583,8 @@ class TestRealFormSweep:
         lam, _ = np.linalg.eig(np.stack([real_form(family(g)) for g in grid]))
         assert lam.dtype == complex
         assert (lam[2:].imag == 0).all()
-        lone = [_real_form_modes([family(g)])[0] for g in grid]
-        same_modesets(nhzm.sweep_gamma(family, grid), lone)
+        lone = [next(_real_form_modes([family(g)])) for g in grid]
+        same_modesets(list(nhzm.sweep_gamma(family, grid)), lone)
 
     @pytest.mark.parametrize("family, grid", [
         (lambda g: nhzm.coupled_chain(g, system_gamma=0.4, onsite=0.3),
@@ -560,7 +600,7 @@ class TestRealFormSweep:
         step = 24 * n * n
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 1)
         monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", len(grid) * step)
-        one_call = nhzm.sweep_gamma(family, grid)
+        one_call = list(nhzm.sweep_gamma(family, grid))
         threads = threading.active_count()
         for cpus in (1, 2, 3):
             monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
@@ -570,7 +610,8 @@ class TestRealFormSweep:
                 for per_chunk in (1, 2, 3):
                     monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES",
                                         per_chunk * step * cpus)
-                    same_modesets(nhzm.sweep_gamma(family, grid), one_call)
+                    same_modesets(list(nhzm.sweep_gamma(family, grid)),
+                                  one_call)
                     assert threading.active_count() == threads
 
     def test_one_thread_per_cpu_and_chunk(self, monkeypatch):
@@ -591,7 +632,7 @@ class TestRealFormSweep:
             monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
             monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", fit * 24 * n * n)
             started.clear()
-            nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, steps))
+            list(nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, steps)))
             # the calling thread takes one share of the chunks
             assert len(started) == workers
 
@@ -602,7 +643,7 @@ class TestRealFormSweep:
         grid = np.linspace(0.0, 3.0, 40)
         n = family(0.0).n_sites
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 1)
-        one_thread = nhzm.sweep_gamma(family, grid)
+        one_thread = list(nhzm.sweep_gamma(family, grid))
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 8)
         monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 8 * 24 * n * n)
         threads = threading.active_count()
@@ -611,7 +652,8 @@ class TestRealFormSweep:
         try:
             start = time.perf_counter()
             for _ in range(3):
-                same_modesets(nhzm.sweep_gamma(family, grid), one_thread)
+                same_modesets(list(nhzm.sweep_gamma(family, grid)),
+                              one_thread)
             assert time.perf_counter() - start < 30.0
         finally:
             sys.setswitchinterval(interval)
@@ -624,7 +666,7 @@ class TestRealFormSweep:
         grid = np.arange(0.0, 3.0 + 0.005, 0.01)
         n = family(0.0).n_sites
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 1)
-        one_thread = nhzm.sweep_gamma(family, grid)
+        one_thread = list(nhzm.sweep_gamma(family, grid))
         started, sizes = [], []
         eig = np.linalg.eig
 
@@ -640,7 +682,7 @@ class TestRealFormSweep:
         monkeypatch.setattr(nhzm.spectral.threading, "Thread", Thread)
         monkeypatch.setattr(np.linalg, "eig", recording_eig)
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 19)
-        same_modesets(nhzm.sweep_gamma(family, grid), one_thread)
+        same_modesets(list(nhzm.sweep_gamma(family, grid)), one_thread)
         assert len(started) == 18
         assert sizes == [1] * len(grid)
         assert 19 * 24 * n * n <= nhzm.spectral.CHUNK_BYTES
@@ -660,7 +702,7 @@ class TestRealFormSweep:
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 2)
         threads = threading.active_count()
         with pytest.raises(EigensolverError, match="did not converge") as info:
-            nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, 4))
+            list(nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, 4)))
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
         assert threading.active_count() == threads
 
@@ -669,8 +711,8 @@ class TestRealFormSweep:
                  nhzm.coupled_chain(2.0, reservoir_onsite=0.3),
                  nhzm.coupled_chain(1.5, n_reservoir=12),
                  nhzm.LatticeSpec([0.2 - 0.5j], [])]
-        same_modesets(_real_form_modes(specs),
-                      [_real_form_modes([s])[0] for s in specs])
+        same_modesets(list(_real_form_modes(specs)),
+                      [next(_real_form_modes([s])) for s in specs])
 
     def test_sweep_refused_before_the_stack_is_allocated(self, monkeypatch):
         spec = nhzm.coupled_chain(2.0, n_reservoir=90)
@@ -679,19 +721,52 @@ class TestRealFormSweep:
         tracemalloc.start()
         try:
             with pytest.raises(EigensolverError, match="too long"):
-                nhzm.sweep_gamma(lambda g: spec, np.linspace(0.0, 3.0, 301))
+                list(nhzm.sweep_gamma(lambda g: spec,
+                                      np.linspace(0.0, 3.0, 301)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # not one N x N matrix of the stack was allocated
         assert peak < 8 * n * n
 
+    @pytest.mark.parametrize("steps", [12, 36])
+    def test_streamed_sweep_holds_one_block(self, monkeypatch, steps):
+        # blocks of 3 steps at N = 200: tracking holds one block and a few
+        # N x N arrays (two ModeSets, the overlaps, the chunks' eig
+        # results), not the 16 N^2 bytes a step of every ModeSet
+        family = lambda g: nhzm.coupled_chain(g, n_reservoir=191)
+        n = family(0.0).n_sites
+        monkeypatch.setattr(nhzm.spectral, "STACK_BYTES", 3 * 24 * n * n)
+        grid = np.linspace(0.0, 3.0, steps)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                # a coarse grid splits trajectories; memory is the point
+                warnings.simplefilter("ignore")
+                nhzm.track_modes(nhzm.sweep_gamma(family, grid), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nhzm.spectral.STACK_BYTES + 7 * 16 * n * n
+
+    def test_specs_read_only_as_the_steps_are_consumed(self):
+        built = []
+
+        def family(g):
+            built.append(g)
+            return nhzm.coupled_chain(g)
+
+        sweep = nhzm.sweep_gamma(family, [0.0, 1.0, 2.0])
+        assert built == []
+        next(sweep)
+        assert built == [0.0, 1.0, 2.0]
+
     @pytest.mark.parametrize("spec", [
         nhzm.coupled_chain(2.0, reservoir_onsite=0.3),
         nhzm.LatticeSpec([0.2 - 0.5j], []),
     ], ids=["detuned", "single-site"])
     def test_other_specs_fall_back_bit_for_bit(self, spec):
-        real = _real_form_modes([spec])[0]
+        real = next(_real_form_modes([spec]))
         ref = nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))
         for field in dataclasses.fields(ref):
             assert np.array_equal(getattr(real, field.name),
