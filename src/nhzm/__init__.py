@@ -36,10 +36,10 @@ _EXPORTS = {
                      "first_order_energy", "first_order_wavefunction",
                      "first_order_zero_mode", "perturbation_vs_exact"),
     "spectral": ("ModeSet", "ModeTrajectory", "SymmetryPairing", "ZeroMode",
-                 "assign_mode_numbers", "check_spectral_symmetry",
-                 "eigendecompose", "find_zero_modes", "fit_pair_threshold",
-                 "lowest_zero_mode", "match_mode", "sweep_gamma",
-                 "track_modes"),
+                 "assign_mode_numbers", "chain_modes",
+                 "check_spectral_symmetry", "eigendecompose",
+                 "find_zero_modes", "fit_pair_threshold", "lowest_zero_mode",
+                 "match_mode", "sweep_gamma", "track_modes"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -89,12 +89,11 @@ def _regime_payload(report: RegimeReport, extra: dict | None = None) -> dict:
 
 
 def _task_spectrum(scenario: Scenario, out: Path) -> None:
-    from .lattice import assemble_hamiltonian
     from .localization import classify_regime
-    from .spectral import eigendecompose, find_zero_modes
+    from .spectral import chain_modes, find_zero_modes
 
     spec = scenario.build_spec()
-    modes = eigendecompose(assemble_hamiltonian(spec))
+    modes = chain_modes(spec)
     zms = find_zero_modes(modes, spec, scenario.data["onsite"])
     w = modes.eigenvalues
     _write_csv(out / "spectrum.csv", ("mode_index", "re_omega", "im_omega"),
@@ -182,10 +181,7 @@ def _task_sweep(scenario: Scenario, out: Path) -> None:
     from .spectral import (ZERO_TOL, assign_mode_numbers, fit_pair_threshold,
                            sweep_gamma, track_modes)
 
-    blk = scenario.data["sweep"]
-    grid = np.arange(blk["gamma_start"],
-                     blk["gamma_stop"] + 0.5 * blk["gamma_step"],
-                     blk["gamma_step"])
+    grid = scenario.sweep_grid()
     trajectories = assign_mode_numbers(
         track_modes(sweep_gamma(scenario.build_spec, grid), grid), len(grid))
 

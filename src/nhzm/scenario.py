@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .errors import NhzmError
 from .lattice import LatticeSpec, coupled_chain
 
@@ -115,6 +117,13 @@ class Scenario:
             reservoir_t_b=res_blk["tB"], t_prime=self.data["coupling"],
             onsite=self.data["onsite"], reservoir_onsite=res_blk["onsite"],
         )
+
+    def sweep_grid(self) -> np.ndarray:
+        """The gammas of the ``sweep`` block, gamma_stop included."""
+        blk = self.data["sweep"]
+        return np.arange(blk["gamma_start"],
+                         blk["gamma_stop"] + 0.5 * blk["gamma_step"],
+                         blk["gamma_step"])
 
 
 def _is_number(value) -> bool:
@@ -236,7 +245,10 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
     Raises ScenarioError with a location-anchored message on JSON or schema
     violations, and on a non-finite number; unknown keys are rejected by the
     schema.  Of several violations the one at the first path is reported.
-    Integer-typed fields come back as int, also when written as 9.0.
+    ``seed_override`` replaces the file's seed before validation, so it must
+    satisfy the schema as a seed in the file would.  A sweep grid of fewer
+    than two points is refused.  Integer-typed fields come back as int,
+    also when written as 9.0.
     """
     text, name = _read_scenario_text(str(path_or_name))
     try:
@@ -245,6 +257,8 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
         raise ScenarioError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if seed_override is not None and isinstance(raw, dict):
+        raw = {**raw, "seed": seed_override}
 
     errors = list(_violations(SCENARIO_SCHEMA, raw))
     if errors:
@@ -272,8 +286,6 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
     resolved = dict(raw)
     resolved.setdefault("onsite", 0.0)
     resolved.setdefault("seed", 0)
-    if seed_override is not None:
-        resolved["seed"] = int(seed_override)
     if "system" in resolved:
         system = dict(resolved["system"])
         system.setdefault("gamma", 0.0)
@@ -293,4 +305,11 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
         block.setdefault("gammas", [resolved["reservoir"]["gamma"]])
         block.setdefault("k_points", 1001)
         resolved["bands"] = block
-    return Scenario(resolved, name)
+    scenario = Scenario(resolved, name)
+    if task == "sweep" and (points := len(scenario.sweep_grid())) < 2:
+        blk = resolved["sweep"]
+        raise ScenarioError(
+            f"sweep from gamma_start {blk['gamma_start']} to gamma_stop "
+            f"{blk['gamma_stop']} in steps of {blk['gamma_step']} has "
+            f"{points} point(s); tracking needs at least two")
+    return scenario

@@ -39,7 +39,10 @@ ZERO_TOL = 1e-8
 # OpenBLAS), dense 16 ms against sparse 4-6 ms at 79 and 45-49 ms against
 # 3-5 ms at 159.  The first sparse call of a process also imports
 # scipy.sparse.linalg, which pulls in scipy.linalg (about 0.3 s cold with
-# scipy 1.17; 25-35 ms once scipy.linalg is loaded).
+# scipy 1.17; 25-35 ms once scipy.linalg is loaded).  From the same size on
+# ``chain_modes`` solves the real form, whose zero-mode columns differ from
+# the complex path's: below it lie the 19-site paper chains, whose
+# ``mode_index`` the benchmark reference pins.
 SPARSE_MIN_SITES = 64
 # Shift-invert runs at i * SHIFT * |H|_inf, off the real axis, so that an
 # exactly singular H (an odd Hermitian chain has omega = 0 exactly) still
@@ -372,6 +375,26 @@ def _stacked_modes(block):
         yield _modeset(w, v_k * phases, rows.max())
 
 
+def chain_modes(spec: LatticeSpec) -> ModeSet:
+    """The full spectrum of a chain: its ``eigendecompose``, up to rounding.
+
+    Chains of ``SPARSE_MIN_SITES`` sites or more are solved by
+    ``_real_form_modes``: one dgeev of the real tridiagonal form of
+    -i(H - omega0) where the onsite energies share one real part omega0,
+    so a zero mode has Re(omega) == omega0 exactly.  At 509 sites that
+    takes 0.30 s against 0.90 s for ``eigendecompose`` (medians of 5,
+    2-vCPU x86, OpenBLAS 0.3.31).  A detuned chain, and every shorter
+    chain, is ``eigendecompose(assemble_hamiltonian(spec))`` bit for bit.
+    The order of on-axis modes follows their Re(omega), which on the
+    complex path is rounding noise, so a zero mode's column can differ
+    between the two paths; shorter chains stay complex so that the
+    columns of the 19-site paper chains do not move.
+    """
+    if spec.n_sites >= SPARSE_MIN_SITES:
+        return next(_real_form_modes([spec]))
+    return eigendecompose(assemble_hamiltonian(spec))
+
+
 def _gaps(w: np.ndarray) -> np.ndarray:
     """Distance from each eigenvalue to the nearest other one (inf if alone).
 
@@ -453,7 +476,8 @@ def _zero_mode(index: int | None, w: complex, vector: np.ndarray,
 
 
 def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
-    """The zero mode ``find_zero_modes(..., spec, omega0)`` would list first.
+    """The zero mode ``find_zero_modes(chain_modes(spec), spec, omega0)``
+    would list first.
 
     That is the mode with |Re(omega) - omega0| <= ZERO_TOL and the smallest
     |Im(omega)|, with its reservoir quantities, or None.  Chains shorter than
@@ -468,8 +492,9 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
     doubles.  The start vector is fixed, so runs repeat bit for
     bit.  The eigenvector is scaled as LAPACK scales dense ones: unit norm,
     largest entry real and positive.  Beyond ``SPARSE_MAX_K`` eigenvalues
-    the dense path decides, where ``assemble_hamiltonian`` raises
-    EigensolverError for a chain longer than ``DENSE_MAX_SITES``.
+    the dense path decides, ``chain_modes`` (on the real form where the
+    chain has one), which raises EigensolverError for a chain longer than
+    ``DENSE_MAX_SITES``.
     """
     n = spec.n_sites
     if n >= SPARSE_MIN_SITES:
@@ -502,8 +527,7 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
                     psi[top] = psi[top].real
                     return _zero_mode(None, w[i], psi, spec, omega0, ZERO_TOL)
             k *= 2
-    zms = find_zero_modes(eigendecompose(assemble_hamiltonian(spec)), spec,
-                          omega0)
+    zms = find_zero_modes(chain_modes(spec), spec, omega0)
     return zms[0] if zms else None
 
 
@@ -531,9 +555,11 @@ def sweep_gamma(spec_of_gamma, gamma_grid):
     the complex solver leaves noise of order 1e-15 in both; a sweep's
     outputs differ from the complex path's in those low bits and, through
     tie-breaks, in which partner of a pair carries which mode number.
-    ``eigendecompose`` and the ``spectrum`` task stay complex: the order of
-    on-axis modes, and so a zero mode's ``mode_index``, follows their
-    rounding-level Re(omega), and moves on the real form.
+    ``eigendecompose`` stays complex.  ``chain_modes``, and with it the
+    ``spectrum`` task, takes the real form only from ``SPARSE_MIN_SITES``
+    sites on: the order of on-axis modes, and so a zero mode's
+    ``mode_index``, follows their Re(omega), which on the complex path is
+    rounding noise, so it moves on the real form.
     """
     grid = np.asarray(gamma_grid, dtype=float)
     if len(grid) > 1 and not (np.all(np.diff(grid) > 0) or np.all(np.diff(grid) < 0)):

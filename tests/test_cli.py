@@ -150,6 +150,33 @@ class TestRunCommand:
         for ref in outs[0].iterdir():
             assert (outs[1] / ref.name).read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("name, seed", [("fig1c", "-5"),
+                                            ("ensemble-fig4c", "-1")])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, name, seed):
+        # the override is checked as a seed in the file is; it used to be
+        # written into fig1c's outputs, and to end ensemble-fig4c in a
+        # ValueError traceback
+        out = tmp_path / "out"
+        assert main(["run", name, "--out", str(out), "--seed", seed]) == 2
+        assert f"$.seed: {seed} is less than the minimum of 0" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stop", [0.5, 1.0], ids=["reversed", "one-point"])
+    def test_sweep_of_fewer_than_two_points_exits_2(self, tmp_path, capsys,
+                                                     stop):
+        # used to end in track_modes' ValueError traceback
+        payload = {**MINIMAL, "task": "sweep",
+                   "sweep": {"gamma_start": 1.0, "gamma_stop": stop,
+                             "gamma_step": 0.1}}
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error: sweep from gamma_start 1.0" in err
+        assert "tracking needs at least two" in err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out")]) == 2
@@ -352,10 +379,7 @@ def test_sweep_baseline_is_the_first_zero_mode(tmp_path):
     assert main(["run", "fig2", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
     scenario = load_scenario("fig2")
-    blk = scenario.data["sweep"]
-    grid = np.arange(blk["gamma_start"],
-                     blk["gamma_stop"] + 0.5 * blk["gamma_step"],
-                     blk["gamma_step"])
+    grid = scenario.sweep_grid()
     expected = []
     for g, modes in zip(grid, nhzm.sweep_gamma(scenario.build_spec, grid)):
         zms = nhzm.find_zero_modes(modes)
@@ -435,24 +459,38 @@ class TestShiftedOnsite:
         return out
 
     @staticmethod
-    def assert_shifted(omegas, ref_omegas):
-        """Each omega is its reference moved by 0.3 along the real axis."""
+    def assert_shifted(omegas, ref_omegas, shift=0.3):
+        """Each omega is its reference moved by ``shift`` along the real
+        axis."""
         omegas, ref_omegas = np.asarray(omegas), np.asarray(ref_omegas)
         assert omegas.size == ref_omegas.size > 0
         assert np.abs(omegas.imag - ref_omegas.imag).max() <= 1e-10
-        assert np.abs(omegas.real - ref_omegas.real - 0.3).max() <= ZERO_TOL
+        assert np.abs(omegas.real - ref_omegas.real - shift).max() <= ZERO_TOL
 
     @staticmethod
     def omega(payload):
         return complex(payload["omega"]["re"], payload["omega"]["im"])
 
-    def test_spectrum(self, tmp_path):
-        ref, shifted = (json.loads((self.run(tmp_path, "spectrum", x)
-                                    / "zero_modes.json").read_text())
-                        ["zero_modes"] for x in (0.0, 0.3))
+    @pytest.mark.parametrize("n_reservoir", [10, 100])
+    def test_spectrum(self, tmp_path, n_reservoir):
+        outs = [self.run(tmp_path, "spectrum", x, n_reservoir)
+                for x in (0.0, 0.7)]
+        ref, shifted = (json.loads((o / "zero_modes.json").read_text())
+                        ["zero_modes"] for o in outs)
         self.assert_shifted([self.omega(z) for z in shifted],
-                            [self.omega(z) for z in ref])
+                            [self.omega(z) for z in ref], 0.7)
         assert [z["regime"] for z in shifted] == [z["regime"] for z in ref]
+        for out, zms, omega0 in zip(outs, (ref, shifted), (0.0, 0.7)):
+            rows = read_csv(out / "spectrum.csv")
+            assert np.array_equal(rows["mode_index"],
+                                  np.arange(len(rows["mode_index"])))
+            for z in zms:
+                k = z["mode_index"]
+                assert complex(rows["re_omega"][k], rows["im_omega"][k]) \
+                    == self.omega(z)
+                # from 64 sites on the real form puts Re(omega) at omega0
+                if n_reservoir == 100:
+                    assert z["omega"]["re"] == omega0
 
     @pytest.mark.parametrize("n_reservoir", [10, 100])
     def test_mode_profile(self, tmp_path, n_reservoir):

@@ -763,14 +763,14 @@ class TestRealFormSweep:
 
     @pytest.mark.parametrize("spec", [
         nhzm.coupled_chain(2.0, reservoir_onsite=0.3),
+        nhzm.coupled_chain(2.0, n_reservoir=SPARSE_MIN_SITES,
+                           reservoir_onsite=0.3),
         nhzm.LatticeSpec([0.2 - 0.5j], []),
-    ], ids=["detuned", "single-site"])
+    ], ids=["detuned", "detuned-long", "single-site"])
     def test_other_specs_fall_back_bit_for_bit(self, spec):
-        real = next(_real_form_modes([spec]))
         ref = nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))
-        for field in dataclasses.fields(ref):
-            assert np.array_equal(getattr(real, field.name),
-                                  getattr(ref, field.name))
+        same_modesets([next(_real_form_modes([spec])), nhzm.chain_modes(spec)],
+                      [ref, ref])
 
     def test_nhph_sweep_never_calls_eigendecompose(self, monkeypatch):
         def refuse(h):
@@ -836,6 +836,33 @@ class TestMatchMode:
         mixed = modes.right_vectors[:, 3] + modes.right_vectors[:, 12]
         with pytest.raises(nhzm.errors.ModeMatchingError):
             nhzm.match_mode(mixed, modes, min_overlap=0.99)
+
+
+class TestChainModes:
+    @pytest.mark.parametrize("n_reservoir", [10, SPARSE_MIN_SITES - 10])
+    def test_short_chain_is_eigendecompose_bit_for_bit(self, n_reservoir):
+        spec = nhzm.coupled_chain(2.0, n_reservoir=n_reservoir)
+        assert spec.n_sites < SPARSE_MIN_SITES
+        same_modesets([nhzm.chain_modes(spec)],
+                      [nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))])
+
+    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    def test_long_chain_takes_the_real_form(self, omega0):
+        spec = nhzm.coupled_chain(2.0, n_reservoir=SPARSE_MIN_SITES,
+                                  onsite=omega0)
+        h = nhzm.assemble_hamiltonian(spec).matrix
+        modes, ref = nhzm.chain_modes(spec), nhzm.eigendecompose(
+            nhzm.Hamiltonian(h))
+        dist = np.abs(modes.eigenvalues[:, None] - ref.eigenvalues[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max() <= 1e-10 * np.abs(h).sum(axis=1).max()
+        zms, ref_zms = (nhzm.find_zero_modes(m, spec, omega0)
+                        for m in (modes, ref))
+        assert len(zms) == len(ref_zms) > 0
+        # a real lambda of the real form; zgeev leaves rounding noise
+        assert all(zm.omega.real == omega0 for zm in zms)
+        assert [nhzm.classify_regime(zm, spec).regime for zm in zms] == \
+            [nhzm.classify_regime(zm, spec).regime for zm in ref_zms]
 
 
 def dense_lowest_zero_mode(spec):
@@ -928,6 +955,16 @@ class TestLowestZeroMode:
             nhzm.lowest_zero_mode(spec)
         monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites)
         assert nhzm.lowest_zero_mode(spec) is None
+
+    def test_dense_fallback_takes_the_real_form(self, monkeypatch):
+        # no ARPACK round: chain_modes decides, on the real form
+        monkeypatch.setattr(nhzm.spectral, "SPARSE_MAX_K", 0)
+        spec = nhzm.coupled_chain(2.0, n_reservoir=100, onsite=0.7)
+        zm = nhzm.lowest_zero_mode(spec, 0.7)
+        ref = nhzm.find_zero_modes(nhzm.chain_modes(spec), spec, 0.7)[0]
+        assert zm.mode_index == ref.mode_index is not None
+        assert zm.omega == ref.omega and zm.omega.real == 0.7
+        assert np.array_equal(zm.wavefunction, ref.wavefunction)
 
     @pytest.mark.parametrize("n_reservoir", [10, 100])
     def test_zero_measured_from_omega0(self, n_reservoir):
