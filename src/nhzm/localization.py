@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,8 +107,10 @@ def fit_tail(psi, sites, model: str = "linear", per_sublattice: bool = True,
     returned as a dict keyed by ``labels`` (label of the first site first);
     otherwise a single TailFit over the whole range is returned.
     """
-    sites = list(sites)
-    amps = np.abs(np.asarray(psi))[sites]
+    # a range is converted without a Python int per site
+    sites = np.arange(sites.start, sites.stop, sites.step) \
+        if isinstance(sites, range) else list(sites)
+    amps = np.abs(np.asarray(psi)[sites])
     if model not in ("linear", "exponential"):
         raise ValueError(f"unknown model {model!r}")
     if model == "exponential" and np.any(amps == 0):
@@ -123,14 +126,33 @@ def fit_tail(psi, sites, model: str = "linear", per_sublattice: bool = True,
     return {labels[0]: fit_one(amps[0::2]), labels[1]: fit_one(amps[1::2])}
 
 
+@functools.lru_cache(maxsize=8)
+def _line_design(length: int):
+    """``np.polyfit(x, y, 1)``'s x, scaled design matrix, scale and rcond.
+
+    They depend on the length alone, so one chain's fits (at most four
+    lengths) build them once.  The arrays are read-only, since every caller
+    shares them.
+    """
+    x = np.arange(length, dtype=float)
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    for arr in (x, lhs, scale):
+        arr.flags.writeable = False
+    return x, lhs, scale, length * np.finfo(float).eps
+
+
 def _fit_line(y: np.ndarray) -> TailFit:
     """Least-squares line through (index, y) and its R^2.
 
-    A constant series leaves no variance to explain: R^2 is 1 when the line
+    The line is ``np.polyfit(x, y, 1)`` bit for bit: the same lstsq on
+    polyfit's column-scaled design matrix, built once per length.  A
+    constant series leaves no variance to explain: R^2 is 1 when the line
     reproduces it and 0 otherwise.
     """
-    x = np.arange(len(y), dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
+    x, lhs, scale, rcond = _line_design(len(y))
+    slope, intercept = np.linalg.lstsq(lhs, y, rcond)[0] / scale
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ss_res = float(resid @ resid)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NhzmError
-from .lattice import LatticeSpec, coupled_chain
+from .lattice import DENSE_MAX_SITES, LatticeSpec, coupled_chain
 
 TASKS = ("spectrum", "sweep", "mode-profile", "bands", "ensemble",
          "perturbation")
@@ -306,10 +306,22 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
         block.setdefault("k_points", 1001)
         resolved["bands"] = block
     scenario = Scenario(resolved, name)
-    if task == "sweep" and (points := len(scenario.sweep_grid())) < 2:
+    if task == "sweep":
         blk = resolved["sweep"]
-        raise ScenarioError(
-            f"sweep from gamma_start {blk['gamma_start']} to gamma_stop "
-            f"{blk['gamma_stop']} in steps of {blk['gamma_step']} has "
-            f"{points} point(s); tracking needs at least two")
+        grid = (f"sweep from gamma_start {blk['gamma_start']} to gamma_stop "
+                f"{blk['gamma_stop']} in steps of {blk['gamma_step']}")
+        # the length of ``sweep_grid``, known before it is built; the task
+        # holds a (points, N) complex array of eigenvalues, which may be no
+        # larger than the largest dense matrix (``DENSE_MAX_SITES``)
+        count = (blk["gamma_stop"] + 0.5 * blk["gamma_step"]
+                 - blk["gamma_start"]) / blk["gamma_step"]
+        n_sites = resolved["system"]["n"] + resolved["reservoir"]["n"]
+        if count * n_sites > DENSE_MAX_SITES ** 2:
+            raise ScenarioError(
+                f"{grid} has {count:.3g} points; at {n_sites} sites that "
+                f"exceeds the {DENSE_MAX_SITES ** 2} eigenvalues a sweep may "
+                f"hold")
+        if (points := len(scenario.sweep_grid())) < 2:
+            raise ScenarioError(
+                f"{grid} has {points} point(s); tracking needs at least two")
     return scenario

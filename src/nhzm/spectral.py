@@ -35,39 +35,37 @@ DEFECT_OVERLAP = 1e-6
 ZERO_TOL = 1e-8
 
 # Chains of at least this many sites take the sparse path of
-# ``lowest_zero_mode``: both paths took 3-4 ms at 59 sites (2-vCPU VM,
-# OpenBLAS), dense 16 ms against sparse 4-6 ms at 79 and 45-49 ms against
-# 3-5 ms at 159.  The first sparse call of a process also imports
-# scipy.sparse.linalg, which pulls in scipy.linalg (about 0.3 s cold with
-# scipy 1.17; 25-35 ms once scipy.linalg is loaded).  From the same size on
-# ``chain_modes`` solves the real form, whose zero-mode columns differ from
-# the complex path's: below it lie the 19-site paper chains, whose
-# ``mode_index`` the benchmark reference pins.
+# ``lowest_zero_mode``, and ``chain_modes`` solves their real form, whose
+# zero-mode columns differ from the complex path's: below this size lie
+# the 19-site paper chains, whose ``mode_index`` the benchmark reference
+# pins.  The sparse path is the faster from fewer sites on (medians of 15,
+# 2-vCPU VM, OpenBLAS): 2.0 ms against 6.2 ms for the complex dense path
+# at 59 sites, and 2.6 ms at 79 and 159 sites against 7.9 ms and 29 ms on
+# the real form.  Its first call in a process also imports scipy.linalg
+# (0.25-0.33 s cold with scipy 1.17).
 SPARSE_MIN_SITES = 64
 # Shift-invert runs at i * SHIFT * |H|_inf, off the real axis, so that an
 # exactly singular H (an odd Hermitian chain has omega = 0 exactly) still
 # factorizes.
 SHIFT = 1e-10
-# k doubles from 6 up to this many eigenvalues before the dense path
-# decides.  Random chains with a zero mode had it within k = 6; a chain
-# without one (a detuned reservoir) would otherwise double k up to N/2,
-# and at N = 1000 k = 96 and 192 took 0.6 s and 3.4 s against 3.1 s for
-# the dense solve, while k = 6..48 took 0.25 s together.
+# The Krylov dimension doubles from SPARSE_MAX_K // 2 up to 2 * SPARSE_MAX_K
+# (24, 48, 96) before the dense path decides.  Of 165 random chains of 64
+# to 408 sites with a zero mode, 157 had it accepted at 24 and 8 at 48.  A
+# chain without one (a detuned reservoir) runs every dimension: at
+# N = 1000 that took 0.05 s up to 96, 0.19 s up to 192 and 0.72 s up to
+# 384, against 4.5 s for the dense solve.
 SPARSE_MAX_K = 48
 # A sparse zero mode is accepted only with a residual |H psi - z psi| of at
 # most SPARSE_RESIDUAL * log2(N) times the shift scale.  The bound grows with
-# the chain length N, because correct modes of long chains come back with
-# larger residuals, but slowly enough to stay below 3e-11 for N < 1e9, under
-# the 1e-10 |H|_inf the tests ask of a zero mode; up to the tests' 300 sites
-# it is at most 8.2e-12, so a mode with gap 1e-6 |H| keeps a unit overlap
-# within 1e-10.  Measured: 142 random chains and 60 benchmark chains gave at
-# most 2.1e-14, random chains up to 1e4 sites at most 7.5e-15; correct modes
-# came back at 1.3e-12 to 2.4e-12 for the Hermitian chain n_reservoir = 239,
-# t_B = 0.75, t' = 0.5 (k = 6..48) and at 2.5e-12 to 1.3e-11 for
-# n_reservoir = 2e5, gamma = 2, t' = 0.2, which a constant 1e-12 rejected.
-# The split edge states of the Hermitian chain n_reservoir = 119,
-# t_B = t' = 0.5 came back at k = 6 with 1.1e-10 to 1.5e-10 (rejected; the
-# bound is 7e-12 there) and at k = 12 with 1.5e-16.
+# the chain length N, but slowly enough to stay below 3e-11 for N < 1e9,
+# under the 1e-10 |H|_inf the tests ask of a zero mode; up to the tests'
+# 300 sites it is at most 8.2e-12, so a mode with gap 1e-6 |H| keeps a unit
+# overlap within 1e-10.  Measured in units of the scale: accepted modes of
+# the 165 random chains above at most 6.3e-12, of 60 benchmark chains of
+# 509 sites at most 2.7e-12, of n_reservoir = 2e5, gamma = 2, t' = 0.2 at
+# 2.0e-12 and of the paper chain at n_reservoir = 1e6 at 7.3e-14.  Without
+# the inverse-iteration step, 2e5 came back at 2.9e-9, 8.1e-10 and 4.2e-10
+# at dimensions 24, 48 and 96, as the Hessenberg entries reach 2.5e9 there.
 SPARSE_RESIDUAL = 1e-12
 
 
@@ -482,34 +480,62 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
     That is the mode with |Re(omega) - omega0| <= ZERO_TOL and the smallest
     |Im(omega)|, with its reservoir quantities, or None.  Chains shorter than
     ``SPARSE_MIN_SITES`` take the dense path, so ``mode_index`` is set.
-    Longer ones run shift-invert Arnoldi (ARPACK through
-    ``scipy.sparse.linalg.eigs``) for the k eigenvalues nearest the shift
-    sigma = omega0 + i eps, on the tridiagonal matrix, in O(N) time and
-    memory.  A zero mode z is accepted only when ``|z - sigma| + 2 eps`` is
-    below the largest distance of the k returned eigenvalues from sigma, so
-    that no zero mode with a smaller |Im(omega)| lies outside them, and its
-    residual is below ``SPARSE_RESIDUAL * log2(N)`` times the scale; otherwise k
-    doubles.  The start vector is fixed, so runs repeat bit for
-    bit.  The eigenvector is scaled as LAPACK scales dense ones: unit norm,
-    largest entry real and positive.  Beyond ``SPARSE_MAX_K`` eigenvalues
-    the dense path decides, ``chain_modes`` (on the real form where the
-    chain has one), which raises EigensolverError for a chain longer than
-    ``DENSE_MAX_SITES``.
+    Longer ones run shift-invert Arnoldi on the tridiagonal matrix, in O(N)
+    time and memory, around the shift sigma = omega0 + i eps.  LAPACK's
+    zgttrf factors H - sigma once and zgttrs applies its inverse; neither
+    calls BLAS.  Two passes of classical Gram-Schmidt in numpy orthogonalize
+    the Krylov basis, and the Ritz values are sigma + 1/theta, with theta
+    the eigenvalues of the Hessenberg matrix.  So every BLAS call is
+    numpy's, and no second BLAS thread pool starts.  The Krylov dimension
+    doubles from ``SPARSE_MAX_K // 2`` to ``2 * SPARSE_MAX_K``, each time
+    extending the basis built so far.  A zero mode z is accepted only when
+    ``|z - sigma| + 2 eps`` is below the largest distance of the Ritz
+    values from sigma, so that no zero mode with a smaller |Im(omega)| lies
+    outside them, and when the explicit residual of its Ritz vector, and of
+    the Ritz vector of every Ritz value nearer sigma, is below
+    ``SPARSE_RESIDUAL * log2(N)`` times the scale.  Each such vector takes
+    one step of inverse iteration first.  The start vector is fixed, so
+    runs repeat bit for bit.  The eigenvector is scaled as LAPACK scales
+    dense ones: unit norm, largest entry real and positive.  Where H - sigma
+    has an exactly zero pivot, or no Krylov dimension yields an accepted
+    zero mode, the dense path decides, ``chain_modes`` (on the real form
+    where the chain has one), which raises EigensolverError for a chain
+    longer than ``DENSE_MAX_SITES``.
     """
     n = spec.n_sites
     if n >= SPARSE_MIN_SITES:
-        from scipy.sparse import diags
-        from scipy.sparse.linalg import eigs
+        from scipy.linalg.lapack import zgttrf, zgttrs
 
         diag, off = spec.onsite, spec.bonds
-        h = diags([off, diag, off], [-1, 0, 1], format="csc")
         scale = np.abs(diag).max() + 2.0 * off.max()
         eps = SHIFT * scale
         sigma = omega0 + 1j * eps
-        v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-        k = 6
-        while k <= SPARSE_MAX_K and k < n - 1:
-            w, v = eigs(h, k=k, sigma=sigma, v0=v0)
+        *lu, info = zgttrf(off, diag - sigma, off)
+        q = np.random.default_rng(0).standard_normal(n).astype(complex)
+        q /= np.linalg.norm(q)
+        # the basis rows q_0 .. q_(m-1), one block per doubling, so that
+        # growing it copies no row
+        blocks = []
+        hess = np.zeros((1, 0), dtype=complex)
+        m = SPARSE_MAX_K // 2
+        while info == 0 and 0 < m <= 2 * SPARSE_MAX_K and m < n:
+            done = hess.shape[1]
+            hess = np.pad(hess, (0, m - done))
+            blocks.append(np.empty((m - done, n), dtype=complex))
+            for j in range(done, m):
+                blocks[-1][j - done] = q
+                basis = blocks[:-1] + [blocks[-1][:j - done + 1]]
+                x = zgttrs(*lu, q[:, None])[0][:, 0]
+                for _ in range(2):
+                    xc = x.conj()
+                    coef = [(b @ xc).conj() for b in basis]
+                    for b, c in zip(basis, coef):
+                        x -= c @ b
+                    hess[:j + 1, j] += np.concatenate(coef)
+                hess[j + 1, j] = beta = np.linalg.norm(x)
+                q = x / beta
+            theta, y = np.linalg.eig(hess[:m])
+            w = sigma + 1 / theta
             zero = np.flatnonzero(np.abs(w.real - omega0) <= ZERO_TOL)
             if zero.size:
                 # |Im| closer than the eigenvalue accuracy is a tie, which
@@ -518,15 +544,31 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
                 im = np.abs(w[zero].imag)
                 tied = zero[im <= im.min() + 1e-12 * scale]
                 i = tied[np.lexsort((w[tied].imag, w[tied].real))[0]]
-                psi = v[:, i] / np.linalg.norm(v[:, i])
-                if abs(w[i] - sigma) + 2 * eps < np.abs(w - sigma).max() \
-                        and np.linalg.norm(h @ psi - w[i] * psi) \
-                        <= SPARSE_RESIDUAL * np.log2(n) * scale:
-                    top = int(np.argmax(np.abs(psi)))
-                    psi *= np.conj(psi[top]) / abs(psi[top])
-                    psi[top] = psi[top].real
-                    return _zero_mode(None, w[i], psi, spec, omega0, ZERO_TOL)
-            k *= 2
+                dist = np.abs(w - sigma)
+                if dist[i] + 2 * eps < dist.max():
+                    # Ritz vectors of i and of every Ritz value nearer
+                    # sigma, which must all be eigenpairs of H
+                    pick = np.append(np.flatnonzero(dist < dist[i]), i)
+                    parts = np.split(y[:, pick], np.cumsum(
+                        [len(b) for b in blocks])[:-1])
+                    v = sum(c.T @ b for c, b in zip(parts, blocks))
+                    # then one step of inverse iteration: eig's vectors of
+                    # the Hessenberg matrix, whose entries can reach
+                    # |(H - sigma)^-1| >> |theta|, err by eps times those
+                    v = zgttrs(*lu, v.T)[0].T
+                    v /= np.linalg.norm(v, axis=1)[:, None]
+                    hv = diag * v - w[pick, None] * v
+                    hv[:, :-1] += off * v[:, 1:]
+                    hv[:, 1:] += off * v[:, :-1]
+                    if np.linalg.norm(hv, axis=1).max() \
+                            <= SPARSE_RESIDUAL * np.log2(n) * scale:
+                        psi = v[-1].copy()
+                        top = int(np.argmax(np.abs(psi)))
+                        psi *= np.conj(psi[top]) / abs(psi[top])
+                        psi[top] = psi[top].real
+                        return _zero_mode(None, w[i], psi, spec, omega0,
+                                          ZERO_TOL)
+            m *= 2
     zms = find_zero_modes(chain_modes(spec), spec, omega0)
     return zms[0] if zms else None
 

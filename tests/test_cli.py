@@ -12,7 +12,7 @@ import pytest
 
 import nhzm
 from nhzm.cli import _step_eigenvalues, main
-from nhzm.scenario import (SCENARIO_SCHEMA, ScenarioError,
+from nhzm.scenario import (SCENARIO_SCHEMA, Scenario, ScenarioError,
                            bundled_scenario_names, load_scenario)
 from nhzm.spectral import ZERO_TOL
 
@@ -175,6 +175,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "scenario error: sweep from gamma_start 1.0" in err
         assert "tracking needs at least two" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", [1e-13, 5e-324])
+    def test_sweep_too_fine_exits_2_before_its_grid(self, tmp_path, capsys,
+                                                    monkeypatch, step):
+        # 3e13 points used to end in an _ArrayMemoryError traceback (exit
+        # 1); 5e-324 makes the point count overflow to inf
+        monkeypatch.setattr(Scenario, "sweep_grid",
+                            lambda self: pytest.fail("grid built"))
+        payload = {**MINIMAL, "task": "sweep",
+                   "sweep": {"gamma_start": 0.0, "gamma_stop": 3.0,
+                             "gamma_step": step}}
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error: sweep from gamma_start 0.0" in err
+        assert "eigenvalues a sweep may hold" in err
         assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
@@ -604,13 +622,14 @@ CLI_MODULES = {"nhzm", "nhzm.cli", "nhzm.errors", "nhzm.lattice",
                "nhzm.scenario"}
 
 
-def loaded_modules(statement):
-    """The nhzm modules a fresh interpreter holds after one statement."""
+def loaded_modules(statement, package="nhzm"):
+    """The modules of one package a fresh interpreter holds after one
+    statement."""
     code = "\n".join([
         "import json, sys",
         statement,
         "print(json.dumps(sorted(m for m in sys.modules",
-        "                        if m.split('.')[0] == 'nhzm')))",
+        f"                        if m.split('.')[0] == {package!r})))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=child_env())
@@ -652,6 +671,21 @@ class TestLoadedModules:
             f"from nhzm.cli import main; assert main({argv!r}) == 0") \
             == CLI_MODULES | {f"nhzm.{layer}" for layer in layers}
 
+    @pytest.mark.parametrize("task", ["mode-profile", "ensemble"])
+    def test_long_chain_loads_no_scipy_sparse(self, tmp_path, task):
+        # from 64 sites on lowest_zero_mode runs its own Arnoldi on LAPACK's
+        # tridiagonal LU; ARPACK, through scipy.sparse, started a second
+        # BLAS thread pool beside numpy's
+        scenario = write_scenario(tmp_path, {
+            **PERTURBATION, "task": task,
+            "reservoir": {**PERTURBATION["reservoir"], "n": 60},
+            "ensemble": {"n_realizations": 8}})
+        argv = ["run", scenario, "--out", str(tmp_path / "out")]
+        scipy = loaded_modules(
+            f"from nhzm.cli import main; assert main({argv!r}) == 0", "scipy")
+        assert "scipy.linalg.lapack" in scipy
+        assert not [m for m in scipy if m.startswith("scipy.sparse")]
+
     def test_report_and_schema_load_no_layer(self, tmp_path):
         # one directory holding the output files of every task, so that
         # the report summarizes each kind
@@ -687,7 +721,7 @@ class TestLongChain:
     def test_mode_profile_memory_stays_linear(self, tmp_path):
         # the dense 5009 x 5009 complex matrix alone would take 400 MB
         path = self.profile_scenario(tmp_path, 5000)
-        import scipy.sparse.linalg  # noqa: F401  (import outside the count)
+        import scipy.linalg.lapack  # noqa: F401  (import outside the count)
         tracemalloc.start()
         try:
             assert main(["run", path, "--out", str(tmp_path / "out")]) == 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import nhzm
 from nhzm.errors import DomainError
-from nhzm.localization import Regime
+from nhzm.localization import Regime, _fit_line
 
 from conftest import baseline_zero_mode, chain_modes
 
@@ -235,6 +235,23 @@ class TestFitTail:
     def test_zero_amplitude_rejected_for_exponential(self):
         with pytest.raises(DomainError):
             nhzm.fit_tail(np.zeros(6), range(6), "exponential")
+
+    def test_line_fit_is_polyfit_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for length in range(3, 601):
+            x = np.arange(length, dtype=float)
+            for y in (rng.random(length), np.full(length, 0.7),
+                      np.log(rng.random(length))):
+                slope, intercept = np.polyfit(x, y, 1)
+                resid = y - (slope * x + intercept)
+                ss_tot = float(np.sum((y - y.mean()) ** 2))
+                ss_res = float(resid @ resid)
+                r2 = (1.0 if ss_res <= 1e-24 else 0.0) if ss_tot == 0.0 \
+                    else 1.0 - ss_res / ss_tot
+                fit = _fit_line(y)
+                assert [v.hex() for v in (fit.slope, fit.intercept,
+                                          fit.r_squared)] == \
+                    [float(v).hex() for v in (slope, intercept, r2)], length
 
 
 class TestExtendedBounds:
