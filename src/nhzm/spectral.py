@@ -495,12 +495,13 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
     the Ritz vector of every Ritz value nearer sigma, is below
     ``SPARSE_RESIDUAL * log2(N)`` times the scale.  Each such vector takes
     one step of inverse iteration first.  The start vector is fixed, so
-    runs repeat bit for bit.  The eigenvector is scaled as LAPACK scales
-    dense ones: unit norm, largest entry real and positive.  Where H - sigma
-    has an exactly zero pivot, or no Krylov dimension yields an accepted
-    zero mode, the dense path decides, ``chain_modes`` (on the real form
-    where the chain has one), which raises EigensolverError for a chain
-    longer than ``DENSE_MAX_SITES``.
+    runs at one BLAS thread count repeat bit for bit; OpenBLAS's threaded
+    zgemv rounds differently on another.  The eigenvector is scaled as
+    LAPACK scales dense ones: unit norm, largest entry real and positive.
+    Where H - sigma has an exactly zero pivot, or no Krylov dimension
+    yields an accepted zero mode, the dense path decides, ``chain_modes``
+    (on the real form where the chain has one), which raises
+    EigensolverError for a chain longer than ``DENSE_MAX_SITES``.
     """
     n = spec.n_sites
     if n >= SPARSE_MIN_SITES:
