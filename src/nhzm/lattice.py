@@ -188,6 +188,17 @@ class Hamiltonian:
         return float(np.linalg.norm(self.matrix, 2)) if self.matrix.size else 0.0
 
 
+def _check_chain(n_sites: int, t_a: float, t_b: float, gamma: float) -> None:
+    """Raise InvalidSpecError on a chain length, couplings or gamma that
+    ``build_reservoir`` refuses."""
+    if n_sites < 1:
+        raise InvalidSpecError("n_sites must be >= 1")
+    if not (t_a > 0 and t_b > 0):
+        raise InvalidSpecError("couplings must be strictly positive")
+    if not 0 <= gamma < np.inf:
+        raise InvalidSpecError(f"gamma must be finite and >= 0, got {gamma}")
+
+
 def build_reservoir(n_sites: int, t_a: float, t_b: float, gamma: float,
                     onsite: float = 0.0, first_sign: int = +1,
                     start_sublattice: str = "A") -> LatticeSpec:
@@ -204,12 +215,7 @@ def build_reservoir(n_sites: int, t_a: float, t_b: float, gamma: float,
         Sign of the imaginary onsite on the first site.  The default puts
         gain (+i*gamma) on the first site, i.e. on ``start_sublattice``.
     """
-    if n_sites < 1:
-        raise InvalidSpecError("n_sites must be >= 1")
-    if not (t_a > 0 and t_b > 0):
-        raise InvalidSpecError("couplings must be strictly positive")
-    if not 0 <= gamma < np.inf:
-        raise InvalidSpecError(f"gamma must be finite and >= 0, got {gamma}")
+    _check_chain(n_sites, t_a, t_b, gamma)
     if first_sign not in (+1, -1):
         raise InvalidSpecError("first_sign must be +1 or -1")
     gain_loss = _alternating(n_sites, first_sign * gamma, -first_sign * gamma)
@@ -273,13 +279,27 @@ def coupled_chain(gamma: float, *, n_system: int = 9, system_t_a: float = 1.0,
     to each other at the interface (the defect-state configuration).
     ``reservoir_onsite`` overrides the reservoir's real onsite energy for
     detuned Hermitian-reservoir studies.
+
+    The spec is ``couple(system, reservoir, t_prime)`` of the two
+    ``build_reservoir`` chains, bit for bit, but built as one spec and
+    validated once; it raises InvalidSpecError on the same arguments.
     """
+    _check_chain(n_system, system_t_a, system_t_b, system_gamma)
+    _check_chain(n_reservoir, reservoir_t_a, reservoir_t_b, gamma)
     # only an odd system ends on "B" and couples to the reservoir's "A";
     # its last site, next to the junction, carries gain like its first
-    system = build_reservoir(n_system, system_t_a, system_t_b, system_gamma,
-                             onsite, start_sublattice="B")
-    reservoir = build_reservoir(
-        n_reservoir, reservoir_t_a, reservoir_t_b, gamma,
-        onsite if reservoir_onsite is None else reservoir_onsite,
-        first_sign=+1, start_sublattice="A")
-    return couple(system, reservoir, t_prime)
+    if n_system % 2 == 0:
+        raise InvalidSpecError(
+            "sublattice alternation breaks at the junction; relabel one chain")
+    ns, n = n_system, n_system + n_reservoir
+    real = np.empty(n)
+    real[:ns] = onsite
+    real[ns:] = onsite if reservoir_onsite is None else reservoir_onsite
+    gain_loss = np.empty(n)
+    gain_loss[:ns:2], gain_loss[1:ns:2] = system_gamma, -system_gamma
+    gain_loss[ns::2], gain_loss[ns + 1::2] = gamma, -gamma
+    bonds = np.empty(n - 1)
+    bonds[:ns - 1:2], bonds[1:ns - 1:2] = system_t_a, system_t_b
+    bonds[ns - 1] = t_prime
+    bonds[ns::2], bonds[ns + 1::2] = reservoir_t_a, reservoir_t_b
+    return LatticeSpec(real + 1j * gain_loss, bonds, "B", partition=ns)

@@ -193,33 +193,44 @@ def eigendecompose(h: Hamiltonian) -> ModeSet:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise EigensolverError(f"dense eigensolver failed: {exc}", matrix=m) from exc
     norm_bound = np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
-    return _modeset(w, vr, norm_bound)
+    return next(_modeset(w[None], vr[None], np.array([norm_bound])))
 
 
-def _modeset(w: np.ndarray, vr: np.ndarray, norm_bound: float) -> ModeSet:
-    """The ``ModeSet`` of eigenpairs (w, vr) of a matrix of scale norm_bound.
+def _modeset(w: np.ndarray, vr: np.ndarray, norm_bound: np.ndarray):
+    """The ``ModeSet``s of eigenpairs w (k, N), vr (k, N, N) of k matrices.
 
-    Sorts by (Re, Im), scales the vectors to unit norm and runs the
-    near-defective screen of ``eigendecompose``.  Beside the sorted copy of
-    vr, its temporaries hold at most ``SCRATCH_BYTES`` at a time.
+    Yields one ModeSet a matrix, in order; norm_bound (k,) holds each
+    matrix's scale.  Sorts by (Re, Im), scales the vectors to unit norm and
+    runs the near-defective screen of ``eigendecompose``.  The sorted
+    vectors of as many matrices as fit in ``SCRATCH_BYTES`` (one at least)
+    go into one new array, which their ModeSets share, with column j of
+    matrix s in row (s, j).  So each column is contiguous, as in one
+    matrix's ``vr[:, order]``, every reduction runs along it, and every bit
+    is that of the matrix alone.  Beside vr and that array, each temporary
+    holds at most ``SCRATCH_BYTES``.
     """
-    n = len(w)
+    k, n = w.shape
     order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    vr = vr[:, order]
-    # column blocks of the norm, then one in-place division: no second
-    # N x N copy and no N x N temporary
-    cols = max(1, SCRATCH_BYTES // (16 * n))
-    norms = np.empty(n)
-    for lo in range(0, n, cols):
-        norms[lo:lo + cols] = np.linalg.norm(vr[:, lo:lo + cols], axis=0)
-    vr /= norms
-
+    w = w[np.arange(k)[:, None], order]
     gaps = _gaps(w)
-    self_overlaps = np.abs(np.einsum("ij,ij->j", vr, vr))
-    flagged = (gaps < DEFECT_GAP_FRACTION * max(norm_bound, 1e-300)) | (
-        self_overlaps < DEFECT_OVERLAP)
-    return ModeSet(w, vr, gaps, self_overlaps, flagged)
+    gap_flags = gaps < DEFECT_GAP_FRACTION * np.maximum(norm_bound,
+                                                        1e-300)[:, None]
+    per = max(1, SCRATCH_BYTES // (16 * n * n))
+    rows = max(1, SCRATCH_BYTES // (16 * n))
+    for lo in range(0, k, per):
+        chunk = order[lo:lo + per]
+        vecs = vr[lo:lo + per].transpose(0, 2, 1)[
+            np.arange(len(chunk))[:, None], chunk]
+        cols = vecs.reshape(-1, n)
+        norms = np.empty(len(cols))
+        for r in range(0, len(cols), rows):
+            norms[r:r + rows] = np.linalg.norm(cols[r:r + rows], axis=1)
+        cols /= norms[:, None]
+        self_overlaps = np.abs(np.einsum("sji,sji->sj", vecs, vecs))
+        flagged = gap_flags[lo:lo + per] | (self_overlaps < DEFECT_OVERLAP)
+        for s, v in enumerate(vecs):
+            yield ModeSet(w[lo + s], v.T, gaps[lo + s], self_overlaps[s],
+                          flagged[s])
 
 
 # i^j for j mod 4: the diagonal similarity D of ``_real_form_modes``
@@ -246,7 +257,8 @@ STACK_BYTES = 64 * 2 ** 20
 # a thread 126.8 MB on 2.  Two one-step threads at N = 509 raised a
 # 16-step sweep's peak from 157 to 174 MB.
 CHUNK_BYTES = 2_800_000
-# Bytes of the temporaries ``_modeset`` builds at once, beside the vectors.
+# Bytes of the temporaries ``_modeset`` and ``_gaps`` build at once, beside
+# the vectors, and of the sorted vectors that ModeSets of one stack share.
 SCRATCH_BYTES = 2 ** 18
 
 
@@ -349,28 +361,28 @@ def _stacked_modes(block):
     """The ModeSets of real-form specs of one length, solved as one stack."""
     if not block:
         return
-    n = block[0].n_sites
-    phases = _PHASES[np.arange(n) % 4, None]
-    a = np.zeros((len(block), n, n))
-    for s, spec in zip(a, block):
-        s.flat[::n + 1] = spec.onsite.imag
-        s.flat[1::n + 1] = spec.bonds
-        s.flat[n::n + 1] = -spec.bonds
+    onsite = np.array([spec.onsite for spec in block])
+    bonds = np.array([spec.bonds for spec in block])
+    k, n = onsite.shape
+    a = np.zeros((k, n, n))
+    a.reshape(k, -1)[:, ::n + 1] = onsite.imag
+    a.reshape(k, -1)[:, 1::n + 1] = bonds
+    a.reshape(k, -1)[:, n::n + 1] = -bonds
     try:
         lam, v = _chunked_eig(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolver failed: {exc}",
                                matrix=a) from exc
     del a
-    for lam_k, v_k, spec in zip(lam, v, block):
-        w = np.empty(n, dtype=complex)
-        w.real = spec.onsite.real[0] - lam_k.imag
-        w.imag = lam_k.real
-        # |H|_1 = |H|_inf for symmetric H: the largest row sum of the chain
-        rows = np.abs(spec.onsite)
-        rows[:-1] += spec.bonds
-        rows[1:] += spec.bonds
-        yield _modeset(w, v_k * phases, rows.max())
+    v *= _PHASES[np.arange(n) % 4, None]
+    w = np.empty((k, n), dtype=complex)
+    w.real = onsite.real[:, :1] - lam.imag
+    w.imag = lam.real
+    # |H|_1 = |H|_inf for symmetric H: the largest row sum of the chain
+    rows = np.abs(onsite)
+    rows[:, :-1] += bonds
+    rows[:, 1:] += bonds
+    yield from _modeset(w, v, rows.max(axis=1))
 
 
 def chain_modes(spec: LatticeSpec) -> ModeSet:
@@ -396,16 +408,20 @@ def chain_modes(spec: LatticeSpec) -> ModeSet:
 def _gaps(w: np.ndarray) -> np.ndarray:
     """Distance from each eigenvalue to the nearest other one (inf if alone).
 
-    Built in row blocks of at most ``SCRATCH_BYTES`` of complex distances.
+    Along the last axis of w, of shape (N,) or (k, N).  Built in blocks of
+    at most ``SCRATCH_BYTES`` of complex distances.
     """
-    n = len(w)
+    n = w.shape[-1]
+    stack = w.reshape(-1, n)
+    flat = stack.ravel()
     rows = max(1, SCRATCH_BYTES // (16 * n))
-    gaps = np.empty(n)
-    for lo in range(0, n, rows):
-        diff = np.abs(w[lo:lo + rows, None] - w[None, :])
-        diff[np.arange(len(diff)), np.arange(lo, lo + len(diff))] = np.inf
-        gaps[lo:lo + rows] = diff.min(axis=1)
-    return gaps
+    gaps = np.empty(len(flat))
+    for lo in range(0, len(flat), rows):
+        at = np.arange(lo, min(lo + rows, len(flat)))
+        diff = np.abs(flat[at, None] - stack[at // n])
+        diff[np.arange(len(at)), at % n] = np.inf
+        gaps[at] = diff.min(axis=1)
+    return gaps.reshape(w.shape)
 
 
 def check_spectral_symmetry(modes: ModeSet, omega0: float = 0.0,
@@ -579,23 +595,24 @@ def sweep_gamma(spec_of_gamma, gamma_grid):
 
     Returns an iterator over the steps' ModeSets, in grid order; the grid
     is checked at the call, each step is built and solved only as the
-    iterator reaches it, and the iterator keeps no ModeSet it returned.
-    Fed to ``track_modes``, a sweep of any length then holds one block of
-    ``STACK_BYTES`` and two ModeSets (16 N^2 bytes each); ``list()`` it to
-    keep every step.  The steps are solved by ``_real_form_modes``: chains
-    whose onsite energies share one real part omega0 (every
-    ``coupled_chain`` without a detuned ``reservoir_onsite``) are solved in
-    real arithmetic, through the real tridiagonal form of -i(H - omega0),
-    stacked in blocks of at most ``STACK_BYTES`` of matrices and vectors
-    (24 N^2 bytes a step).  Each block is solved in chunks, one
-    ``np.linalg.eig`` call each, on one thread per CPU; the chunks in
-    flight hold ``CHUNK_BYTES`` together, or one step a thread where a step
-    is larger.  Every output bit is that of one call on the whole stack,
-    whatever the CPU count.  Any other chain is solved by
+    iterator reaches it, and the iterator keeps no ModeSet it returned.  Fed
+    to ``track_modes``, a sweep of any length then holds one block of
+    ``STACK_BYTES`` and two ModeSets (16 N^2 bytes each, or the array of at
+    most ``SCRATCH_BYTES`` that each shares with its neighbours in the
+    block); ``list()`` it to keep every step.  The steps are solved by
+    ``_real_form_modes``: chains whose onsite energies share one real part
+    omega0 (every ``coupled_chain`` without a detuned ``reservoir_onsite``)
+    are solved in real arithmetic, through the real tridiagonal form of
+    -i(H - omega0), stacked in blocks of at most ``STACK_BYTES`` of
+    matrices and vectors (24 N^2 bytes a step).  Each block is solved in
+    chunks, one ``np.linalg.eig`` call each, on one thread per CPU; the
+    chunks in flight hold ``CHUNK_BYTES`` together, or one step a thread
+    where a step is larger.  Every output bit is that of one call on the
+    whole stack, whatever the CPU count.  Any other chain is solved by
     ``eigendecompose``.  Both give the same ``ModeSet`` up to rounding, but
     on the real form an on-axis mode has Re(omega) == omega0 exactly and
-    the partners omega, -omega* of an NHPH pair have bitwise-equal Im, where
-    the complex solver leaves noise of order 1e-15 in both; a sweep's
+    the partners omega, -omega* of an NHPH pair have bitwise-equal Im,
+    where the complex solver leaves noise of order 1e-15 in both; a sweep's
     outputs differ from the complex path's in those low bits and, through
     tie-breaks, in which partner of a pair carries which mode number.
     ``eigendecompose`` stays complex.  ``chain_modes``, and with it the
@@ -623,42 +640,49 @@ def track_modes(sweep, parameters=None) -> list[ModeTrajectory]:
     (see ``_greedy_match``).  When the overlap of a mode's match is below
     0.5 its trajectory is split: the old one ends and a new one starts at
     that step, with a warning "mode trajectory split at step ...".  At
-    every step the live trajectories hold each column exactly once.
+    every step the live trajectories hold each column exactly once.  The
+    trajectories come in order of their start step, then first column.
     """
     steps = iter(sweep)
     prev = next(steps, None)
-    live = {} if prev is None else {
-        j: {"start": 0, "eigenvalues": [prev.eigenvalues[j]],
-            "columns": [j], "overlaps": []}
-        for j in range(prev.n_modes)
-    }
-    finished = []
-    n_steps = 0 if prev is None else 1
+    # per step: the trajectory id of each column, the eigenvalues, and the
+    # overlap of the match that reached each column.  Ids count up in order
+    # of (start, first column), the order of the returned list.
+    ids, eigenvalues, overlaps = [], [], []
+    if prev is not None:
+        n = prev.n_modes
+        ids.append(np.arange(n))
+        eigenvalues.append(prev.eigenvalues)
+        overlaps.append(np.full(n, np.nan))
+        starts = [0] * n
+        # a split's new trajectory takes the place of the one it ends, and
+        # splits are warned of in the order of places: place p holds column
+        # places[p], and held column p at step 0
+        places = np.arange(n)
 
     for step, modes in enumerate(steps, start=1):
         overlap = np.abs(prev.right_vectors.conj().T @ modes.right_vectors)
-        match = _greedy_match(overlap).tolist()
-        new_live = {}
-        for i, traj in live.items():
-            j = match[i]
-            ov = overlap[i, j]
-            if ov < 0.5:
-                warnings.warn(
-                    f"mode trajectory split at step {step}: overlap {ov:.3f}",
-                    stacklevel=2)
-                finished.append((traj, step))
-                new_live[j] = {"start": step,
-                               "eigenvalues": [modes.eigenvalues[j]],
-                               "columns": [j], "overlaps": []}
-            else:
-                traj["eigenvalues"].append(modes.eigenvalues[j])
-                traj["columns"].append(j)
-                traj["overlaps"].append(ov)
-                new_live[j] = traj
-        live = new_live
+        match = _greedy_match(overlap)
+        ov = overlap[np.arange(n), match]
+        by_place = ov[places]
+        for value in by_place[by_place < 0.5]:
+            warnings.warn(
+                f"mode trajectory split at step {step}: overlap {value:.3f}",
+                stacklevel=2)
+        places = match[places]
+        col_ids = np.empty(n, dtype=int)
+        col_ids[match] = ids[-1]
+        new = np.sort(match[ov < 0.5])
+        col_ids[new] = len(starts) + np.arange(len(new))
+        starts += [step] * len(new)
+        col_ov = np.empty(n)
+        col_ov[match] = ov
+        ids.append(col_ids)
+        eigenvalues.append(modes.eigenvalues)
+        overlaps.append(col_ov)
         prev = modes
-        n_steps = step + 1
 
+    n_steps = len(ids)
     if n_steps < 2:
         raise ValueError("need at least two sweep points to track modes")
     params = np.arange(n_steps, dtype=float) if parameters is None \
@@ -666,9 +690,21 @@ def track_modes(sweep, parameters=None) -> list[ModeTrajectory]:
     if len(params) != n_steps:
         raise ValueError(f"{len(params)} parameters for {n_steps} sweep "
                          "points; need one a step")
-    finished.extend((traj, n_steps) for traj in live.values())
-    trajectories = [_close(traj, params, end) for traj, end in finished]
-    trajectories.sort(key=lambda t: (t.start, t.column_indices[0]))
+    # each trajectory's points, in step order
+    ids = np.concatenate(ids)
+    order = np.argsort(ids, kind="stable")
+    eigenvalues = np.concatenate(eigenvalues)[order]
+    overlaps = np.concatenate(overlaps)[order]
+    columns = order % n
+    trajectories = []
+    lo = 0
+    for start, count in zip(starts, np.bincount(ids).tolist()):
+        hi = lo + count
+        trajectories.append(ModeTrajectory(
+            start=start, parameters=params[start:start + count],
+            eigenvalues=eigenvalues[lo:hi], column_indices=columns[lo:hi],
+            overlaps=overlaps[lo + 1:hi]))
+        lo = hi
     return trajectories
 
 
@@ -701,17 +737,6 @@ def _greedy_match(overlap: np.ndarray) -> np.ndarray:
     return match
 
 
-def _close(traj: dict, params: np.ndarray, end: int) -> ModeTrajectory:
-    start = traj["start"]
-    return ModeTrajectory(
-        start=start,
-        parameters=params[start:end],
-        eigenvalues=np.array(traj["eigenvalues"]),
-        column_indices=np.array(traj["columns"]),
-        overlaps=np.array(traj["overlaps"]),
-    )
-
-
 def assign_mode_numbers(trajectories: list[ModeTrajectory],
                         n_steps: int) -> list[ModeTrajectory]:
     """Number trajectories 1..k by final-point Im(omega), largest magnitude first.
@@ -740,23 +765,24 @@ def fit_pair_threshold(traj_a: ModeTrajectory, traj_b: ModeTrajectory,
     Im(omega)^2 = gamma^2 - gamma_mu^2 pooled over both branches.
     """
     lo = max(traj_a.start, traj_b.start)
-    hi = min(traj_a.start + len(traj_a.eigenvalues),
-             traj_b.start + len(traj_b.eigenvalues))
-    samples = []
-    for step in range(lo, hi):
-        wa = traj_a.eigenvalues[step - traj_a.start]
-        wb = traj_b.eigenvalues[step - traj_b.start]
-        g = traj_a.parameters[step - traj_a.start]
-        if abs(wa.real - omega0) > re_tol or abs(wb.real - omega0) > re_tol:
-            continue
-        if np.sign(wa.imag) * np.sign(wb.imag) >= 0:
-            continue
-        samples.append(g * g - wa.imag ** 2)
-        samples.append(g * g - wb.imag ** 2)
-    if len(samples) < 6:
+    n = max(0, min(traj_a.start + len(traj_a.eigenvalues),
+                   traj_b.start + len(traj_b.eigenvalues)) - lo)
+    wa = traj_a.eigenvalues[lo - traj_a.start:][:n]
+    wb = traj_b.eigenvalues[lo - traj_b.start:][:n]
+    g = traj_a.parameters[lo - traj_a.start:][:n]
+    # negated tests keep a NaN point, as a test that skips points would
+    keep = ~((np.abs(wa.real - omega0) > re_tol)
+             | (np.abs(wb.real - omega0) > re_tol)
+             | (np.sign(wa.imag) * np.sign(wb.imag) >= 0))
+    # pooled in step order, a then b; float_power squares with libm's pow,
+    # as a scalar ``x ** 2`` does
+    g_sq = g[keep] * g[keep]
+    samples = np.stack([g_sq - np.float_power(wa.imag[keep], 2),
+                        g_sq - np.float_power(wb.imag[keep], 2)], axis=1)
+    if len(samples) < 3:
         raise FitError(
             "need at least 3 sweep points with opposite-sign Im(omega) "
-            f"beyond the bifurcation, found {len(samples) // 2}")
+            f"beyond the bifurcation, found {len(samples)}")
     gamma_sq = float(np.mean(samples))
     if gamma_sq < 0:
         raise FitError("pair-threshold fit produced a negative gamma^2")

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nhzm
@@ -191,6 +191,64 @@ class TestAssemble:
             nhzm.assemble_hamiltonian(spec)
         monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites)
         assert nhzm.assemble_hamiltonian(spec).dim == spec.n_sites
+
+
+def _values(lo, hi):
+    """Floats in [lo, hi], and integers and signed zeros where allowed."""
+    special = [v for v in (0, -0.0, 1, 2) if lo <= v <= hi]
+    return st.floats(lo, hi) | st.sampled_from(special)
+
+
+_VALID = {
+    "gamma": _values(0.0, 4.0), "n_system": st.integers(0, 5).map(
+        lambda k: 2 * k + 1), "system_t_a": _values(0.1, 3.0),
+    "system_t_b": _values(0.1, 3.0), "n_reservoir": st.integers(1, 12),
+    "reservoir_t_a": _values(0.1, 3.0), "reservoir_t_b": _values(0.1, 3.0),
+    "t_prime": _values(0.05, 1.0), "onsite": _values(-2.0, 2.0),
+    "system_gamma": _values(0.0, 2.0),
+    "reservoir_onsite": st.none() | _values(-2.0, 2.0),
+}
+# one argument at a value that a check may refuse: a length below 1 or
+# even, a coupling or gamma not finite and positive, an onsite not finite
+_INVALID = st.sampled_from(sorted(_VALID)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(
+        [0, -1, 2, 8] if name.startswith("n_")
+        else [np.inf, -np.inf, np.nan] if "onsite" in name
+        else [0.0, -0.5, np.inf, -np.inf, np.nan])))
+
+
+def _coupled_pair(gamma, n_system, system_t_a, system_t_b, n_reservoir,
+                  reservoir_t_a, reservoir_t_b, t_prime, onsite, system_gamma,
+                  reservoir_onsite):
+    """``coupled_chain``'s spec built from its two chains and ``couple``."""
+    system = nhzm.build_reservoir(n_system, system_t_a, system_t_b,
+                                  system_gamma, onsite, start_sublattice="B")
+    reservoir = nhzm.build_reservoir(
+        n_reservoir, reservoir_t_a, reservoir_t_b, gamma,
+        onsite if reservoir_onsite is None else reservoir_onsite)
+    return nhzm.couple(system, reservoir, t_prime)
+
+
+class TestCoupledChain:
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries(_VALID), st.none() | _INVALID)
+    @example({**nhzm.lattice.coupled_chain.__kwdefaults__, "gamma": 2.0},
+             ("n_system", 8))
+    def test_one_spec_equals_the_coupled_pair(self, kwargs, invalid):
+        # both refuse the arguments or both give the same spec, bit for bit
+        if invalid is not None:
+            kwargs = {**kwargs, invalid[0]: invalid[1]}
+        try:
+            ref = _coupled_pair(**kwargs)
+        except InvalidSpecError:
+            with pytest.raises(InvalidSpecError):
+                nhzm.coupled_chain(**kwargs)
+            return
+        spec = nhzm.coupled_chain(**kwargs)
+        assert spec.onsite.tobytes() == ref.onsite.tobytes()
+        assert spec.bonds.tobytes() == ref.bonds.tobytes()
+        assert (spec.first_sublattice, spec.partition) \
+            == (ref.first_sublattice, ref.partition)
 
 
 @st.composite

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import nhzm
 from nhzm.errors import EigensolverError, FitError
+from nhzm.scenario import load_scenario
 from nhzm.spectral import (DEFECT_GAP_FRACTION, DEFECT_OVERLAP,
                            SPARSE_MIN_SITES, ZERO_TOL, ModeTrajectory,
                            _gaps, _modeset, _real_form_modes,
@@ -169,23 +170,29 @@ class TestEigendecompose:
             tracemalloc.stop()
         assert peak < 2.5 * 16 * n * n
 
-    @pytest.mark.parametrize("scratch", [1, 7, 10 ** 9])
+    @pytest.mark.parametrize("scratch", [1, 7, 2 * 59 + 5, 10 ** 9])
     def test_blocked_scratch_matches_whole_arrays(self, monkeypatch, scratch):
-        # blocks of 1 row or column, of 7 and of everything at once
+        # blocks of 1 row or column, of 7, of two 59-site matrices and 5
+        # rows, and of everything at once
         n = 400
         h = nhzm.assemble_hamiltonian(nhzm.coupled_chain(
             0.7, n_reservoir=n - 9))
         w, vr = np.linalg.eig(h.matrix)
         monkeypatch.setattr(nhzm.spectral, "SCRATCH_BYTES", scratch * 16 * n)
-        modes = _modeset(w, vr, 1.0)
-        order = np.lexsort((w.imag, w.real))
-        ref = vr[:, order]
-        ref = ref / np.linalg.norm(ref, axis=0, keepdims=True)
-        assert modes.right_vectors.strides == ref.strides
-        assert modes.right_vectors.tobytes() == ref.tobytes()
+        modes = next(_modeset(w[None], vr[None], np.ones(1)))
+        same_modesets([modes], [whole_array_modeset(w, vr, 1.0)])
         dist = np.abs(w[:, None] - w[None, :])
         np.fill_diagonal(dist, np.inf)
         assert _gaps(w).tobytes() == dist.min(axis=1).tobytes()
+        # a stack: each matrix's ModeSet as the matrix alone gives it
+        m = 59
+        hs = np.stack([nhzm.assemble_hamiltonian(nhzm.coupled_chain(
+            g, n_reservoir=m - 9)).matrix for g in (0.0, 0.5, 1.9, 2.0, 3.0)])
+        w, vr = np.linalg.eig(hs)
+        bounds = np.linspace(1.0, 3.0, len(w))
+        monkeypatch.setattr(nhzm.spectral, "SCRATCH_BYTES", scratch * 16 * m)
+        same_modesets(list(_modeset(w, vr, bounds)), [
+            whole_array_modeset(*one) for one in zip(w, vr, bounds)])
 
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 3.0])
     def test_biorthonormal_within_tolerance(self, gamma):
@@ -494,12 +501,28 @@ def real_form(spec):
 
 
 def same_modesets(got, expected):
-    """Every field of each ModeSet equal bit for bit."""
+    """Every field of each ModeSet equal bit for bit, in the same layout."""
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         for field in dataclasses.fields(b):
             x, y = getattr(a, field.name), getattr(b, field.name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert x.strides == y.strides
+
+
+def whole_array_modeset(w, vr, norm_bound):
+    """The ModeSet of one matrix's eigenpairs, each step on whole arrays."""
+    order = np.lexsort((w.imag, w.real))
+    w = w[order]
+    vr = vr[:, order]
+    vr = vr / np.linalg.norm(vr, axis=0)
+    dist = np.abs(w[:, None] - w[None, :])
+    np.fill_diagonal(dist, np.inf)
+    gaps = dist.min(axis=1)
+    overlaps = np.abs(np.einsum("ij,ij->j", vr, vr))
+    return nhzm.ModeSet(w, vr, gaps, overlaps, (
+        gaps < DEFECT_GAP_FRACTION * max(norm_bound, 1e-300))
+        | (overlaps < DEFECT_OVERLAP))
 
 
 def trajectory(eigenvalues):
@@ -613,6 +636,21 @@ class TestRealFormSweep:
                     same_modesets(list(nhzm.sweep_gamma(family, grid)),
                                   one_call)
                     assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("n_reservoir, per_block", [(10, 301), (50, 151)],
+                             ids=["fig2", "59-sites-two-blocks"])
+    def test_sweep_matches_lone_solves(self, monkeypatch, n_reservoir,
+                                       per_block):
+        # fig2's grid at its 19 sites in one block, and at the benchmark's
+        # 59 sites in blocks of 151 and 150 steps
+        specs = [nhzm.coupled_chain(g, n_reservoir=n_reservoir)
+                 for g in load_scenario("fig2").sweep_grid()]
+        assert len(specs) == 301
+        lone = [next(_real_form_modes([spec])) for spec in specs]
+        n = specs[0].n_sites
+        monkeypatch.setattr(nhzm.spectral, "STACK_BYTES",
+                            per_block * 24 * n * n)
+        same_modesets(list(_real_form_modes(specs)), lone)
 
     def test_one_thread_per_cpu_and_chunk(self, monkeypatch):
         started = []
@@ -796,6 +834,42 @@ class TestRealFormSweep:
                 == (1, 2, 3)
 
 
+def reference_fit_pair_threshold(traj_a, traj_b, omega0=0.0,
+                                 re_tol=ZERO_TOL):
+    """``fit_pair_threshold`` as a loop over the steps both trajectories
+    share, sampled one step at a time."""
+    lo = max(traj_a.start, traj_b.start)
+    hi = min(traj_a.start + len(traj_a.eigenvalues),
+             traj_b.start + len(traj_b.eigenvalues))
+    samples = []
+    for step in range(lo, hi):
+        wa = traj_a.eigenvalues[step - traj_a.start]
+        wb = traj_b.eigenvalues[step - traj_b.start]
+        g = traj_a.parameters[step - traj_a.start]
+        if abs(wa.real - omega0) > re_tol or abs(wb.real - omega0) > re_tol:
+            continue
+        if np.sign(wa.imag) * np.sign(wb.imag) >= 0:
+            continue
+        samples.append(g * g - wa.imag ** 2)
+        samples.append(g * g - wb.imag ** 2)
+    if len(samples) < 6:
+        raise FitError(
+            "need at least 3 sweep points with opposite-sign Im(omega) "
+            f"beyond the bifurcation, found {len(samples) // 2}")
+    gamma_sq = float(np.mean(samples))
+    if gamma_sq < 0:
+        raise FitError("pair-threshold fit produced a negative gamma^2")
+    return float(np.sqrt(gamma_sq))
+
+
+def fit_outcome(fit, a, b, omega0=0.0):
+    """A fit's value as hex, or its FitError's message."""
+    try:
+        return fit(a, b, omega0).hex()
+    except FitError as exc:
+        return str(exc)
+
+
 class TestFitPairThreshold:
     @staticmethod
     def synthetic_pair(gamma_mu, grid):
@@ -824,6 +898,50 @@ class TestFitPairThreshold:
         a, b = self.synthetic_pair(1.0, np.linspace(1.05, 1.1, 2))
         with pytest.raises(FitError):
             nhzm.fit_pair_threshold(a, b)
+
+    def test_matches_the_step_loop_on_fig2(self):
+        scenario = load_scenario("fig2")
+        grid = scenario.sweep_grid()
+        trajectories = nhzm.track_modes(
+            nhzm.sweep_gamma(scenario.build_spec, grid), grid)
+        outcomes = [[fit_outcome(fit, a, b) for a in trajectories
+                     for b in trajectories]
+                    for fit in (nhzm.fit_pair_threshold,
+                                reference_fit_pair_threshold)]
+        assert outcomes[0] == outcomes[1]
+        # fits of the five pairs, both orders, and refusals
+        fits = sum(o.startswith("0x") for o in outcomes[0])
+        assert 10 <= fits < len(outcomes[0])
+
+    def test_matches_the_step_loop_on_random_pairs(self):
+        # partial overlaps, disjoint steps, points off the axis, same-sign
+        # and NaN Im, Im above gamma (a negative gamma^2); |Im| where libm's
+        # pow(x, 2), which the scalar x ** 2 calls, differs from x * x
+        rng = np.random.default_rng(5)
+        grid = np.linspace(0.0, 3.0, 24)
+        x = rng.uniform(0.0, 3.5, 10 ** 5)
+        x = x[np.array([v ** 2 for v in x]) != x * x]
+        assert len(x) > 20
+        kinds = set()
+        for _ in range(600):
+            pair = []
+            for _ in range(2):
+                start, n = rng.integers(0, 8), rng.integers(1, 16)
+                re = rng.choice([0.0, 1e-9, 1e-7, 0.3], n, p=[.7, .1, .1, .1])
+                im = rng.choice([-1.0, 1.0], n) * rng.choice(x, n)
+                im[rng.random(n) < 0.02] = np.nan
+                pair.append(ModeTrajectory(
+                    start=start, parameters=grid[start:start + n],
+                    eigenvalues=re + 1j * im,
+                    column_indices=np.zeros(n, dtype=int),
+                    overlaps=np.ones(n - 1)))
+            omega0 = rng.choice([0.0, 0.3])
+            got, ref = (fit_outcome(fit, *pair, omega0) for fit in (
+                nhzm.fit_pair_threshold, reference_fit_pair_threshold))
+            assert got == ref
+            kinds.add("value" if got.startswith("0x") or got == "nan"
+                      else "negative" if "negative" in got else "few")
+        assert kinds == {"value", "negative", "few"}
 
 
 class TestMatchMode:
