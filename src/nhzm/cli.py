@@ -163,39 +163,23 @@ def _pair_r(im_omega: np.ndarray, gamma: np.ndarray,
     return (np.float_power(im_omega, 2) - np.float_power(gamma, 2)) / t_ab
 
 
-def _step_eigenvalues(trajectories, n_steps: int) -> np.ndarray:
-    """Each sweep step's eigenvalues in column order, from ``track_modes``.
-
-    At every step the live trajectories hold each column exactly once, so
-    row k is step k's ``ModeSet.eigenvalues``, bit for bit.
-    """
-    steps = np.concatenate([t.start + np.arange(len(t.eigenvalues))
-                            for t in trajectories])
-    columns = np.concatenate([t.column_indices for t in trajectories])
-    ws = np.empty((n_steps, columns.max() + 1), dtype=complex)
-    ws[steps, columns] = np.concatenate([t.eigenvalues for t in trajectories])
-    return ws
-
-
 def _task_sweep(scenario: Scenario, out: Path) -> None:
-    from .spectral import (ZERO_TOL, assign_mode_numbers, fit_pair_threshold,
-                           sweep_gamma, track_modes)
+    from .spectral import (ZERO_TOL, fit_pair_threshold, sweep_gamma,
+                           track_modes)
 
     grid = scenario.sweep_grid()
-    trajectories = assign_mode_numbers(
-        track_modes(sweep_gamma(scenario.build_spec, grid), grid), len(grid))
+    tracked = track_modes(sweep_gamma(scenario.build_spec, grid), grid)
 
     omega0 = scenario.data["onsite"]
     t_ab = scenario.data["reservoir"]["tA"] * scenario.data["reservoir"]["tB"]
-    gamma = np.concatenate([t.parameters for t in trajectories])
-    mode_id = np.concatenate([
-        np.full(len(t.parameters),
-                t.mode_number if t.mode_number is not None else -1)
-        for t in trajectories])
-    w = np.concatenate([t.eigenvalues for t in trajectories])
-    # stable: rows of equal (gamma, mode_id) keep the trajectory order
-    order = np.lexsort((mode_id, gamma))
-    gamma, mode_id, w = gamma[order], mode_id[order], w[order]
+    ws = tracked.eigenvalues
+    n_steps, n = ws.shape
+    # each step's rows by mode number, unnumbered rows by trajectory id
+    order = np.lexsort((tracked.track, tracked.mode_id), axis=1)
+    rows = np.arange(n_steps)[:, None]
+    gamma = np.repeat(tracked.parameters, n)
+    mode_id = tracked.mode_id[rows, order].ravel()
+    w = ws[rows, order].ravel()
     _write_csv(out / "sweep.csv",
                ("gamma", "mode_id", "re_omega", "im_omega", "r"),
                (gamma, mode_id, w.real, w.imag, _pair_r(w.imag, gamma, t_ab)),
@@ -204,7 +188,6 @@ def _task_sweep(scenario: Scenario, out: Path) -> None:
     # each step's first zero mode in the order of ``find_zero_modes``: the
     # smallest |Im omega| among |Re omega - omega0| <= ZERO_TOL, the lowest
     # index among ties
-    ws = _step_eigenvalues(trajectories, len(grid))
     zero = np.abs(ws.real - omega0) <= ZERO_TOL
     first = np.where(zero, np.abs(ws.imag), np.inf).argmin(axis=1)
     steps = np.flatnonzero(zero.any(axis=1))
@@ -213,16 +196,12 @@ def _task_sweep(scenario: Scenario, out: Path) -> None:
         grid[steps].tolist(), im.tolist(),
         _pair_r(im, grid[steps], t_ab).tolist())]
     pairs = []
-    by_number = {t.mode_number: t for t in trajectories if t.mode_number}
-    for odd in range(1, len(by_number), 2):
-        a, b = by_number.get(odd), by_number.get(odd + 1)
-        if a is None or b is None:
-            continue
+    for odd in range(1, n, 2):
         try:
-            pairs.append({"modes": [odd, odd + 1],
-                          "gamma_mu": fit_pair_threshold(a, b, omega0)})
+            gamma_mu = fit_pair_threshold(tracked, odd, odd + 1, omega0)
         except NhzmError:
             continue
+        pairs.append({"modes": [odd, odd + 1], "gamma_mu": gamma_mu})
     _write_json(out / "sweep_summary.json",
                 {"baseline": baseline, "pair_thresholds": pairs}, scenario)
 

@@ -29,6 +29,8 @@ ALPHA_TOL = 1e-3
 # the critical baseline, which stays finite (~0.04t for the default 19-site
 # chain), so a per-mille window would reject every finite lattice.
 KAPPA_TOL = 5e-2
+# Phase tolerance of ``check_stagger_phase``, relative to the peak amplitude.
+STAGGER_TOL = 1e-8
 
 
 class Regime(enum.Enum):
@@ -163,16 +165,14 @@ def _fit_line(y: np.ndarray) -> TailFit:
     return TailFit(float(slope), float(intercept), float(r2))
 
 
-def classify_regime(zm: ZeroMode, spec: LatticeSpec, *,
-                    alpha_tol: float = ALPHA_TOL,
-                    kappa_tol: float = KAPPA_TOL) -> RegimeReport:
+def classify_regime(zm: ZeroMode, spec: LatticeSpec) -> RegimeReport:
     """Classify the reservoir tail of a zero mode.
 
     |alpha| < 2 is extended, |alpha| > 2 exponentially localized with decay
-    rate ln|b| per sublattice step.  Within ``alpha_tol`` of +/-2 the tail
+    rate ln|b| per sublattice step.  Within ``ALPHA_TOL`` of +/-2 the tail
     is critical: constant (delocalized) when r = 0, a single linear profile
     when the reservoir coupling is uniform and both |kappa| match 2t within
-    ``kappa_tol*t``, and linear per sublattice (zigzag) otherwise.
+    ``KAPPA_TOL*t``, and linear per sublattice (zigzag) otherwise.
 
     Linear-model fits span all reservoir sites; exponential fits drop the
     last site, where the reflected root contaminates the pure decay.  A
@@ -195,15 +195,15 @@ def classify_regime(zm: ZeroMode, spec: LatticeSpec, *,
         except DomainError:
             return {}
 
-    critical = min(abs(alpha - 2.0), abs(alpha + 2.0)) <= alpha_tol
+    critical = min(abs(alpha - 2.0), abs(alpha + 2.0)) <= ALPHA_TOL
     decay_rate = None
     if critical:
         uniform = abs(t_a - t_b) <= 1e-12 * max(t_a, t_b)
         t = t_a
-        if abs(alpha + 2.0) <= alpha_tol and abs(r) <= alpha_tol:
+        if abs(alpha + 2.0) <= ALPHA_TOL and abs(r) <= ALPHA_TOL:
             regime = Regime.CONSTANT
-        elif uniform and abs(abs(zm.kappa_a) - 2 * t) <= kappa_tol * t \
-                and abs(abs(zm.kappa_b) - 2 * t) <= kappa_tol * t:
+        elif uniform and abs(abs(zm.kappa_a) - 2 * t) <= KAPPA_TOL * t \
+                and abs(abs(zm.kappa_b) - 2 * t) <= KAPPA_TOL * t:
             regime = Regime.LINEAR
         else:
             regime = Regime.ZIGZAG
@@ -278,13 +278,12 @@ class StaggerReport:
     in_phase_per_sublattice: bool
 
 
-def check_stagger_phase(psi, partition: int = 0,
-                        rel_tol: float = 1e-8) -> StaggerReport:
+def check_stagger_phase(psi, partition: int = 0) -> StaggerReport:
     """Check the sublattice phase structure of a zero-mode wave function.
 
     After removing one global phase, ``staggered`` reports whether the
     entries are real on one alternating subset and imaginary on the other
-    (in either assignment), within ``rel_tol`` of the peak amplitude.
+    (in either assignment), within ``STAGGER_TOL`` of the peak amplitude.
     ``in_phase_per_sublattice`` additionally requires all entries on each
     subset from ``partition`` onward to share one phase, the stronger
     condition that holds at the critical point alpha = 2.
@@ -297,16 +296,16 @@ def check_stagger_phase(psi, partition: int = 0,
     rotated = psi * np.exp(-1j * np.angle(psi[ref]))
     same = rotated[ref % 2::2]
     other = rotated[1 - ref % 2::2]
-    staggered = (np.abs(same.imag).max() <= rel_tol * scale
+    staggered = (np.abs(same.imag).max() <= STAGGER_TOL * scale
                  and (other.size == 0
-                      or np.abs(other.real).max() <= rel_tol * scale))
+                      or np.abs(other.real).max() <= STAGGER_TOL * scale))
 
     in_phase = staggered
     if staggered:
         tail = rotated[partition:]
         for vals in (tail[(partition + ref) % 2::2].real,
                      tail[(partition + ref + 1) % 2::2].imag):
-            live = vals[np.abs(vals) > rel_tol * scale]
+            live = vals[np.abs(vals) > STAGGER_TOL * scale]
             if live.size and (live.max() > 0) != (live.min() > 0):
                 in_phase = False
     return StaggerReport(bool(staggered), bool(in_phase))

@@ -220,7 +220,7 @@ def bundled_scenario_names() -> list[str]:
 
 def _read_scenario_text(path_or_name: str) -> tuple[str, str]:
     path = Path(path_or_name)
-    if path.exists():
+    if path.is_file():
         return path.read_text(), path.stem
     bundled = resources.files("nhzm").joinpath(f"scenarios/{path_or_name}.json")
     if bundled.is_file():

@@ -155,16 +155,35 @@ class SymmetryPairing:
         return len(self.unmatched) == 0
 
 
-@dataclass
-class ModeTrajectory:
-    """One mode followed through a parameter sweep by eigenvector overlap."""
+@dataclass(frozen=True, eq=False)
+class TrackedSweep:
+    """Modes followed through a parameter sweep, one row a step.
 
-    start: int
+    Attributes
+    ----------
+    parameters : (S,) float ndarray
+        Each step's parameter.
+    eigenvalues : (S, N) complex ndarray
+        Row k is step k's ``ModeSet.eigenvalues``, bit for bit.
+    track : (S, N) int ndarray
+        The trajectory id of each column.  A trajectory holds one column a
+        step, from the step it starts at to the step before its split or to
+        the last step; ids count up in order of (start step, first column).
+    overlaps : (S, N) float ndarray
+        The overlap of the match that reached each column, NaN at step 0.
+    mode_id : (S, N) int ndarray
+        The mode number of each column's trajectory: 1..N by the last
+        step's (-|Im|, -Im, Re), ties going to the lower trajectory id, so
+        the two branches of a +/- pair get consecutive numbers and NHPH
+        partners omega, -omega* with equal Im are numbered left to right.
+        A trajectory that ends before the last step has -1.
+    """
+
     parameters: np.ndarray
     eigenvalues: np.ndarray
-    column_indices: np.ndarray
+    track: np.ndarray
     overlaps: np.ndarray
-    mode_number: int | None = None
+    mode_id: np.ndarray
 
 
 def eigendecompose(h: Hamiltonian) -> ModeSet:
@@ -627,7 +646,7 @@ def sweep_gamma(spec_of_gamma, gamma_grid):
     return _real_form_modes(spec_of_gamma(g) for g in grid)
 
 
-def track_modes(sweep, parameters=None) -> list[ModeTrajectory]:
+def track_modes(sweep, parameters=None) -> TrackedSweep:
     """Follow mode identities through a sweep by maximal eigenvector overlap.
 
     ``sweep`` is any iterable of ModeSets, such as ``sweep_gamma``'s
@@ -639,22 +658,19 @@ def track_modes(sweep, parameters=None) -> list[ModeTrajectory]:
     flat index i * N + j, and each taken pair removes its row and column
     (see ``_greedy_match``).  When the overlap of a mode's match is below
     0.5 its trajectory is split: the old one ends and a new one starts at
-    that step, with a warning "mode trajectory split at step ...".  At
-    every step the live trajectories hold each column exactly once.  The
-    trajectories come in order of their start step, then first column.
+    that step, with a warning "mode trajectory split at step ...".  The
+    trajectories and their mode numbers come as one table, ``TrackedSweep``.
     """
     steps = iter(sweep)
     prev = next(steps, None)
     # per step: the trajectory id of each column, the eigenvalues, and the
-    # overlap of the match that reached each column.  Ids count up in order
-    # of (start, first column), the order of the returned list.
+    # overlap of the match that reached each column
     ids, eigenvalues, overlaps = [], [], []
     if prev is not None:
-        n = prev.n_modes
+        n = n_tracks = prev.n_modes
         ids.append(np.arange(n))
         eigenvalues.append(prev.eigenvalues)
         overlaps.append(np.full(n, np.nan))
-        starts = [0] * n
         # a split's new trajectory takes the place of the one it ends, and
         # splits are warned of in the order of places: place p holds column
         # places[p], and held column p at step 0
@@ -673,8 +689,8 @@ def track_modes(sweep, parameters=None) -> list[ModeTrajectory]:
         col_ids = np.empty(n, dtype=int)
         col_ids[match] = ids[-1]
         new = np.sort(match[ov < 0.5])
-        col_ids[new] = len(starts) + np.arange(len(new))
-        starts += [step] * len(new)
+        col_ids[new] = n_tracks + np.arange(len(new))
+        n_tracks += len(new)
         col_ov = np.empty(n)
         col_ov[match] = ov
         ids.append(col_ids)
@@ -690,22 +706,14 @@ def track_modes(sweep, parameters=None) -> list[ModeTrajectory]:
     if len(params) != n_steps:
         raise ValueError(f"{len(params)} parameters for {n_steps} sweep "
                          "points; need one a step")
-    # each trajectory's points, in step order
-    ids = np.concatenate(ids)
-    order = np.argsort(ids, kind="stable")
-    eigenvalues = np.concatenate(eigenvalues)[order]
-    overlaps = np.concatenate(overlaps)[order]
-    columns = order % n
-    trajectories = []
-    lo = 0
-    for start, count in zip(starts, np.bincount(ids).tolist()):
-        hi = lo + count
-        trajectories.append(ModeTrajectory(
-            start=start, parameters=params[start:start + count],
-            eigenvalues=eigenvalues[lo:hi], column_indices=columns[lo:hi],
-            overlaps=overlaps[lo + 1:hi]))
-        lo = hi
-    return trajectories
+    track, w = np.array(ids), np.array(eigenvalues)
+    # the numbering of ``TrackedSweep.mode_id``
+    last = w[-1]
+    ranked = track[-1][np.lexsort((track[-1], last.real, -last.imag,
+                                   -np.abs(last.imag)))]
+    numbers = np.full(n_tracks, -1)
+    numbers[ranked] = np.arange(1, n + 1)
+    return TrackedSweep(params, w, track, np.array(overlaps), numbers[track])
 
 
 def _greedy_match(overlap: np.ndarray) -> np.ndarray:
@@ -737,42 +745,25 @@ def _greedy_match(overlap: np.ndarray) -> np.ndarray:
     return match
 
 
-def assign_mode_numbers(trajectories: list[ModeTrajectory],
-                        n_steps: int) -> list[ModeTrajectory]:
-    """Number trajectories 1..k by final-point Im(omega), largest magnitude first.
+def fit_pair_threshold(tracked: TrackedSweep, a: int, b: int,
+                       omega0: float = 0.0) -> float:
+    """Least-squares threshold gamma_mu of the zero-mode pair numbered a, b.
 
-    Sorting is by (|Im| descending, Im descending, Re ascending) at the last
-    sweep step, so the two branches of a +/- pair receive consecutive
-    numbers, and NHPH partners omega, -omega* with equal Im are numbered
-    left to right.  Trajectories that do not reach the final step keep
-    ``mode_number=None``.
+    Uses the sweep steps where both mode numbers are present and both modes
+    sit on the symmetry axis, |Re(omega) - omega0| <= ``ZERO_TOL``, with
+    opposite-sign Im(omega), and fits Im(omega)^2 = gamma^2 - gamma_mu^2
+    pooled over both branches.
     """
-    final = [t for t in trajectories
-             if t.start + len(t.eigenvalues) == n_steps]
-    final.sort(key=lambda t: (-abs(t.eigenvalues[-1].imag),
-                              -t.eigenvalues[-1].imag, t.eigenvalues[-1].real))
-    for k, t in enumerate(final):
-        t.mode_number = k + 1
-    return trajectories
-
-
-def fit_pair_threshold(traj_a: ModeTrajectory, traj_b: ModeTrajectory,
-                       omega0: float = 0.0, re_tol: float = ZERO_TOL) -> float:
-    """Least-squares threshold gamma_mu of a zero-mode pair.
-
-    Uses the sweep points where both trajectories sit on the symmetry axis
-    Re(omega) = omega0 with opposite-sign Im(omega) and fits
-    Im(omega)^2 = gamma^2 - gamma_mu^2 pooled over both branches.
-    """
-    lo = max(traj_a.start, traj_b.start)
-    n = max(0, min(traj_a.start + len(traj_a.eigenvalues),
-                   traj_b.start + len(traj_b.eigenvalues)) - lo)
-    wa = traj_a.eigenvalues[lo - traj_a.start:][:n]
-    wb = traj_b.eigenvalues[lo - traj_b.start:][:n]
-    g = traj_a.parameters[lo - traj_a.start:][:n]
+    if min(a, b) < 1:
+        raise ValueError(f"mode numbers start at 1, got {a} and {b}")
+    at_a, at_b = tracked.mode_id == a, tracked.mode_id == b
+    both = at_a.any(axis=1) & at_b.any(axis=1)
+    wa = tracked.eigenvalues[at_a & both[:, None]]
+    wb = tracked.eigenvalues[at_b & both[:, None]]
+    g = tracked.parameters[both]
     # negated tests keep a NaN point, as a test that skips points would
-    keep = ~((np.abs(wa.real - omega0) > re_tol)
-             | (np.abs(wb.real - omega0) > re_tol)
+    keep = ~((np.abs(wa.real - omega0) > ZERO_TOL)
+             | (np.abs(wb.real - omega0) > ZERO_TOL)
              | (np.sign(wa.imag) * np.sign(wb.imag) >= 0))
     # pooled in step order, a then b; float_power squares with libm's pow,
     # as a scalar ``x ** 2`` does

@@ -1,6 +1,8 @@
-"""Shared fixtures: the 19-site chain family and a cached gamma sweep."""
+"""Shared fixtures: the 19-site chain family, a cached gamma sweep, and
+the trajectories of a tracked sweep's table."""
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,9 +33,28 @@ def baseline_zero_mode(gamma, **kwargs):
 
 @pytest.fixture(scope="session")
 def gamma_sweep():
-    """Dense sweep of the default chain with tracked, numbered trajectories."""
+    """Dense sweep of the default chain, its ModeSets and its tracked table."""
     grid = np.round(np.arange(0.0, 3.0 + 0.005, 0.01), 10)
     sweeps = list(nhzm.sweep_gamma(nhzm.coupled_chain, grid))
-    trajectories = nhzm.assign_mode_numbers(
-        nhzm.track_modes(sweeps, grid), len(grid))
-    return grid, sweeps, trajectories
+    return grid, sweeps, nhzm.track_modes(sweeps, grid)
+
+
+def trajectories(tracked):
+    """The trajectories of a ``TrackedSweep``, in the order of their ids.
+
+    Each has its start step, the parameters, eigenvalues and columns of its
+    steps, the overlaps of its matches after the first step, and its mode
+    number (None for -1), read off the table; each trajectory must hold one
+    column a step, over consecutive steps, under one mode number.
+    """
+    found = []
+    for t in range(tracked.track.max() + 1):
+        steps, cols = np.nonzero(tracked.track == t)
+        assert np.array_equal(steps, steps[0] + np.arange(len(steps)))
+        number, = set(tracked.mode_id[steps, cols].tolist())
+        found.append(SimpleNamespace(
+            start=int(steps[0]), parameters=tracked.parameters[steps],
+            eigenvalues=tracked.eigenvalues[steps, cols], column_indices=cols,
+            overlaps=tracked.overlaps[steps[1:], cols[1:]],
+            mode_number=None if number == -1 else number))
+    return found

@@ -175,9 +175,8 @@ def test_criterion_06_perturbation_theory():
 
 
 def test_criterion_07_avoided_crossings(gamma_sweep):
-    grid, sweeps, trajectories = gamma_sweep
-    by_number = {t.mode_number: t for t in trajectories if t.mode_number}
-    gamma_9 = nhzm.fit_pair_threshold(by_number[9], by_number[10])
+    grid, sweeps, tracked = gamma_sweep
+    gamma_9 = nhzm.fit_pair_threshold(tracked, 9, 10)
 
     r_errors = {}
     for g in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):

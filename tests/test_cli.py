@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import nhzm
-from nhzm.cli import _step_eigenvalues, main
+from nhzm.cli import main
 from nhzm.scenario import (SCENARIO_SCHEMA, Scenario, ScenarioError,
                            bundled_scenario_names, load_scenario)
 from nhzm.spectral import ZERO_TOL
+
+from conftest import trajectories
 
 BUNDLED = ["fig1b", "fig1c", "fig1d", "fig2", "fig3a", "fig3b", "figS1",
            "figS2", "figS6-defect", "ensemble-fig4c"]
@@ -198,6 +200,24 @@ class TestRunCommand:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out")]) == 2
+
+    def test_a_directory_does_not_shadow_a_bundled_name(self, tmp_path,
+                                                        monkeypatch, capsys):
+        # a second ``nhzm run fig2`` beside the first's ``--out fig2`` used
+        # to read the directory and end in an IsADirectoryError traceback
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "fig2", "--out", "fig2"]) == 0
+        first = {p.name: p.read_bytes() for p in Path("fig2").iterdir()}
+        assert main(["run", "fig2", "--out", "again"]) == 0
+        assert {p.name: p.read_bytes() for p in Path("again").iterdir()} \
+            == first
+        # a directory that names no bundled scenario is no scenario
+        Path("results").mkdir()
+        capsys.readouterr()
+        assert main(["run", "results", "--out", "out"]) == 2
+        assert "no such scenario file or bundled scenario: 'results'" \
+            in capsys.readouterr().err
+        assert not Path("out").exists()
 
     def test_minimal_spectrum_run(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL)
@@ -413,17 +433,67 @@ def test_sweep_baseline_is_the_first_zero_mode(tmp_path):
     # coarser grid, which splits a trajectory
     ({"gamma_start": 0.0, "gamma_stop": 3.0, "gamma_step": 0.05}, True),
 ], ids=["fig2", "splitting"])
-def test_step_eigenvalues_rebuilt_from_the_trajectories(blk, splits):
+def test_tracked_rows_are_the_steps_eigenvalues(blk, splits):
     grid = np.arange(blk["gamma_start"],
                      blk["gamma_stop"] + 0.5 * blk["gamma_step"],
                      blk["gamma_step"])
     sweep = list(nhzm.sweep_gamma(load_scenario("fig2").build_spec, grid))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        trajectories = nhzm.track_modes(iter(sweep), grid)
+        tracked = nhzm.track_modes(iter(sweep), grid)
     assert bool(caught) == splits
-    ws = _step_eigenvalues(trajectories, len(grid))
-    assert ws.tobytes() == np.array([m.eigenvalues for m in sweep]).tobytes()
+    assert tracked.eigenvalues.tobytes() \
+        == np.array([m.eigenvalues for m in sweep]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_reservoir, coupling, step, unnumbered, reordered",
+    [(50, 0.15, 0.01, (390, 17759), False),
+     (30, 0.2, 0.05, (73, 2379), True)],
+    ids=["59-sites", "39-sites"])
+def test_sweep_rows_match_the_per_trajectory_assembly(
+        tmp_path, n_reservoir, coupling, step, unnumbered, reordered):
+    # both sweeps split trajectories, and rows of one step and mode_id -1
+    # keep the order of their trajectory ids; at 39 sites that order
+    # differs from the order of their columns at some steps
+    payload = {**MINIMAL, "task": "sweep", "coupling": coupling,
+               "system": {"n": 9, "tA": 1.0, "tB": 0.2},
+               "reservoir": {"n": n_reservoir, "tA": 1.0, "tB": 1.0,
+                             "gamma": 2.0},
+               "sweep": {"gamma_start": 0.0, "gamma_stop": 3.0,
+                         "gamma_step": step}}
+    path = write_scenario(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        scenario = load_scenario(path)
+        grid = scenario.sweep_grid()
+        tracked = nhzm.track_modes(
+            nhzm.sweep_gamma(scenario.build_spec, grid), grid)
+    # the rows as they were assembled from the per-trajectory list: its
+    # points concatenated in trajectory order, then a stable sort by
+    # (gamma, mode_id)
+    trajs = trajectories(tracked)
+    gamma = np.concatenate([t.parameters for t in trajs])
+    mode_id = np.concatenate([np.full(len(t.parameters), t.mode_number or -1)
+                              for t in trajs])
+    w = np.concatenate([t.eigenvalues for t in trajs])
+    order = np.lexsort((mode_id, gamma))
+    gamma, mode_id, w = gamma[order], mode_id[order], w[order]
+    columns = np.broadcast_to(np.arange(tracked.track.shape[1]),
+                              tracked.track.shape)
+    assert reordered == bool(np.any(
+        np.lexsort((tracked.track, tracked.mode_id), axis=1)
+        != np.lexsort((columns, tracked.mode_id), axis=1)))
+    rows = read_csv(tmp_path / "out" / "sweep.csv")
+    assert (int(np.sum(rows["mode_id"] == -1)), len(rows["mode_id"])) \
+        == unnumbered
+    assert np.array_equal(rows["mode_id"], mode_id)
+    for column, expected in (("gamma", gamma), ("re_omega", w.real),
+                             ("im_omega", w.imag),
+                             ("r", (np.float_power(w.imag, 2)
+                                    - np.float_power(gamma, 2)))):
+        assert rows[column].tobytes() == expected.tobytes()
 
 
 def read_csv(path):

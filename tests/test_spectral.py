@@ -4,6 +4,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ import nhzm
 from nhzm.errors import EigensolverError, FitError
 from nhzm.scenario import load_scenario
 from nhzm.spectral import (DEFECT_GAP_FRACTION, DEFECT_OVERLAP,
-                           SPARSE_MIN_SITES, ZERO_TOL, ModeTrajectory,
+                           SPARSE_MIN_SITES, ZERO_TOL,
                            _gaps, _modeset, _real_form_modes,
                            _zero_mode_indices)
 
-from conftest import KNOWN_ZERO_OMEGAS, baseline_zero_mode, chain_modes
+from conftest import (KNOWN_ZERO_OMEGAS, baseline_zero_mode, chain_modes,
+                      trajectories)
 
 
 def random_gain_loss_chain(n, couplings, gamma):
@@ -322,9 +324,9 @@ class TestSweepAndTracking:
     def test_constant_sweep_matches_identically(self):
         spec, _ = chain_modes(1.0)
         sweeps = list(nhzm.sweep_gamma(lambda g: spec, [0.0, 1.0, 2.0]))
-        trajectories = nhzm.track_modes(sweeps, [0.0, 1.0, 2.0])
-        assert len(trajectories) == 19
-        for t in trajectories:
+        tracked = trajectories(nhzm.track_modes(sweeps, [0.0, 1.0, 2.0]))
+        assert len(tracked) == 19
+        for t in tracked:
             assert len(t.eigenvalues) == 3
             assert np.ptp(t.column_indices) == 0
             assert np.all(t.overlaps > 0.999999)
@@ -346,17 +348,25 @@ class TestSweepAndTracking:
                 ref = reference_track_modes(sweep, params)
             assert [str(w.message) for w in got_warnings] \
                 == [str(w.message) for w in ref_warnings]
+            got = trajectories(got)
             assert [(t.start, t.parameters.tolist(), t.eigenvalues.tolist(),
                      t.column_indices.tolist(), t.overlaps.tolist())
                     for t in got] == ref
+            assert [t.mode_number for t in got] \
+                == reference_mode_numbers(got, steps)
 
     def test_forced_split_warns(self):
         sweep = vector_sweep([np.eye(2), np.diag([0.4, 1.0])])
         with pytest.warns(UserWarning, match=r"^mode trajectory split at "
                           r"step 1: overlap 0\.400"):
-            trajectories = nhzm.track_modes(sweep)
-        assert [(t.start, t.column_indices.tolist()) for t in trajectories] \
+            tracked = nhzm.track_modes(sweep)
+        assert [(t.start, t.column_indices.tolist())
+                for t in trajectories(tracked)] \
             == [(0, [0]), (0, [1, 1]), (1, [0])]
+        assert tracked.track.tolist() == [[0, 1], [2, 1]]
+        assert tracked.mode_id.tolist() == [[-1, 2], [1, 2]]
+        assert tracked.overlaps.tobytes() \
+            == np.array([[np.nan, np.nan], [0.4, 1.0]]).tobytes()
 
     def test_an_iterator_tracks_as_the_list_does(self):
         # the random tie-laden sweeps of the greedy test, and a physical
@@ -369,12 +379,14 @@ class TestSweepAndTracking:
         cases = [(sweep, None) for sweep in sweeps] + [
             (list(nhzm.sweep_gamma(family, grid)), grid)]
         for sweep, params in cases:
-            got_iter, warned_iter = tracked(iter(sweep), params)
-            got_list, warned_list = tracked(sweep, params)
+            got_iter, warned_iter = tracked_table(iter(sweep), params)
+            got_list, warned_list = tracked_table(sweep, params)
             assert warned_iter == warned_list
             assert got_iter == got_list
-        streamed, warned = tracked(nhzm.sweep_gamma(family, grid), grid)
-        assert warned and (streamed, warned) == tracked(cases[-1][0], grid)
+        streamed, warned = tracked_table(nhzm.sweep_gamma(family, grid),
+                                         grid)
+        assert warned
+        assert (streamed, warned) == tracked_table(cases[-1][0], grid)
 
     @pytest.mark.parametrize("n_params", [2, 4])
     def test_one_parameter_a_step(self, n_params):
@@ -398,8 +410,9 @@ class TestSweepAndTracking:
             assert zms and abs(zms[0].omega.imag) < 0.06
 
     def test_mode_numbering_gives_consecutive_pair_ranks(self, gamma_sweep):
-        grid, _, trajectories = gamma_sweep
-        by_number = {t.mode_number: t for t in trajectories if t.mode_number}
+        grid, _, tracked = gamma_sweep
+        by_number = {t.mode_number: t for t in trajectories(tracked)
+                     if t.mode_number}
         assert sorted(by_number) == list(range(1, 20))
         # ranks 1..10 are the five zero-mode pairs, 11 the small-Im baseline
         for odd in (1, 3, 5, 7, 9):
@@ -410,23 +423,21 @@ class TestSweepAndTracking:
         assert abs(by_number[11].eigenvalues[-1].imag) < 0.02
 
     def test_physical_sweep_tracks_without_splits(self, gamma_sweep):
-        grid, _, trajectories = gamma_sweep
-        assert len(trajectories) == 19
-        for t in trajectories:
+        grid, _, tracked = gamma_sweep
+        assert len(trajectories(tracked)) == 19
+        for t in trajectories(tracked):
             assert t.start == 0 and len(t.eigenvalues) == len(grid)
             assert np.all(t.overlaps > 0.5)
 
     def test_pair_9_10_threshold(self, gamma_sweep):
-        _, _, trajectories = gamma_sweep
-        by_number = {t.mode_number: t for t in trajectories if t.mode_number}
-        gamma_mu = nhzm.fit_pair_threshold(by_number[9], by_number[10])
+        _, _, tracked = gamma_sweep
+        gamma_mu = nhzm.fit_pair_threshold(tracked, 9, 10)
         assert gamma_mu == pytest.approx(1.919, rel=0.02)
 
     def test_pair_r_nearly_constant_past_threshold(self, gamma_sweep):
-        grid, _, trajectories = gamma_sweep
-        by_number = {t.mode_number: t for t in trajectories if t.mode_number}
-        gamma_mu = nhzm.fit_pair_threshold(by_number[9], by_number[10])
-        traj = by_number[9]
+        grid, _, tracked = gamma_sweep
+        gamma_mu = nhzm.fit_pair_threshold(tracked, 9, 10)
+        traj = {t.mode_number: t for t in trajectories(tracked)}[9]
         rs = [w.imag ** 2 - g ** 2
               for g, w in zip(traj.parameters, traj.eigenvalues)
               if g > 2.2 and abs(w.real) < 1e-8]
@@ -434,14 +445,29 @@ class TestSweepAndTracking:
         np.testing.assert_allclose(rs, -gamma_mu ** 2, rtol=0.05)
 
 
-def tracked(sweep, parameters):
-    """``track_modes``'s trajectories as lists, and its warning messages."""
+def tracked_table(sweep, parameters):
+    """``track_modes``'s table as bytes and lists, and its warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = nhzm.track_modes(sweep, parameters)
-    return ([(t.start, t.parameters.tobytes(), t.eigenvalues.tobytes(),
-              t.column_indices.tolist(), t.overlaps.tobytes()) for t in got],
+    return ([got.parameters.tobytes(), got.eigenvalues.tobytes(),
+             got.track.tolist(), got.overlaps.tobytes(), got.mode_id.tolist()],
             [str(w.message) for w in caught])
+
+
+def reference_mode_numbers(trajs, n_steps):
+    """Each trajectory's mode number (or None) by the removed per-trajectory
+    numbering: a stable sort, over the trajectories that reach the last
+    step, by their last point's (-|Im|, -Im, Re)."""
+    final = [k for k, t in enumerate(trajs)
+             if t.start + len(t.eigenvalues) == n_steps]
+    final.sort(key=lambda k: (-abs(trajs[k].eigenvalues[-1].imag),
+                              -trajs[k].eigenvalues[-1].imag,
+                              trajs[k].eigenvalues[-1].real))
+    numbers = [None] * len(trajs)
+    for rank, k in enumerate(final):
+        numbers[k] = rank + 1
+    return numbers
 
 
 def reference_track_modes(sweep, parameters):
@@ -525,12 +551,14 @@ def whole_array_modeset(w, vr, norm_bound):
         | (overlaps < DEFECT_OVERLAP))
 
 
-def trajectory(eigenvalues):
-    n = len(eigenvalues)
-    return ModeTrajectory(start=0, parameters=np.arange(n, dtype=float),
-                          eigenvalues=np.asarray(eigenvalues, dtype=complex),
-                          column_indices=np.zeros(n, dtype=int),
-                          overlaps=np.ones(n - 1))
+def ending_at(last, vectors):
+    """A two-step sweep of unit-vector ModeSets that ends on the eigenvalues
+    ``last``, with step 1's right vectors ``vectors``."""
+    n = len(last)
+    flags = lambda: (np.ones(n), np.ones(n), np.zeros(n, dtype=bool))
+    return [nhzm.ModeSet(np.arange(n) + 0j, np.eye(n) + 0j, *flags()),
+            nhzm.ModeSet(np.asarray(last, dtype=complex),
+                         np.asarray(vectors, dtype=complex), *flags())]
 
 
 class TestRealFormSweep:
@@ -823,19 +851,32 @@ class TestRealFormSweep:
 
     def test_mode_number_tie_is_broken_by_real_part(self):
         # NHPH partners omega, -omega* off the axis: bitwise-equal Im
-        right = trajectory([0.5 + 0.2j, 0.7 + 0.1j])
-        left = trajectory([-0.5 + 0.2j, -0.7 + 0.1j])
-        axis = trajectory([0.3j, 0.4j])
-        for order in ([right, left, axis], [left, right, axis]):
-            for t in order:
-                t.mode_number = None
-            nhzm.assign_mode_numbers(order, 2)
-            assert (axis.mode_number, left.mode_number, right.mode_number) \
-                == (1, 2, 3)
+        right, left, axis = 0.7 + 0.1j, -0.7 + 0.1j, 0.4j
+        for last in ([right, left, axis], [left, right, axis]):
+            tracked = nhzm.track_modes(ending_at(last, np.eye(3)))
+            number = dict(zip(last, tracked.mode_id[-1].tolist()))
+            assert (number[axis], number[left], number[right]) == (1, 2, 3)
+
+    @pytest.mark.parametrize("vectors, numbers", [
+        # columns 0 and 1 trade places: track 0 ends in column 1
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [2, 1, 3]),
+        # column 0 splits: its new track 3 ties with track 1 in column 1
+        ([[0.4, 0, 0], [0, 1, 0], [0, 0, 1]], [2, 1, 3]),
+    ], ids=["swapped", "split"])
+    def test_exact_tie_goes_to_the_lower_trajectory_id(self, vectors,
+                                                       numbers):
+        # columns 0 and 1 end on one eigenvalue, bit for bit
+        last = [0.3 - 0.2j, 0.3 - 0.2j, 0.1j]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tracked = nhzm.track_modes(ending_at(last, vectors))
+        assert tracked.mode_id[-1].tolist() == numbers
+        trajs = trajectories(tracked)
+        assert [t.mode_number for t in trajs] \
+            == reference_mode_numbers(trajs, 2)
 
 
-def reference_fit_pair_threshold(traj_a, traj_b, omega0=0.0,
-                                 re_tol=ZERO_TOL):
+def reference_fit_pair_threshold(traj_a, traj_b, omega0=0.0):
     """``fit_pair_threshold`` as a loop over the steps both trajectories
     share, sampled one step at a time."""
     lo = max(traj_a.start, traj_b.start)
@@ -846,7 +887,8 @@ def reference_fit_pair_threshold(traj_a, traj_b, omega0=0.0,
         wa = traj_a.eigenvalues[step - traj_a.start]
         wb = traj_b.eigenvalues[step - traj_b.start]
         g = traj_a.parameters[step - traj_a.start]
-        if abs(wa.real - omega0) > re_tol or abs(wb.real - omega0) > re_tol:
+        if abs(wa.real - omega0) > ZERO_TOL \
+                or abs(wb.real - omega0) > ZERO_TOL:
             continue
         if np.sign(wa.imag) * np.sign(wb.imag) >= 0:
             continue
@@ -862,52 +904,71 @@ def reference_fit_pair_threshold(traj_a, traj_b, omega0=0.0,
     return float(np.sqrt(gamma_sq))
 
 
-def fit_outcome(fit, a, b, omega0=0.0):
+def fit_outcome(fit):
     """A fit's value as hex, or its FitError's message."""
     try:
-        return fit(a, b, omega0).hex()
+        return fit().hex()
     except FitError as exc:
         return str(exc)
 
 
+def table(parameters, eigenvalues, mode_id):
+    """A ``TrackedSweep`` whose fields a fit reads; track is the column."""
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    return nhzm.TrackedSweep(
+        np.asarray(parameters, dtype=float), eigenvalues,
+        np.broadcast_to(np.arange(eigenvalues.shape[1]), eigenvalues.shape),
+        np.ones(eigenvalues.shape), np.asarray(mode_id))
+
+
 class TestFitPairThreshold:
     @staticmethod
-    def synthetic_pair(gamma_mu, grid):
+    def synthetic_pair(gamma_mu, grid, omega0=0.0):
+        """Modes 1 and 2 on the branches +/- sqrt(gamma^2 - gamma_mu^2)."""
         ims = np.sqrt(np.asarray(grid) ** 2 - gamma_mu ** 2)
-        make = lambda sign: ModeTrajectory(
-            start=0, parameters=np.asarray(grid),
-            eigenvalues=sign * 1j * ims,
-            column_indices=np.zeros(len(grid), dtype=int),
-            overlaps=np.ones(len(grid) - 1))
-        return make(+1), make(-1)
+        return table(grid, omega0 + np.outer(1j * ims, [1, -1]),
+                     np.tile([1, 2], (len(grid), 1)))
 
     def test_exact_square_root_model_recovered(self):
-        a, b = self.synthetic_pair(1.0, np.linspace(1.05, 3.0, 40))
-        assert nhzm.fit_pair_threshold(a, b) == pytest.approx(1.0, abs=1e-6)
+        pair = self.synthetic_pair(1.0, np.linspace(1.05, 3.0, 40))
+        assert nhzm.fit_pair_threshold(pair, 1, 2) == pytest.approx(1.0,
+                                                                    abs=1e-6)
 
     def test_pair_on_a_shifted_axis(self):
-        a, b = self.synthetic_pair(1.0, np.linspace(1.05, 3.0, 40))
-        for t in (a, b):
-            t.eigenvalues = t.eigenvalues + 0.3
+        pair = self.synthetic_pair(1.0, np.linspace(1.05, 3.0, 40), 0.3)
         with pytest.raises(FitError):
-            nhzm.fit_pair_threshold(a, b)
-        assert nhzm.fit_pair_threshold(a, b, 0.3) == pytest.approx(1.0,
-                                                                   abs=1e-6)
+            nhzm.fit_pair_threshold(pair, 1, 2)
+        assert nhzm.fit_pair_threshold(pair, 1, 2, 0.3) \
+            == pytest.approx(1.0, abs=1e-6)
 
     def test_insufficient_points_raise(self):
-        a, b = self.synthetic_pair(1.0, np.linspace(1.05, 1.1, 2))
+        pair = self.synthetic_pair(1.0, np.linspace(1.05, 1.1, 2))
         with pytest.raises(FitError):
-            nhzm.fit_pair_threshold(a, b)
+            nhzm.fit_pair_threshold(pair, 1, 2)
 
-    def test_matches_the_step_loop_on_fig2(self):
-        scenario = load_scenario("fig2")
-        grid = scenario.sweep_grid()
-        trajectories = nhzm.track_modes(
-            nhzm.sweep_gamma(scenario.build_spec, grid), grid)
-        outcomes = [[fit_outcome(fit, a, b) for a in trajectories
-                     for b in trajectories]
-                    for fit in (nhzm.fit_pair_threshold,
-                                reference_fit_pair_threshold)]
+    @pytest.mark.parametrize("a, b", [(-1, 2), (1, 0)])
+    def test_a_number_below_one_is_refused(self, a, b):
+        # -1 marks every unnumbered column, several at a step
+        pair = self.synthetic_pair(1.0, np.linspace(1.05, 3.0, 40))
+        with pytest.raises(ValueError, match="mode numbers start at 1"):
+            nhzm.fit_pair_threshold(pair, a, b)
+
+    @pytest.mark.parametrize("t_prime", [0.2, 0.25], ids=["fig2", "split"])
+    def test_matches_the_step_loop_on_fig2(self, t_prime):
+        # fig2's chain, and at t' = 0.25 one whose trajectories split
+        grid = load_scenario("fig2").sweep_grid()
+        family = lambda g: nhzm.coupled_chain(g, t_prime=t_prime)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tracked = nhzm.track_modes(nhzm.sweep_gamma(family, grid), grid)
+        assert bool(caught) == (t_prime == 0.25)
+        by_number = {t.mode_number: t for t in trajectories(tracked)}
+        pairs = [(a, b) for a in range(1, 20) for b in range(1, 20)]
+        outcomes = [
+            [fit_outcome(lambda: nhzm.fit_pair_threshold(tracked, a, b))
+             for a, b in pairs],
+            [fit_outcome(lambda: reference_fit_pair_threshold(
+                by_number[a], by_number[b])) for a, b in pairs]]
         assert outcomes[0] == outcomes[1]
         # fits of the five pairs, both orders, and refusals
         fits = sum(o.startswith("0x") for o in outcomes[0])
@@ -924,20 +985,32 @@ class TestFitPairThreshold:
         assert len(x) > 20
         kinds = set()
         for _ in range(600):
+            # modes 1 and 2 in columns that change from step to step, beside
+            # a column of mode 3; off their steps a column is unnumbered, and
+            # every eigenvalue no trajectory holds is noise
+            w = rng.normal(size=(len(grid), 3)) + 1j
+            mode_id = np.full((len(grid), 3), -1)
+            cols = np.argsort(rng.random((len(grid), 3)), axis=1)
+            mode_id[np.arange(len(grid)), cols[:, 2]] = 3
             pair = []
-            for _ in range(2):
+            for number in (1, 2):
                 start, n = rng.integers(0, 8), rng.integers(1, 16)
                 re = rng.choice([0.0, 1e-9, 1e-7, 0.3], n, p=[.7, .1, .1, .1])
                 im = rng.choice([-1.0, 1.0], n) * rng.choice(x, n)
                 im[rng.random(n) < 0.02] = np.nan
-                pair.append(ModeTrajectory(
-                    start=start, parameters=grid[start:start + n],
-                    eigenvalues=re + 1j * im,
-                    column_indices=np.zeros(n, dtype=int),
-                    overlaps=np.ones(n - 1)))
+                steps = np.arange(start, start + n)
+                w[steps, cols[steps, number - 1]] = re + 1j * im
+                mode_id[steps, cols[steps, number - 1]] = number
+                pair.append(SimpleNamespace(
+                    start=start, parameters=grid[steps],
+                    eigenvalues=re + 1j * im))
+            tracked = table(grid, w, mode_id)
+            a, b = rng.permutation([1, 2]).tolist()
             omega0 = rng.choice([0.0, 0.3])
-            got, ref = (fit_outcome(fit, *pair, omega0) for fit in (
-                nhzm.fit_pair_threshold, reference_fit_pair_threshold))
+            got = fit_outcome(
+                lambda: nhzm.fit_pair_threshold(tracked, a, b, omega0))
+            ref = fit_outcome(lambda: reference_fit_pair_threshold(
+                pair[a - 1], pair[b - 1], omega0))
             assert got == ref
             kinds.add("value" if got.startswith("0x") or got == "nan"
                       else "negative" if "negative" in got else "few")
