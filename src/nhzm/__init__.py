@@ -38,7 +38,7 @@ _EXPORTS = {
     "spectral": ("ModeSet", "SymmetryPairing", "TrackedSweep", "ZeroMode",
                  "chain_modes", "check_spectral_symmetry", "eigendecompose",
                  "find_zero_modes", "fit_pair_threshold", "lowest_zero_mode",
-                 "match_mode", "sweep_gamma", "track_modes"),
+                 "match_mode", "sweep_gamma"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

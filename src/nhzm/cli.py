@@ -164,22 +164,19 @@ def _pair_r(im_omega: np.ndarray, gamma: np.ndarray,
 
 
 def _task_sweep(scenario: Scenario, out: Path) -> None:
-    from .spectral import (ZERO_TOL, fit_pair_threshold, sweep_gamma,
-                           track_modes)
+    from .spectral import ZERO_TOL, fit_pair_threshold, sweep_gamma
 
     grid = scenario.sweep_grid()
-    tracked = track_modes(sweep_gamma(scenario.build_spec, grid), grid)
+    tracked = sweep_gamma(scenario.build_spec, grid)
 
     omega0 = scenario.data["onsite"]
     t_ab = scenario.data["reservoir"]["tA"] * scenario.data["reservoir"]["tB"]
     ws = tracked.eigenvalues
     n_steps, n = ws.shape
-    # each step's rows by mode number, unnumbered rows by trajectory id
-    order = np.lexsort((tracked.track, tracked.mode_id), axis=1)
-    rows = np.arange(n_steps)[:, None]
+    # each step's rows by mode number
+    w = np.take_along_axis(ws, np.argsort(tracked.mode_id, axis=1), 1).ravel()
     gamma = np.repeat(tracked.parameters, n)
-    mode_id = tracked.mode_id[rows, order].ravel()
-    w = ws[rows, order].ravel()
+    mode_id = np.tile(np.arange(1, n + 1), n_steps)
     _write_csv(out / "sweep.csv",
                ("gamma", "mode_id", "re_omega", "im_omega", "r"),
                (gamma, mode_id, w.real, w.imag, _pair_r(w.imag, gamma, t_ab)),
@@ -332,27 +329,10 @@ def _cmd_report(args) -> int:
             _summarize(name, payload)
         except _UNREADABLE as exc:
             return _unreadable(path, exc)
-        csv = directory / "sweep.csv"
-        if name == "sweep_summary.json" and csv.exists():
-            try:
-                unnumbered, rows = _unnumbered_rows(csv)
-            except _UNREADABLE as exc:
-                return _unreadable(csv, exc)
-            print(f"  {unnumbered} of {rows} sweep.csv rows have mode_id = -1 "
-                  "(tracks that split before the last step)")
     if not found:
         print(f"no recognized output files in {directory}", file=sys.stderr)
         return EXIT_SCENARIO
     return EXIT_OK
-
-
-def _unnumbered_rows(path: Path) -> tuple[int, int]:
-    """Rows of a sweep.csv with mode_id = -1, and all its rows."""
-    lines = [line for line in path.read_text().splitlines()
-             if not line.startswith("#")]
-    column = lines[0].split(",").index("mode_id")
-    ids = [line.split(",")[column] for line in lines[1:]]
-    return ids.count("-1"), len(ids)
 
 
 def _summarize(name: str, payload: dict) -> None:

@@ -5,9 +5,9 @@ so it equals its transpose (H = H^T).  A left eigenvector is then the
 transposed right one, normalized by the c-product psi^T psi (Moiseyev,
 *Non-Hermitian Quantum Mechanics*, 2011, ch. 5), and only right vectors
 are computed.  The module also provides defectiveness diagnostics,
-spectral-symmetry pairing checks, zero-mode detection, and identity
-tracking of modes across gain/loss sweeps, whose steps run in real
-arithmetic where the chain allows it (``sweep_gamma``).  The baseline
+spectral-symmetry pairing checks, zero-mode detection, and the tracking
+of modes through gain/loss sweeps by continuation of eigenvalues solved in
+real arithmetic where the chain allows it (``sweep_gamma``).  The baseline
 zero mode of a long chain is found without the full spectrum, by
 shift-invert Arnoldi on the tridiagonal matrix (``lowest_zero_mode``).
 """
@@ -164,25 +164,18 @@ class TrackedSweep:
     parameters : (S,) float ndarray
         Each step's parameter.
     eigenvalues : (S, N) complex ndarray
-        Row k is step k's ``ModeSet.eigenvalues``, bit for bit.
-    track : (S, N) int ndarray
-        The trajectory id of each column.  A trajectory holds one column a
-        step, from the step it starts at to the step before its split or to
-        the last step; ids count up in order of (start step, first column).
-    overlaps : (S, N) float ndarray
-        The overlap of the match that reached each column, NaN at step 0.
+        Row k holds step k's eigenvalues, sorted by (Re, Im) as
+        ``ModeSet.eigenvalues`` are.
     mode_id : (S, N) int ndarray
-        The mode number of each column's trajectory: 1..N by the last
-        step's (-|Im|, -Im, Re), ties going to the lower trajectory id, so
-        the two branches of a +/- pair get consecutive numbers and NHPH
-        partners omega, -omega* with equal Im are numbered left to right.
-        A trajectory that ends before the last step has -1.
+        The mode number 1..N of each column, one trajectory through every
+        step a number, by the last step's (-|Im|, -Im, Re), ties to the
+        trajectory from the lower column of step 0: the two branches of a
+        +/- pair get consecutive numbers, NHPH partners omega, -omega* with
+        equal Im are numbered left to right.
     """
 
     parameters: np.ndarray
     eigenvalues: np.ndarray
-    track: np.ndarray
-    overlaps: np.ndarray
     mode_id: np.ndarray
 
 
@@ -212,73 +205,68 @@ def eigendecompose(h: Hamiltonian) -> ModeSet:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise EigensolverError(f"dense eigensolver failed: {exc}", matrix=m) from exc
     norm_bound = np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
-    return next(_modeset(w[None], vr[None], np.array([norm_bound])))
+    return _modeset(w, vr, norm_bound)
 
 
-def _modeset(w: np.ndarray, vr: np.ndarray, norm_bound: np.ndarray):
-    """The ``ModeSet``s of eigenpairs w (k, N), vr (k, N, N) of k matrices.
+def _modeset(w: np.ndarray, vr: np.ndarray, norm_bound: float) -> ModeSet:
+    """The ``ModeSet`` of one matrix's eigenpairs w (N,), vr (N, N).
 
-    Yields one ModeSet a matrix, in order; norm_bound (k,) holds each
-    matrix's scale.  Sorts by (Re, Im), scales the vectors to unit norm and
-    runs the near-defective screen of ``eigendecompose``.  The sorted
-    vectors of as many matrices as fit in ``SCRATCH_BYTES`` (one at least)
-    go into one new array, which their ModeSets share, with column j of
-    matrix s in row (s, j).  So each column is contiguous, as in one
-    matrix's ``vr[:, order]``, every reduction runs along it, and every bit
-    is that of the matrix alone.  Beside vr and that array, each temporary
-    holds at most ``SCRATCH_BYTES``.
+    norm_bound is the matrix's scale.  Sorts by (Re, Im), scales the
+    vectors to unit norm and runs the near-defective screen of
+    ``eigendecompose``.  The sorted vectors go into a new array, column j
+    in row j, so every reduction runs along a contiguous column.  Beside vr
+    and that array, each temporary holds at most ``SCRATCH_BYTES``.
     """
-    k, n = w.shape
+    n = len(w)
     order = np.lexsort((w.imag, w.real))
-    w = w[np.arange(k)[:, None], order]
+    w = w[order]
     gaps = _gaps(w)
-    gap_flags = gaps < DEFECT_GAP_FRACTION * np.maximum(norm_bound,
-                                                        1e-300)[:, None]
-    per = max(1, SCRATCH_BYTES // (16 * n * n))
+    vecs = vr.T[order]
     rows = max(1, SCRATCH_BYTES // (16 * n))
-    for lo in range(0, k, per):
-        chunk = order[lo:lo + per]
-        vecs = vr[lo:lo + per].transpose(0, 2, 1)[
-            np.arange(len(chunk))[:, None], chunk]
-        cols = vecs.reshape(-1, n)
-        norms = np.empty(len(cols))
-        for r in range(0, len(cols), rows):
-            norms[r:r + rows] = np.linalg.norm(cols[r:r + rows], axis=1)
-        cols /= norms[:, None]
-        self_overlaps = np.abs(np.einsum("sji,sji->sj", vecs, vecs))
-        flagged = gap_flags[lo:lo + per] | (self_overlaps < DEFECT_OVERLAP)
-        for s, v in enumerate(vecs):
-            yield ModeSet(w[lo + s], v.T, gaps[lo + s], self_overlaps[s],
-                          flagged[s])
+    norms = np.empty(n)
+    for r in range(0, n, rows):
+        norms[r:r + rows] = np.linalg.norm(vecs[r:r + rows], axis=1)
+    vecs /= norms[:, None]
+    self_overlaps = np.abs(np.einsum("ji,ji->j", vecs, vecs))
+    flagged = (gaps < DEFECT_GAP_FRACTION * max(norm_bound, 1e-300)) \
+        | (self_overlaps < DEFECT_OVERLAP)
+    return ModeSet(w, vecs.T, gaps, self_overlaps, flagged)
 
 
 # i^j for j mod 4: the diagonal similarity D of ``_real_form_modes``
 _PHASES = np.array([1, 1j, -1, -1j])
-# Bytes of the A stack and of its complex eigenvalues and vectors (8 + 16 B
-# N^2 a step) that ``_real_form_modes`` holds at once.  A tracked sweep
-# holds this block and the two ModeSets ``track_modes`` compares, whatever
-# the number of steps: 301 steps fit in one block up to N = 96, and the
-# ``sweep`` task of 101 steps at N = 209 peaked at 102.5 MB RSS (160 MB
-# with every ModeSet kept).  Blocks of ``CHUNK_BYTES`` held less, but
-# made the in-process benchmark's 301-step sweep at N = 59 about 1.5 times
-# as slow (2 vCPUs, 43 against 64 MB peak in a loop of that sweep alone),
-# likely because the tracker's BLAS calls between blocks wake OpenBLAS
-# threads that then compete with the next block's dgeev.
-STACK_BYTES = 64 * 2 ** 20
-# Bytes of the chunks that ``_chunked_eig``'s threads solve at once, all
+# Bytes of the stack of real forms A (8 N^2 a step) that
+# ``_sweep_eigenvalues`` solves as one block; 301 steps fit up to N = 83.
+# The ``sweep`` task of 101 steps at N = 209 peaks at 57 MB RSS.
+STACK_BYTES = 16 * 2 ** 20
+# Bytes of the chunks that ``_chunked_eigvals``' threads solve at once, all
 # threads together, counted as in ``STACK_BYTES``: 16 steps a thread at
-# N = 59 on 2 CPUs, one step from 17 CPUs on, one thread above N = 241.
-# Each thread's malloc arena keeps its chunks' temporaries after the
-# sweep, so this total, not the thread count, bounds the memory the
-# threads add.  Peak RSS of the in-process benchmark (2 vCPUs, threads
-# forced): 118.9 MB as one eig call, 119.6 on 2 threads, 122.8 on 19;
-# fixed 16-step chunks gave 149.5 MB on 19 threads, one contiguous share
-# a thread 126.8 MB on 2.  Two one-step threads at N = 509 raised a
-# 16-step sweep's peak from 157 to 174 MB.
-CHUNK_BYTES = 2_800_000
+# N = 59 on 2 CPUs, one step a thread from 17 CPUs on, one thread above
+# N = 237.  The benchmark's 301-step stack at N = 59 took 84-112 ms on 2
+# vCPUs, against 95-125 ms in 50-step chunks (4 and 3 to the two threads)
+# and 145-151 ms as one call.
+CHUNK_BYTES = 900_000
 # Bytes of the temporaries ``_modeset`` and ``_gaps`` build at once, beside
-# the vectors, and of the sorted vectors that ModeSets of one stack share.
+# the vectors.
 SCRATCH_BYTES = 2 ** 18
+# Levels of bisection of a crowded sweep step.  4 levels give every 19- and
+# 59-site chain at t' = 0.15 to 0.25 on every grid of step 0.02 to 0.1 the
+# pair thresholds eigenvector overlaps gave it, but leave a 79-site sweep
+# of step 0.1 up to 1.4e-3 off and a 209-site one of step 0.03 up to
+# 9.2e-4, where links near the reservoir's exceptional point at gamma = 2t
+# stay crowded.  5 and 6 levels match the overlaps there (the 209-site
+# sweep's step-0.01 thresholds to 7.6e-6); 6 leave one link of the
+# 209-site sweep crowded against 2, and a 259-site sweep of step 0.05 off
+# its step-0.01 thresholds by 1.1e-3 against 3.9e-3.  An exact tie is not
+# crowded: NHPH partners that meet at an exceptional point are bitwise
+# equally far from every on-axis eigenvalue beyond it, at every level, so
+# the greedy's row order decides anyway.  Bisecting those cost the
+# benchmark's 59-site sweep 167 solves against 21 (fig2's 31 against 0),
+# for the same pair thresholds; fig2's table is the same, and at 59 sites
+# some bulk modes trade mode numbers.  The tie is exact at omega0 = 0; at
+# 0.3 rounding breaks some, for 26 and 1 solves.  A link still crowded at
+# the last level is warned of.
+BISECT_DEPTH = 6
 
 
 def _cpu_count() -> int:
@@ -289,25 +277,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _chunked_eig(a: np.ndarray):
-    """Complex ``np.linalg.eig(a)`` of a real stack, in chunks on threads.
+def _chunked_eigvals(a: np.ndarray) -> np.ndarray:
+    """Complex ``np.linalg.eigvals(a)`` of a real stack, in chunks on threads.
 
     The chunks are dealt round-robin to one thread per CPU, the calling
     thread among them, never more threads than chunks or than slices fit
-    in ``CHUNK_BYTES``; the chunks in flight hold at most ``CHUNK_BYTES``
-    together, or one slice where a slice is larger.  So with one CPU, or
-    slices over half of ``CHUNK_BYTES`` (N > 241), no thread starts.  A
-    worker calls nothing but ``np.linalg.eig``, which releases the GIL,
-    and copies each result at once into the complex arrays allocated
-    here.  dgeev solves each slice alone, so every bit equals that of one
-    call on the whole stack: a chunk whose lambdas are all real comes back
-    real and is stored with Im = 0, the value the stacked call gives it.
-    Every thread is joined before the first error a worker met is raised.
+    in ``CHUNK_BYTES``, which the chunks in flight hold together (or one
+    slice, where larger).  So with one CPU, or slices over half of
+    ``CHUNK_BYTES`` (N > 237), no thread starts.  A worker calls only
+    ``np.linalg.eigvals``, which releases the GIL, and copies each result
+    into the complex array allocated here.  dgeev solves each slice alone,
+    so every bit is that of one call on the whole stack; a chunk whose
+    lambdas are all real is stored with Im = 0, as the stacked call gives
+    it.  Every thread is joined before a worker's first error is raised.
     """
     steps, n, _ = a.shape
     lam = np.empty((steps, n), dtype=complex)
-    v = np.empty((steps, n, n), dtype=complex)
-    step = 24 * n * n
+    step = 8 * n * n
     n_threads = min(_cpu_count(), steps, max(1, CHUNK_BYTES // step))
     per_chunk = max(1, CHUNK_BYTES // (step * n_threads))
     chunks = [slice(lo, lo + per_chunk) for lo in range(0, steps, per_chunk)]
@@ -319,7 +305,7 @@ def _chunked_eig(a: np.ndarray):
             if errors:
                 return
             try:
-                lam[c], v[c] = np.linalg.eig(a[c])
+                lam[c] = np.linalg.eigvals(a[c])
             except Exception as exc:
                 # any failure: else the caller reads rows never written
                 errors.append(exc)
@@ -335,112 +321,92 @@ def _chunked_eig(a: np.ndarray):
             t.join()
     if errors:
         raise errors[0]
-    return lam, v
+    return lam
 
 
-def _real_form_modes(specs):
-    """``eigendecompose`` of each spec's Hamiltonian, up to rounding, in order.
+def _has_real_form(spec: LatticeSpec) -> bool:
+    """Whether the chain's onsite energies share one real part (N >= 2)."""
+    re = spec.onsite.real
+    return spec.n_sites >= 2 and bool(np.all(re == re[0]))
 
-    A chain whose onsite energies share one real part omega0 has the
-    non-Hermitian particle-hole symmetry, and then -i(H - omega0) is
-    diagonally similar to the real tridiagonal A with diagonal Im H_jj,
-    upper band t_j and lower band -t_j: A = D^-1 (-i(H - omega0)) D with
-    D = diag(i^j).  One real eigensolve of A (LAPACK's dgeev through
-    ``np.linalg.eig``) gives omega = omega0 + i lambda and psi = D v; a real
-    lambda puts Re(omega) at omega0 exactly.  Consecutive such specs of one
-    length N are solved together: their A are stacked, in blocks of at most
-    ``STACK_BYTES`` (24 N^2 bytes a step), and each block is solved in
-    chunks on every CPU, at most ``CHUNK_BYTES`` at once (``_chunked_eig``).
-    dgeev solves every slice as a lone call would, so the result is the
-    same bit for bit for any block, chunk and thread count.  Any other
-    spec (a detuned reservoir, a single site) takes the dense complex path.
-    A generator: the specs are read, and each block solved, only as the
-    ModeSets are consumed, so it holds one block and no ModeSet it yielded.
+
+def _real_forms(specs) -> np.ndarray:
+    """The real tridiagonal forms A of chains of one length, stacked (k, N, N).
+
+    Where the onsite energies share one real part omega0 (the non-Hermitian
+    particle-hole symmetry), A = D^-1 (-i(H - omega0)) D with D = diag(i^j)
+    has diagonal Im H_jj, upper band t_j and lower band -t_j.  Its lambda
+    gives omega = omega0 + i lambda (``_omega``), exactly on the axis for a
+    real lambda, and its v gives psi = D v.  A chain longer than
+    ``DENSE_MAX_SITES`` raises EigensolverError before the stack exists.
     """
-    block = []
-    for spec in specs:
-        re = spec.onsite.real
-        if spec.n_sites < 2 or not np.all(re == re[0]):
-            yield from _stacked_modes(block)
-            block = []
-            yield eigendecompose(assemble_hamiltonian(spec))
-            continue
-        n = spec.n_sites
-        if block and (n != block[0].n_sites
-                      or len(block) == max(1, STACK_BYTES // (24 * n * n))):
-            yield from _stacked_modes(block)
-            block = []
-        if not block:
-            _require_dense(n)
-        block.append(spec)
-    yield from _stacked_modes(block)
-
-
-def _stacked_modes(block):
-    """The ModeSets of real-form specs of one length, solved as one stack."""
-    if not block:
-        return
-    onsite = np.array([spec.onsite for spec in block])
-    bonds = np.array([spec.bonds for spec in block])
+    onsite = np.array([spec.onsite.imag for spec in specs])
+    bonds = np.array([spec.bonds for spec in specs])
     k, n = onsite.shape
+    _require_dense(n)
     a = np.zeros((k, n, n))
-    a.reshape(k, -1)[:, ::n + 1] = onsite.imag
+    a.reshape(k, -1)[:, ::n + 1] = onsite
     a.reshape(k, -1)[:, 1::n + 1] = bonds
     a.reshape(k, -1)[:, n::n + 1] = -bonds
+    return a
+
+
+def _omega(omega0, lam: np.ndarray) -> np.ndarray:
+    """omega = omega0 + i lambda, part by part: Im(omega) is Re(lambda)."""
+    w = np.empty(lam.shape, dtype=complex)
+    w.real = omega0 - lam.imag
+    w.imag = lam.real
+    return w
+
+
+def _real_form_modes(spec: LatticeSpec) -> ModeSet:
+    """``eigendecompose`` of a chain's Hamiltonian, up to rounding: one
+    dgeev (``np.linalg.eig``) of its real form (``_real_forms``)."""
+    a = _real_forms([spec])[0]
     try:
-        lam, v = _chunked_eig(a)
+        lam, v = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolver failed: {exc}",
                                matrix=a) from exc
-    del a
-    v *= _PHASES[np.arange(n) % 4, None]
-    w = np.empty((k, n), dtype=complex)
-    w.real = onsite.real[:, :1] - lam.imag
-    w.imag = lam.real
+    n = spec.n_sites
+    v = v * _PHASES[np.arange(n) % 4, None]
     # |H|_1 = |H|_inf for symmetric H: the largest row sum of the chain
-    rows = np.abs(onsite)
-    rows[:, :-1] += bonds
-    rows[:, 1:] += bonds
-    yield from _modeset(w, v, rows.max(axis=1))
+    rows = np.abs(spec.onsite)
+    rows[:-1] += spec.bonds
+    rows[1:] += spec.bonds
+    return _modeset(_omega(spec.onsite.real[0], lam), v, rows.max())
 
 
 def chain_modes(spec: LatticeSpec) -> ModeSet:
     """The full spectrum of a chain: its ``eigendecompose``, up to rounding.
 
-    Chains of ``SPARSE_MIN_SITES`` sites or more are solved by
-    ``_real_form_modes``: one dgeev of the real tridiagonal form of
-    -i(H - omega0) where the onsite energies share one real part omega0,
-    so a zero mode has Re(omega) == omega0 exactly.  At 509 sites that
-    takes 0.30 s against 0.90 s for ``eigendecompose`` (medians of 5,
-    2-vCPU x86, OpenBLAS 0.3.31).  A detuned chain, and every shorter
-    chain, is ``eigendecompose(assemble_hamiltonian(spec))`` bit for bit.
-    The order of on-axis modes follows their Re(omega), which on the
-    complex path is rounding noise, so a zero mode's column can differ
-    between the two paths; shorter chains stay complex so that the
-    columns of the 19-site paper chains do not move.
+    Chains of ``SPARSE_MIN_SITES`` sites or more with a real form take
+    ``_real_form_modes``, so a zero mode has Re(omega) == omega0 exactly;
+    at 509 sites that takes 0.30 s against 0.90 s (medians of 5, 2-vCPU
+    x86, OpenBLAS 0.3.31).  Any other chain is
+    ``eigendecompose(assemble_hamiltonian(spec))`` bit for bit.  The order
+    of on-axis modes follows Re(omega), rounding noise on the complex path,
+    so a zero mode's column can differ between the paths; shorter chains
+    stay complex so that the columns of the 19-site paper chains stay put.
     """
-    if spec.n_sites >= SPARSE_MIN_SITES:
-        return next(_real_form_modes([spec]))
+    if spec.n_sites >= SPARSE_MIN_SITES and _has_real_form(spec):
+        return _real_form_modes(spec)
     return eigendecompose(assemble_hamiltonian(spec))
 
 
 def _gaps(w: np.ndarray) -> np.ndarray:
     """Distance from each eigenvalue to the nearest other one (inf if alone).
 
-    Along the last axis of w, of shape (N,) or (k, N).  Built in blocks of
-    at most ``SCRATCH_BYTES`` of complex distances.
+    Built in blocks of at most ``SCRATCH_BYTES`` of complex distances.
     """
-    n = w.shape[-1]
-    stack = w.reshape(-1, n)
-    flat = stack.ravel()
+    n = len(w)
     rows = max(1, SCRATCH_BYTES // (16 * n))
-    gaps = np.empty(len(flat))
-    for lo in range(0, len(flat), rows):
-        at = np.arange(lo, min(lo + rows, len(flat)))
-        diff = np.abs(flat[at, None] - stack[at // n])
-        diff[np.arange(len(at)), at % n] = np.inf
-        gaps[at] = diff.min(axis=1)
-    return gaps.reshape(w.shape)
+    gaps = np.empty(n)
+    for lo in range(0, n, rows):
+        diff = np.abs(w[lo:lo + rows, None] - w)
+        diff[np.arange(len(diff)), np.arange(lo, lo + len(diff))] = np.inf
+        gaps[lo:lo + rows] = diff.min(axis=1)
+    return gaps
 
 
 def check_spectral_symmetry(modes: ModeSet, omega0: float = 0.0,
@@ -609,139 +575,167 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
     return zms[0] if zms else None
 
 
-def sweep_gamma(spec_of_gamma, gamma_grid):
-    """Decompose the lattice family ``spec_of_gamma(gamma)`` on a monotone grid.
+def sweep_gamma(spec_of_gamma, gamma_grid) -> TrackedSweep:
+    """The ``TrackedSweep`` of the chains ``spec_of_gamma(gamma)`` on a
+    strictly monotone grid of two points or more.
 
-    Returns an iterator over the steps' ModeSets, in grid order; the grid
-    is checked at the call, each step is built and solved only as the
-    iterator reaches it, and the iterator keeps no ModeSet it returned.  Fed
-    to ``track_modes``, a sweep of any length then holds one block of
-    ``STACK_BYTES`` and two ModeSets (16 N^2 bytes each, or the array of at
-    most ``SCRATCH_BYTES`` that each shares with its neighbours in the
-    block); ``list()`` it to keep every step.  The steps are solved by
-    ``_real_form_modes``: chains whose onsite energies share one real part
-    omega0 (every ``coupled_chain`` without a detuned ``reservoir_onsite``)
-    are solved in real arithmetic, through the real tridiagonal form of
-    -i(H - omega0), stacked in blocks of at most ``STACK_BYTES`` of
-    matrices and vectors (24 N^2 bytes a step).  Each block is solved in
-    chunks, one ``np.linalg.eig`` call each, on one thread per CPU; the
-    chunks in flight hold ``CHUNK_BYTES`` together, or one step a thread
-    where a step is larger.  Every output bit is that of one call on the
-    whole stack, whatever the CPU count.  Any other chain is solved by
-    ``eigendecompose``.  Both give the same ``ModeSet`` up to rounding, but
-    on the real form an on-axis mode has Re(omega) == omega0 exactly and
-    the partners omega, -omega* of an NHPH pair have bitwise-equal Im,
-    where the complex solver leaves noise of order 1e-15 in both; a sweep's
-    outputs differ from the complex path's in those low bits and, through
-    tie-breaks, in which partner of a pair carries which mode number.
-    ``eigendecompose`` stays complex.  ``chain_modes``, and with it the
-    ``spectrum`` task, takes the real form only from ``SPARSE_MIN_SITES``
-    sites on: the order of on-axis modes, and so a zero mode's
-    ``mode_index``, follows their Re(omega), which on the complex path is
-    rounding noise, so it moves on the real form.
+    Each step is solved for its eigenvalues alone (``_sweep_eigenvalues``),
+    on the real form where the chain has one: an on-axis mode then has
+    Re(omega) == omega0 exactly, and NHPH partners omega, -omega* have
+    bitwise-equal Im.  Below 75 sites these are ``np.linalg.eig``'s bit for
+    bit; from 75 on LAPACK takes another QR path without vectors, and the
+    low bits move.  No bit depends on the CPU count.  Modes are followed by
+    continuation (``_link``), which on a grid coarse against the eigenvalue
+    spacing costs up to 2**BISECT_DEPTH solves a step, and warns of each
+    step whose link it could not make unambiguous.
     """
     grid = np.asarray(gamma_grid, dtype=float)
-    if len(grid) > 1 and not (np.all(np.diff(grid) > 0) or np.all(np.diff(grid) < 0)):
-        raise ValueError("gamma grid must be strictly monotone")
-    return _real_form_modes(spec_of_gamma(g) for g in grid)
-
-
-def track_modes(sweep, parameters=None) -> TrackedSweep:
-    """Follow mode identities through a sweep by maximal eigenvector overlap.
-
-    ``sweep`` is any iterable of ModeSets, such as ``sweep_gamma``'s
-    iterator; only the previous and the current step are held.
-    ``parameters`` gives each step's parameter (default 0, 1, ...), one
-    entry per step, else ValueError once the sweep is consumed.
-    Consecutive mode sets are matched greedily on |<psi_i|psi_j>|: pairs
-    are taken in order of overlap, largest first, ties going to the lowest
-    flat index i * N + j, and each taken pair removes its row and column
-    (see ``_greedy_match``).  When the overlap of a mode's match is below
-    0.5 its trajectory is split: the old one ends and a new one starts at
-    that step, with a warning "mode trajectory split at step ...".  The
-    trajectories and their mode numbers come as one table, ``TrackedSweep``.
-    """
-    steps = iter(sweep)
-    prev = next(steps, None)
-    # per step: the trajectory id of each column, the eigenvalues, and the
-    # overlap of the match that reached each column
-    ids, eigenvalues, overlaps = [], [], []
-    if prev is not None:
-        n = n_tracks = prev.n_modes
-        ids.append(np.arange(n))
-        eigenvalues.append(prev.eigenvalues)
-        overlaps.append(np.full(n, np.nan))
-        # a split's new trajectory takes the place of the one it ends, and
-        # splits are warned of in the order of places: place p holds column
-        # places[p], and held column p at step 0
-        places = np.arange(n)
-
-    for step, modes in enumerate(steps, start=1):
-        overlap = np.abs(prev.right_vectors.conj().T @ modes.right_vectors)
-        match = _greedy_match(overlap)
-        ov = overlap[np.arange(n), match]
-        by_place = ov[places]
-        for value in by_place[by_place < 0.5]:
-            warnings.warn(
-                f"mode trajectory split at step {step}: overlap {value:.3f}",
-                stacklevel=2)
-        places = match[places]
-        col_ids = np.empty(n, dtype=int)
-        col_ids[match] = ids[-1]
-        new = np.sort(match[ov < 0.5])
-        col_ids[new] = n_tracks + np.arange(len(new))
-        n_tracks += len(new)
-        col_ov = np.empty(n)
-        col_ov[match] = ov
-        ids.append(col_ids)
-        eigenvalues.append(modes.eigenvalues)
-        overlaps.append(col_ov)
-        prev = modes
-
-    n_steps = len(ids)
-    if n_steps < 2:
+    if len(grid) < 2:
         raise ValueError("need at least two sweep points to track modes")
-    params = np.arange(n_steps, dtype=float) if parameters is None \
-        else np.asarray(parameters, dtype=float)
-    if len(params) != n_steps:
-        raise ValueError(f"{len(params)} parameters for {n_steps} sweep "
-                         "points; need one a step")
-    track, w = np.array(ids), np.array(eigenvalues)
-    # the numbering of ``TrackedSweep.mode_id``
-    last = w[-1]
-    ranked = track[-1][np.lexsort((track[-1], last.real, -last.imag,
-                                   -np.abs(last.imag)))]
-    numbers = np.full(n_tracks, -1)
-    numbers[ranked] = np.arange(1, n + 1)
-    return TrackedSweep(params, w, track, np.array(overlaps), numbers[track])
+    if not (np.all(np.diff(grid) > 0) or np.all(np.diff(grid) < 0)):
+        raise ValueError("gamma grid must be strictly monotone")
+    w = _sweep_eigenvalues(spec_of_gamma, grid)
+    track = _link(spec_of_gamma, grid, w)
+    last, ids = w[-1], track[-1]
+    ranked = ids[np.lexsort((ids, last.real, -last.imag, -np.abs(last.imag)))]
+    numbers = np.empty(len(ids), dtype=int)
+    numbers[ranked] = np.arange(1, len(ids) + 1)
+    return TrackedSweep(grid, w, numbers[track])
 
 
-def _greedy_match(overlap: np.ndarray) -> np.ndarray:
-    """Column matched to each row of a square matrix of overlaps >= 0.
-
-    The greedy max-weight matching: repeatedly take the largest remaining
-    entry, ties going to the lowest flat index, and remove its row and
-    column.  It is built in rounds that take every locally dominant pair
-    at once, a pair that is the first maximum of both its row and its
-    column (``argmax`` picks the lowest index among ties, so both orders
-    agree).  No entry that conflicts with such a pair precedes it in the
-    greedy order, so the greedy takes it too (Preis, STACS 1999), and a
-    round takes at least one pair: the largest remaining entry.
+def _sweep_eigenvalues(spec_of_gamma, gammas) -> np.ndarray:
+    """Eigenvalues of ``spec_of_gamma(g)`` for each g, a row each, sorted by
+    (Re, Im).  Consecutive chains with a real form (``_real_forms``) are
+    stacked in blocks of at most ``STACK_BYTES``, built and solved one at a
+    time by ``_chunked_eigvals``; any other chain takes
+    ``np.linalg.eigvals`` of H.  Every chain must have the first's length.
     """
-    n = len(overlap)
-    work = overlap.copy()
+    w = block = None
+
+    def solve(end):
+        a = _real_forms(block)
+        try:
+            lam = _chunked_eigvals(a)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"dense eigensolver failed: {exc}",
+                                   matrix=a) from exc
+        omega0 = np.array([[spec.onsite.real[0]] for spec in block])
+        w[end - len(block):end] = _omega(omega0, lam)
+        block.clear()
+
+    for k, g in enumerate(gammas):
+        spec = spec_of_gamma(g)
+        n = spec.n_sites
+        if w is None:
+            _require_dense(n)
+            w, block = np.empty((len(gammas), n), dtype=complex), []
+            per = max(1, STACK_BYTES // (8 * n * n))
+        elif n != w.shape[1]:
+            raise ValueError(f"a {n}-site chain at gamma = {g} in a sweep of "
+                             f"{w.shape[1]}-site chains")
+        if not _has_real_form(spec):
+            if block:
+                solve(k)
+            m = assemble_hamiltonian(spec).matrix
+            try:
+                w[k] = np.linalg.eigvals(m)
+            except np.linalg.LinAlgError as exc:
+                raise EigensolverError(
+                    f"dense eigensolver failed: {exc}", matrix=m) from exc
+            continue
+        block.append(spec)
+        if len(block) == per:
+            solve(k + 1)
+    if block:
+        solve(len(w))
+    order = np.lexsort((w.imag, w.real))
+    return w[np.arange(len(w))[:, None], order]
+
+
+def _link(spec_of_gamma, grid: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each column's trajectory in a sweep's eigenvalues w (S, N): the
+    column of step 0 whose mode it continues.
+
+    Steps are linked by ``_greedy_match`` of their eigenvalues to the
+    predictions: the last point at the first step, else the secant through
+    the last two points linked, scaled to the step.  A crowded link is
+    bisected, its midpoint solved and linked through, down to
+    ``BISECT_DEPTH`` levels; each midpoint is solved alone, as it is
+    reached.  A link still crowded at the deepest level is kept as the
+    greedy made it, with a warning that names its step.
+    """
+    n = w.shape[1]
+    crowded = []
+
+    def advance(state, g, new, depth):
+        # state: the last two points' parameters, the eigenvalues of the
+        # one before in the last one's columns (None at first), the last
+        # one's; returns the state at g and each column's column at g
+        g0, g1, before, now = state
+        guess = now if before is None \
+            else now + (now - before) * ((g - g1) / (g1 - g0))
+        dist = np.abs(guess[:, None] - new)
+        match = dist.argmin(axis=1)
+        if np.bincount(match, minlength=n).max() > 1:
+            # trajectories share a nearest eigenvalue: crowded if the match
+            # left one a farther eigenvalue than one that went to a strictly
+            # nearer trajectory
+            match = _greedy_match(dist)
+            got = dist[np.arange(n), match]
+            held = np.empty(n)
+            held[match] = got
+            if np.any((dist < got[:, None]) & (dist > held)):
+                mid = 0.5 * (g1 + g)
+                if depth < BISECT_DEPTH and g1 != mid != g:
+                    at_mid = _sweep_eigenvalues(spec_of_gamma, [mid])[0]
+                    state, first = advance(state, mid, at_mid, depth + 1)
+                    state, second = advance(state, g, new, depth + 1)
+                    return state, second[first]
+                crowded.append(g)
+        moved = np.empty_like(now)
+        moved[match] = now
+        return (g1, g, moved, new), match
+
+    track = np.empty(w.shape, dtype=int)
+    track[0] = np.arange(n)
+    state = (np.nan, grid[0], None, w[0])
+    for k in range(1, len(grid)):
+        state, match = advance(state, grid[k], w[k], 0)
+        track[k, match] = track[k - 1]
+        if crowded:
+            warnings.warn(f"mode link to step {k} (gamma = {grid[k]:.6g}) "
+                          "still crowded after bisection", stacklevel=3)
+            crowded.clear()
+    return track
+
+
+def _greedy_match(dist: np.ndarray) -> np.ndarray:
+    """Column matched to each row of a square matrix of finite distances.
+
+    The greedy min-weight matching: repeatedly take the smallest remaining
+    entry, ties going to the lowest flat index, and remove its row and
+    column.  It is built in rounds that take every locally dominant pair at
+    once, a pair that is the first minimum of both its row and its column
+    (``argmin`` picks the lowest index among ties, so both orders agree).
+    No entry that conflicts with such a pair precedes it in the greedy
+    order, so the greedy takes it too (Preis, STACS 1999), and a round
+    takes at least one pair: the smallest remaining entry.  Where the first
+    minima of the rows lie in distinct columns, they are the matching.
+    """
+    n = len(dist)
     match = np.empty(n, dtype=int)
+    work = dist.copy()
     rows = np.arange(n)
     free = np.ones(n, dtype=bool)
     while free.any():
-        best_col = work.argmax(axis=1)
-        best_row = work.argmax(axis=0)
+        best_col = work.argmin(axis=1)
+        best_row = work.argmin(axis=0)
         taken = rows[free & (best_row[best_col] == rows)]
         cols = best_col[taken]
         match[taken] = cols
         free[taken] = False
-        work[taken, :] = -1.0
-        work[:, cols] = -1.0
+        work[taken, :] = np.inf
+        work[:, cols] = np.inf
     return match
 
 
@@ -749,18 +743,19 @@ def fit_pair_threshold(tracked: TrackedSweep, a: int, b: int,
                        omega0: float = 0.0) -> float:
     """Least-squares threshold gamma_mu of the zero-mode pair numbered a, b.
 
-    Uses the sweep steps where both mode numbers are present and both modes
-    sit on the symmetry axis, |Re(omega) - omega0| <= ``ZERO_TOL``, with
-    opposite-sign Im(omega), and fits Im(omega)^2 = gamma^2 - gamma_mu^2
-    pooled over both branches.
+    Uses the sweep steps where both modes sit on the symmetry axis,
+    |Re(omega) - omega0| <= ``ZERO_TOL``, with opposite-sign Im(omega), and
+    fits Im(omega)^2 = gamma^2 - gamma_mu^2 pooled over both branches.
+    Every step holds every mode number, as in a table from ``sweep_gamma``.
     """
     if min(a, b) < 1:
         raise ValueError(f"mode numbers start at 1, got {a} and {b}")
-    at_a, at_b = tracked.mode_id == a, tracked.mode_id == b
-    both = at_a.any(axis=1) & at_b.any(axis=1)
-    wa = tracked.eigenvalues[at_a & both[:, None]]
-    wb = tracked.eigenvalues[at_b & both[:, None]]
-    g = tracked.parameters[both]
+    if max(a, b) > tracked.mode_id.shape[1]:
+        raise ValueError(f"mode numbers end at {tracked.mode_id.shape[1]}, "
+                         f"got {a} and {b}")
+    wa = tracked.eigenvalues[tracked.mode_id == a]
+    wb = tracked.eigenvalues[tracked.mode_id == b]
+    g = tracked.parameters
     # negated tests keep a NaN point, as a test that skips points would
     keep = ~((np.abs(wa.real - omega0) > ZERO_TOL)
              | (np.abs(wb.real - omega0) > ZERO_TOL)

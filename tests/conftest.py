@@ -33,28 +33,27 @@ def baseline_zero_mode(gamma, **kwargs):
 
 @pytest.fixture(scope="session")
 def gamma_sweep():
-    """Dense sweep of the default chain, its ModeSets and its tracked table."""
+    """Dense sweep of the default chain, each step's ModeSet on the real form
+    and the tracked table."""
+    from nhzm.spectral import _real_form_modes
+
     grid = np.round(np.arange(0.0, 3.0 + 0.005, 0.01), 10)
-    sweeps = list(nhzm.sweep_gamma(nhzm.coupled_chain, grid))
-    return grid, sweeps, nhzm.track_modes(sweeps, grid)
+    sweeps = [_real_form_modes(nhzm.coupled_chain(g)) for g in grid]
+    return grid, sweeps, nhzm.sweep_gamma(nhzm.coupled_chain, grid)
 
 
 def trajectories(tracked):
-    """The trajectories of a ``TrackedSweep``, in the order of their ids.
+    """The trajectories of a ``TrackedSweep``, in the order of their mode
+    numbers.
 
-    Each has its start step, the parameters, eigenvalues and columns of its
-    steps, the overlaps of its matches after the first step, and its mode
-    number (None for -1), read off the table; each trajectory must hold one
-    column a step, over consecutive steps, under one mode number.
+    Each has its start step, 0, the parameters, eigenvalues and columns of
+    every step and its mode number, read off the table; each number must
+    sit in one column a step.
     """
-    found = []
-    for t in range(tracked.track.max() + 1):
-        steps, cols = np.nonzero(tracked.track == t)
-        assert np.array_equal(steps, steps[0] + np.arange(len(steps)))
-        number, = set(tracked.mode_id[steps, cols].tolist())
-        found.append(SimpleNamespace(
-            start=int(steps[0]), parameters=tracked.parameters[steps],
-            eigenvalues=tracked.eigenvalues[steps, cols], column_indices=cols,
-            overlaps=tracked.overlaps[steps[1:], cols[1:]],
-            mode_number=None if number == -1 else number))
-    return found
+    steps, n = tracked.mode_id.shape
+    assert (np.sort(tracked.mode_id, axis=1) == np.arange(1, n + 1)).all()
+    cols = np.argsort(tracked.mode_id, axis=1)
+    return [SimpleNamespace(
+        start=0, parameters=tracked.parameters, mode_number=number + 1,
+        eigenvalues=tracked.eigenvalues[np.arange(steps), cols[:, number]],
+        column_indices=cols[:, number]) for number in range(n)]

@@ -17,8 +17,8 @@ import nhzm
 from nhzm.errors import EigensolverError, FitError
 from nhzm.scenario import load_scenario
 from nhzm.spectral import (DEFECT_GAP_FRACTION, DEFECT_OVERLAP,
-                           SPARSE_MIN_SITES, ZERO_TOL,
-                           _gaps, _modeset, _real_form_modes,
+                           SPARSE_MIN_SITES, ZERO_TOL, _gaps, _greedy_match,
+                           _modeset, _real_form_modes, _sweep_eigenvalues,
                            _zero_mode_indices)
 
 from conftest import (KNOWN_ZERO_OMEGAS, baseline_zero_mode, chain_modes,
@@ -172,29 +172,19 @@ class TestEigendecompose:
             tracemalloc.stop()
         assert peak < 2.5 * 16 * n * n
 
-    @pytest.mark.parametrize("scratch", [1, 7, 2 * 59 + 5, 10 ** 9])
+    @pytest.mark.parametrize("scratch", [1, 7, 123, 10 ** 9])
     def test_blocked_scratch_matches_whole_arrays(self, monkeypatch, scratch):
-        # blocks of 1 row or column, of 7, of two 59-site matrices and 5
-        # rows, and of everything at once
+        # blocks of 1 row or column, of 7, of 123, and of everything at once
         n = 400
         h = nhzm.assemble_hamiltonian(nhzm.coupled_chain(
             0.7, n_reservoir=n - 9))
         w, vr = np.linalg.eig(h.matrix)
         monkeypatch.setattr(nhzm.spectral, "SCRATCH_BYTES", scratch * 16 * n)
-        modes = next(_modeset(w[None], vr[None], np.ones(1)))
-        same_modesets([modes], [whole_array_modeset(w, vr, 1.0)])
+        same_modesets([_modeset(w, vr, 1.0)],
+                      [whole_array_modeset(w, vr, 1.0)])
         dist = np.abs(w[:, None] - w[None, :])
         np.fill_diagonal(dist, np.inf)
         assert _gaps(w).tobytes() == dist.min(axis=1).tobytes()
-        # a stack: each matrix's ModeSet as the matrix alone gives it
-        m = 59
-        hs = np.stack([nhzm.assemble_hamiltonian(nhzm.coupled_chain(
-            g, n_reservoir=m - 9)).matrix for g in (0.0, 0.5, 1.9, 2.0, 3.0)])
-        w, vr = np.linalg.eig(hs)
-        bounds = np.linspace(1.0, 3.0, len(w))
-        monkeypatch.setattr(nhzm.spectral, "SCRATCH_BYTES", scratch * 16 * m)
-        same_modesets(list(_modeset(w, vr, bounds)), [
-            whole_array_modeset(*one) for one in zip(w, vr, bounds)])
 
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 3.0])
     def test_biorthonormal_within_tolerance(self, gamma):
@@ -312,10 +302,14 @@ class TestFindZeroModes:
 
 
 class TestSweepAndTracking:
-    def test_single_point_hermitian_sweep(self):
-        sweeps = list(nhzm.sweep_gamma(nhzm.coupled_chain, [0.0]))
-        assert len(sweeps) == 1
-        assert np.abs(sweeps[0].eigenvalues.imag).max() < 1e-10
+    @pytest.mark.parametrize("grid", [[], [0.0]])
+    def test_fewer_than_two_points_refused(self, grid):
+        with pytest.raises(ValueError, match="at least two sweep points"):
+            nhzm.sweep_gamma(nhzm.coupled_chain, grid)
+
+    def test_hermitian_start(self):
+        tracked = nhzm.sweep_gamma(nhzm.coupled_chain, [0.0, 0.1])
+        assert np.abs(tracked.eigenvalues[0].imag).max() < 1e-10
 
     def test_non_monotone_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -323,82 +317,36 @@ class TestSweepAndTracking:
 
     def test_constant_sweep_matches_identically(self):
         spec, _ = chain_modes(1.0)
-        sweeps = list(nhzm.sweep_gamma(lambda g: spec, [0.0, 1.0, 2.0]))
-        tracked = trajectories(nhzm.track_modes(sweeps, [0.0, 1.0, 2.0]))
+        tracked = trajectories(nhzm.sweep_gamma(lambda g: spec,
+                                                [0.0, 1.0, 2.0]))
         assert len(tracked) == 19
         for t in tracked:
             assert len(t.eigenvalues) == 3
             assert np.ptp(t.column_indices) == 0
-            assert np.all(t.overlaps > 0.999999)
 
-    def test_matching_equals_the_one_argmax_at_a_time_greedy(self):
-        # vectors of multiples of 1/2 give overlaps of multiples of 1/4,
-        # exact in floating point: ties everywhere, splits below 0.5
+    def test_matching_equals_the_one_argmin_at_a_time_greedy(self):
+        # distances of small integers: ties everywhere, and rows whose
+        # first minima share a column
         rng = np.random.default_rng(7)
         for _ in range(400):
-            n, steps = rng.integers(1, 9), rng.integers(2, 6)
-            sweep = vector_sweep(rng.integers(-2, 3, (steps, n, n)) * 0.5
-                                 + 0j)
-            params = np.linspace(0.0, 1.0, steps)
-            with warnings.catch_warnings(record=True) as got_warnings:
-                warnings.simplefilter("always")
-                got = nhzm.track_modes(sweep, params)
-            with warnings.catch_warnings(record=True) as ref_warnings:
-                warnings.simplefilter("always")
-                ref = reference_track_modes(sweep, params)
-            assert [str(w.message) for w in got_warnings] \
-                == [str(w.message) for w in ref_warnings]
-            got = trajectories(got)
-            assert [(t.start, t.parameters.tolist(), t.eigenvalues.tolist(),
-                     t.column_indices.tolist(), t.overlaps.tolist())
-                    for t in got] == ref
-            assert [t.mode_number for t in got] \
-                == reference_mode_numbers(got, steps)
+            n = rng.integers(1, 9)
+            dist = rng.integers(0, 4, (n, n)).astype(float)
+            assert _greedy_match(dist).tolist() \
+                == reference_greedy_match(dist)
 
-    def test_forced_split_warns(self):
-        sweep = vector_sweep([np.eye(2), np.diag([0.4, 1.0])])
-        with pytest.warns(UserWarning, match=r"^mode trajectory split at "
-                          r"step 1: overlap 0\.400"):
-            tracked = nhzm.track_modes(sweep)
-        assert [(t.start, t.column_indices.tolist())
-                for t in trajectories(tracked)] \
-            == [(0, [0]), (0, [1, 1]), (1, [0])]
-        assert tracked.track.tolist() == [[0, 1], [2, 1]]
-        assert tracked.mode_id.tolist() == [[-1, 2], [1, 2]]
-        assert tracked.overlaps.tobytes() \
-            == np.array([[np.nan, np.nan], [0.4, 1.0]]).tobytes()
+    # seven steps are too coarse for some links
+    @pytest.mark.filterwarnings("ignore:mode link to step")
+    def test_eigenvalues_only(self, monkeypatch):
+        # neither the real-form steps nor a detuned chain's compute vectors
+        def refuse(*args):
+            raise AssertionError("np.linalg.eig called")
 
-    def test_an_iterator_tracks_as_the_list_does(self):
-        # the random tie-laden sweeps of the greedy test, and a physical
-        # sweep streamed from ``sweep_gamma``
-        rng = np.random.default_rng(11)
-        sweeps = [vector_sweep(rng.integers(-2, 3, (rng.integers(2, 6), n, n))
-                               * 0.5 + 0j) for n in rng.integers(1, 9, 100)]
-        grid = np.linspace(0.0, 3.0, 13)
-        family = lambda g: nhzm.coupled_chain(g, n_reservoir=30)
-        cases = [(sweep, None) for sweep in sweeps] + [
-            (list(nhzm.sweep_gamma(family, grid)), grid)]
-        for sweep, params in cases:
-            got_iter, warned_iter = tracked_table(iter(sweep), params)
-            got_list, warned_list = tracked_table(sweep, params)
-            assert warned_iter == warned_list
-            assert got_iter == got_list
-        streamed, warned = tracked_table(nhzm.sweep_gamma(family, grid),
-                                         grid)
-        assert warned
-        assert (streamed, warned) == tracked_table(cases[-1][0], grid)
-
-    @pytest.mark.parametrize("n_params", [2, 4])
-    def test_one_parameter_a_step(self, n_params):
-        sweep = vector_sweep([np.eye(2)] * 3)
-        with pytest.raises(ValueError, match=f"{n_params} parameters for 3 "
-                           "sweep points"):
-            nhzm.track_modes(iter(sweep), np.arange(n_params, dtype=float))
-
-    @pytest.mark.parametrize("steps", [0, 1])
-    def test_fewer_than_two_points_refused_from_a_stream(self, steps):
-        with pytest.raises(ValueError, match="at least two sweep points"):
-            nhzm.track_modes(iter(vector_sweep([np.eye(2)] * steps)))
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        for family in (
+                lambda g: nhzm.coupled_chain(g, system_gamma=0.4, onsite=0.3),
+                lambda g: nhzm.coupled_chain(g, reservoir_onsite=0.3)):
+            tracked = nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, 7))
+            assert tracked.mode_id.shape == (7, 19)
 
     def test_baseline_keeps_small_imaginary_part_between_crossings(self, gamma_sweep):
         grid, sweeps, _ = gamma_sweep
@@ -411,8 +359,7 @@ class TestSweepAndTracking:
 
     def test_mode_numbering_gives_consecutive_pair_ranks(self, gamma_sweep):
         grid, _, tracked = gamma_sweep
-        by_number = {t.mode_number: t for t in trajectories(tracked)
-                     if t.mode_number}
+        by_number = {t.mode_number: t for t in trajectories(tracked)}
         assert sorted(by_number) == list(range(1, 20))
         # ranks 1..10 are the five zero-mode pairs, 11 the small-Im baseline
         for odd in (1, 3, 5, 7, 9):
@@ -421,13 +368,6 @@ class TestSweepAndTracking:
             assert im_a * im_b < 0
             assert abs(im_a + im_b) < 0.02
         assert abs(by_number[11].eigenvalues[-1].imag) < 0.02
-
-    def test_physical_sweep_tracks_without_splits(self, gamma_sweep):
-        grid, _, tracked = gamma_sweep
-        assert len(trajectories(tracked)) == 19
-        for t in trajectories(tracked):
-            assert t.start == 0 and len(t.eigenvalues) == len(grid)
-            assert np.all(t.overlaps > 0.5)
 
     def test_pair_9_10_threshold(self, gamma_sweep):
         _, _, tracked = gamma_sweep
@@ -445,83 +385,234 @@ class TestSweepAndTracking:
         np.testing.assert_allclose(rs, -gamma_mu ** 2, rtol=0.05)
 
 
-def tracked_table(sweep, parameters):
-    """``track_modes``'s table as bytes and lists, and its warnings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = nhzm.track_modes(sweep, parameters)
-    return ([got.parameters.tobytes(), got.eigenvalues.tobytes(),
-             got.track.tolist(), got.overlaps.tobytes(), got.mode_id.tolist()],
-            [str(w.message) for w in caught])
+# the sweeps the removed overlap tracking was checked on: (reservoir sites,
+# t', gamma step); at 10 sites t' = 0.2 is fig2's chain.  At 79 sites on
+# the 0.1 grid 4 levels of bisection left a threshold 1.4e-3 off
+OVERLAP_SWEEPS = [(n, t_prime, step) for n in (10, 50)
+                  for t_prime in (0.15, 0.2, 0.25)
+                  for step in (0.01, 0.02, 0.03, 0.05, 0.1)] \
+    + [(10, 0.183, 0.01), (50, 0.183, 0.01), (70, 0.2, 0.1)]
 
 
-def reference_mode_numbers(trajs, n_steps):
-    """Each trajectory's mode number (or None) by the removed per-trajectory
-    numbering: a stable sort, over the trajectories that reach the last
-    step, by their last point's (-|Im|, -Im, Re)."""
-    final = [k for k, t in enumerate(trajs)
-             if t.start + len(t.eigenvalues) == n_steps]
-    final.sort(key=lambda k: (-abs(trajs[k].eigenvalues[-1].imag),
-                              -trajs[k].eigenvalues[-1].imag,
-                              trajs[k].eigenvalues[-1].real))
-    numbers = [None] * len(trajs)
-    for rank, k in enumerate(final):
-        numbers[k] = rank + 1
-    return numbers
+class TestAgainstOverlapTracking:
+    """Continuation against the overlap tracking it replaced."""
+
+    @pytest.mark.parametrize("t_prime, midpoints", [(0.2, 0), (0.183, 1)])
+    def test_same_table_where_overlaps_never_split(self, monkeypatch,
+                                                   t_prime, midpoints):
+        # fig2's sweep, and one beside it; the overlap tracking split
+        # neither.  fig2's five exceptional points are exact ties, which
+        # are not bisected, so it solves no midpoint
+        grid = load_scenario("fig2").sweep_grid()
+        family = lambda g: nhzm.coupled_chain(g, t_prime=t_prime)
+        mode_id, w = overlap_reference(family, grid)
+        assert (mode_id > 0).all()
+        calls = recorded_solves(monkeypatch)
+        tracked = nhzm.sweep_gamma(family, grid)
+        assert sum(calls[1:]) == midpoints
+        assert tracked.eigenvalues.tobytes() == w.tobytes()
+        assert np.array_equal(tracked.mode_id, mode_id)
+
+    # links at and beside the reservoir's exceptional point, gamma = 2t, stay
+    # crowded at 59 sites
+    @pytest.mark.filterwarnings("ignore:mode link to step")
+    @pytest.mark.parametrize("n_reservoir, t_prime, step", OVERLAP_SWEEPS)
+    def test_same_pair_thresholds(self, n_reservoir, t_prime, step):
+        # also where the overlaps split trajectories (at 59 sites, and at
+        # 19 sites for t' = 0.15 and 0.25), and on every coarse grid
+        grid = np.arange(0.0, 3.0 + 0.5 * step, step)
+        family = lambda g: nhzm.coupled_chain(g, n_reservoir=n_reservoir,
+                                              t_prime=t_prime)
+        mode_id, w = overlap_reference(family, grid)
+        tracked = nhzm.sweep_gamma(family, grid)
+        n = w.shape[1]
+        if n < 75:
+            # from 75 sites on eigvals and eig differ in the low bits
+            assert tracked.eigenvalues.tobytes() == w.tobytes()
+        fits = [pair_thresholds(n, lambda a, b: nhzm.fit_pair_threshold(
+                    tracked, a, b)),
+                pair_thresholds(n, lambda a, b: reference_fit_pair_threshold(
+                    numbered_steps(grid, w, mode_id, a),
+                    numbered_steps(grid, w, mode_id, b)))]
+        assert len(fits[0]) >= 5
+        assert fits[0] == fits[1]
 
 
-def reference_track_modes(sweep, parameters):
-    """``track_modes`` with its greedy matching as one argmax at a time."""
-    n = sweep[0].n_modes
-    live = {j: {"start": 0, "eigenvalues": [sweep[0].eigenvalues[j]],
-                "columns": [j], "overlaps": []} for j in range(n)}
-    finished = []
+def recorded_solves(monkeypatch):
+    """The number of steps of each stack a sweep solves from now on: the
+    grid first, then each midpoint alone."""
+    calls = []
 
-    def close(traj, end):
-        return (traj["start"], list(parameters[traj["start"]:end]),
-                traj["eigenvalues"], traj["columns"], traj["overlaps"])
+    def recording(family, gammas):
+        calls.append(len(gammas))
+        return _sweep_eigenvalues(family, gammas)
 
-    for step in range(1, len(sweep)):
-        overlap = np.abs(sweep[step - 1].right_vectors.conj().T
-                         @ sweep[step].right_vectors)
-        assignment = {}
-        work = overlap.copy()
-        for _ in range(n):
-            i, j = np.unravel_index(np.argmax(work), work.shape)
-            assignment[i] = (j, overlap[i, j])
-            work[i, :] = -1.0
-            work[:, j] = -1.0
-        new_live = {}
-        for i, traj in live.items():
-            j, ov = assignment[i]
-            if ov < 0.5:
-                warnings.warn(
-                    f"mode trajectory split at step {step}: overlap {ov:.3f}")
-                finished.append(close(traj, step))
-                new_live[j] = {"start": step,
-                               "eigenvalues": [sweep[step].eigenvalues[j]],
-                               "columns": [j], "overlaps": []}
-            else:
-                traj["eigenvalues"].append(sweep[step].eigenvalues[j])
-                traj["columns"].append(j)
-                traj["overlaps"].append(ov)
-                new_live[j] = traj
-        live = new_live
-    finished.extend(close(traj, len(sweep)) for traj in live.values())
-    finished.sort(key=lambda t: (t[0], t[3][0]))
-    return finished
+    monkeypatch.setattr(nhzm.spectral, "_sweep_eigenvalues", recording)
+    return calls
 
 
-def vector_sweep(vectors):
-    """A sweep whose step k has the given right vectors, omega = 100k + j."""
-    return [nhzm.ModeSet(100 * k + np.arange(v.shape[1]) + 0j, v,
-                         np.ones(v.shape[1]), np.ones(v.shape[1]),
-                         np.zeros(v.shape[1], dtype=bool))
-            for k, v in enumerate(vectors)]
+def pair_thresholds(n, fit):
+    """gamma_mu of every pair (odd, odd + 1) of n modes that ``fit(a, b)``
+    fits, as the sweep task lists them."""
+    fits = {}
+    for odd in range(1, n, 2):
+        try:
+            fits[odd] = fit(odd, odd + 1)
+        except FitError:
+            pass
+    return fits
+
+
+def numbered_steps(grid, w, mode_id, number):
+    """The run of steps that hold a mode number in a table that may leave
+    it out of some, such as ``overlap_reference``'s, as a trajectory of
+    ``reference_fit_pair_threshold``."""
+    steps = np.flatnonzero((mode_id == number).any(axis=1))
+    assert (np.diff(steps) == 1).all()
+    return SimpleNamespace(start=steps[0], parameters=grid[steps],
+                           eigenvalues=w[mode_id == number])
+
+
+def overlap_reference(family, grid):
+    """The mode numbers of the removed overlap tracking, and the eigenvalues.
+
+    Each step's eigenpairs come from ``np.linalg.eig`` of the chain's real
+    form, sorted by (Re, Im), with unit-norm vectors psi = D v.  Steps are
+    matched greedily on |<psi_i|psi_j>|, one argmax at a time; a match below
+    0.5 ends its trajectory and starts a new one, numbered after every
+    older one in the order of columns.  The trajectories that reach the last
+    step are numbered as ``TrackedSweep.mode_id``; ended ones get -1.
+    """
+    steps = []
+    for g in grid:
+        spec = family(g)
+        n = spec.n_sites
+        lam, v = np.linalg.eig(real_form(spec))
+        w = np.empty(n, dtype=complex)
+        w.real = spec.onsite.real[0] - lam.imag
+        w.imag = lam.real
+        order = np.lexsort((w.imag, w.real))
+        psi = (v * np.array([1, 1j, -1, -1j])[np.arange(n) % 4, None])[
+            :, order]
+        steps.append((w[order], psi / np.linalg.norm(psi, axis=0)))
+    ids, n_tracks = [np.arange(n)], n
+    for (_, before), (_, after) in zip(steps, steps[1:]):
+        overlap = np.abs(before.conj().T @ after)
+        match = reference_greedy_match(-overlap)
+        col_ids = np.empty(n, dtype=int)
+        for i, j in enumerate(match):
+            col_ids[j] = ids[-1][i]
+        new = sorted(j for i, j in enumerate(match) if overlap[i, j] < 0.5)
+        col_ids[new] = n_tracks + np.arange(len(new))
+        n_tracks += len(new)
+        ids.append(col_ids)
+    w = np.array([w for w, _ in steps])
+    return mode_numbers(np.array(ids), w[-1], n_tracks), w
+
+
+def mode_numbers(track, last, n_tracks):
+    """Numbers 1..N of the trajectories in the last row of ``track`` by
+    their last eigenvalue's (-|Im|, -Im, Re), ties to the lower id; -1 for
+    every other trajectory; read out at each column of ``track``."""
+    ranked = track[-1][np.lexsort((track[-1], last.real, -last.imag,
+                                   -np.abs(last.imag)))]
+    numbers = np.full(n_tracks, -1)
+    numbers[ranked] = np.arange(1, len(last) + 1)
+    return numbers[track]
+
+
+def reference_greedy_match(dist):
+    """Greedy matching of rows to columns as one argmin at a time: the
+    smallest remaining entry, ties to the lowest flat index."""
+    work = np.array(dist, dtype=float)
+    match = [None] * len(work)
+    for _ in range(len(work)):
+        i, j = np.unravel_index(np.argmin(work), work.shape)
+        match[i] = int(j)
+        work[i, :] = np.inf
+        work[:, j] = np.inf
+    return match
+
+
+def sorted_rows(w):
+    """Each row of w sorted by (Re, Im), as a sweep's eigenvalues are."""
+    w = np.asarray(w, dtype=complex)
+    order = np.lexsort((w.imag, w.real))
+    return w[np.arange(len(w))[:, None], order]
+
+
+def fake_sweep(monkeypatch, curves):
+    """Make ``sweep_gamma`` read each step's eigenvalues off ``curves(g)``,
+    one array a parameter; the tracking still runs."""
+    monkeypatch.setattr(nhzm.spectral, "_sweep_eigenvalues",
+                        lambda family, gammas: sorted_rows(
+                            [curves(g) for g in gammas]))
+
+
+class TestContinuation:
+    """The link rule on hand-built eigenvalue curves."""
+
+    @staticmethod
+    def parabolas(g):
+        # A = g^2 on the real axis; B = 3 + i g (1 - g) stays at 3 until
+        # g = 1, then turns down
+        return [g * g, 3 + 1j * g * (1 - g)]
+
+    def test_bisection_fixes_a_secant_mislink(self, monkeypatch):
+        # on the unit grid the secants predict A at 2 and B at 3 for g = 2,
+        # and B's prediction is the nearer to A's eigenvalue 4, so a plain
+        # greedy link swaps them; linked through g = 1.5 they stay apart
+        fake_sweep(monkeypatch, self.parabolas)
+        grid = [0.0, 1.0, 2.0, 3.0]
+        truth = np.array([self.parabolas(g) for g in grid])
+        monkeypatch.setattr(nhzm.spectral, "BISECT_DEPTH", 0)
+        with pytest.warns(UserWarning, match="crowded"):
+            plain = trajectories(nhzm.sweep_gamma(None, grid))
+        assert not any(np.array_equal(t.eigenvalues, truth[:, 0])
+                       for t in plain)
+        monkeypatch.undo()
+        fake_sweep(monkeypatch, self.parabolas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bisected = trajectories(nhzm.sweep_gamma(None, grid))
+        # B ends with the larger |Im|, so it is mode 1
+        assert [t.eigenvalues.tolist() for t in bisected] \
+            == [truth[:, 1].tolist(), truth[:, 0].tolist()]
+
+    def test_link_crowded_at_the_deepest_level_warns(self, monkeypatch):
+        # with no bisection left, the mislinked step is named, once, from
+        # the caller's line
+        fake_sweep(monkeypatch, self.parabolas)
+        monkeypatch.setattr(nhzm.spectral, "BISECT_DEPTH", 0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            nhzm.sweep_gamma(None, [0.0, 1.0, 2.0, 3.0])
+        assert [str(w.message) for w in caught] == [
+            "mode link to step 2 (gamma = 2) still crowded after bisection"]
+        assert caught[0].filename == __file__
+
+    def test_mode_number_tie_is_broken_by_real_part(self, monkeypatch):
+        # NHPH partners omega, -omega* off the axis: bitwise-equal Im
+        right, left, axis = 0.7 + 0.1j, -0.7 + 0.1j, 0.4j
+        fake_sweep(monkeypatch, lambda g: [right, left, axis])
+        tracked = nhzm.sweep_gamma(None, [0.0, 1.0])
+        number = dict(zip(tracked.eigenvalues[-1], tracked.mode_id[-1]))
+        assert (number[axis], number[left], number[right]) == (1, 2, 3)
+
+    def test_exact_tie_goes_to_the_trajectory_from_the_lower_column(
+            self, monkeypatch):
+        # the modes at Im -1 and 0 of step 0 meet at 0.5 bit for bit: the
+        # one from column 1, the nearer, takes column 0 of the last step,
+        # and the one from column 0 the lower mode number
+        fake_sweep(monkeypatch,
+                   lambda g: 0.3 + 1j * np.array([-1 + 1.5 * g, 0.5 * g]))
+        tracked = nhzm.sweep_gamma(None, [0.0, 1.0])
+        assert tracked.eigenvalues[-1, 0] == tracked.eigenvalues[-1, 1]
+        assert tracked.mode_id.tolist() == [[1, 2], [2, 1]]
 
 
 def real_form(spec):
-    """The real tridiagonal A of ``_real_form_modes``."""
+    """The real tridiagonal A of ``_real_forms``."""
     return np.diag(spec.onsite.imag) + np.diag(spec.bonds, 1) \
         - np.diag(spec.bonds, -1)
 
@@ -551,16 +642,6 @@ def whole_array_modeset(w, vr, norm_bound):
         | (overlaps < DEFECT_OVERLAP))
 
 
-def ending_at(last, vectors):
-    """A two-step sweep of unit-vector ModeSets that ends on the eigenvalues
-    ``last``, with step 1's right vectors ``vectors``."""
-    n = len(last)
-    flags = lambda: (np.ones(n), np.ones(n), np.zeros(n, dtype=bool))
-    return [nhzm.ModeSet(np.arange(n) + 0j, np.eye(n) + 0j, *flags()),
-            nhzm.ModeSet(np.asarray(last, dtype=complex),
-                         np.asarray(vectors, dtype=complex), *flags())]
-
-
 class TestRealFormSweep:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 4), st.integers(1, 70), st.floats(0.0, 3.5),
@@ -578,7 +659,7 @@ class TestRealFormSweep:
                                   t_prime=t_prime)
         h = nhzm.assemble_hamiltonian(spec).matrix
         scale = np.abs(h).sum(axis=1).max()
-        real, ref = next(_real_form_modes([spec])), nhzm.eigendecompose(
+        real, ref = _real_form_modes(spec), nhzm.eigendecompose(
             nhzm.Hamiltonian(h))
         # near an exceptional point both solvers carry O(sqrt(eps)) error
         assume(not ref.near_defective.any())
@@ -593,6 +674,10 @@ class TestRealFormSweep:
         n_real = int(np.sum(sla.eig(real_form(spec))[0].imag == 0))
         assert np.sum(real.eigenvalues.real == omega0) == n_real
         assert n_real >= spec.n_sites % 2
+        # and a sweep step has the same eigenvalues, bit for bit below 75
+        # sites, where LAPACK's QR path is the same without vectors
+        step = _sweep_eigenvalues(lambda g: spec, [gamma])[0]
+        assert step.tobytes() == real.eigenvalues.tobytes()
 
     def test_all_real_lambda(self):
         # gain/loss 2 against unit bonds puts all five modes on the axis:
@@ -602,7 +687,7 @@ class TestRealFormSweep:
                                 np.ones(4))
         lam, v = np.linalg.eig(real_form(spec))
         assert lam.dtype == v.dtype == np.float64
-        modes = next(_real_form_modes([spec]))
+        modes = _real_form_modes(spec)
         assert modes.right_vectors.dtype == complex
         assert (modes.eigenvalues.real == 0.4).all()
         np.testing.assert_allclose(modes.eigenvalues.imag,
@@ -619,9 +704,11 @@ class TestRealFormSweep:
         spec = nhzm.coupled_chain(2.0)
         monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites - 1)
         with pytest.raises(EigensolverError, match="too long for the dense"):
-            next(_real_form_modes([spec]))
+            _real_form_modes(spec)
+        with pytest.raises(EigensolverError, match="too long for the dense"):
+            _sweep_eigenvalues(lambda g: spec, [0.0])
         monkeypatch.setattr(nhzm.lattice, "DENSE_MAX_SITES", spec.n_sites)
-        assert next(_real_form_modes([spec])).n_modes == spec.n_sites
+        assert _real_form_modes(spec).n_modes == spec.n_sites
 
     def test_stack_matches_lone_solves(self):
         # gain/loss g against unit bonds: every lambda of A is real from
@@ -629,29 +716,43 @@ class TestRealFormSweep:
         family = lambda g: nhzm.LatticeSpec(
             0.4 + 1j * g * np.array([1, -1, 1, -1, 1]), np.ones(4))
         grid = [0.0, 0.5, 2.0, 2.5]
-        # stacked, eig returns complex lambda and v for the all-real steps
+        # stacked, eigvals returns complex lambda for the all-real steps
         # too, where a lone solve returns real ones
-        lam, _ = np.linalg.eig(np.stack([real_form(family(g)) for g in grid]))
+        lam = np.linalg.eigvals(np.stack([real_form(family(g))
+                                          for g in grid]))
         assert lam.dtype == complex
         assert (lam[2:].imag == 0).all()
-        lone = [next(_real_form_modes([family(g)])) for g in grid]
-        same_modesets(list(nhzm.sweep_gamma(family, grid)), lone)
+        assert _sweep_eigenvalues(family, grid).tobytes() == np.array(
+            [_real_form_modes(family(g)).eigenvalues for g in grid]).tobytes()
+
+    @pytest.mark.parametrize("n_reservoir, t_prime", [
+        (10, 0.2), (50, 0.15), (50, 0.2), (50, 0.25)],
+        ids=["fig2", "59-sites-0.15", "59-sites-0.2", "59-sites-0.25"])
+    def test_eigenvalues_are_those_of_eig(self, n_reservoir, t_prime):
+        # fig2's stack of real forms and the benchmark's 59-site ones:
+        # dgeev without vectors gives eig's lambda bit for bit, in order,
+        # which keeps fig2's outputs byte for byte
+        grid = load_scenario("fig2").sweep_grid()
+        a = np.stack([real_form(nhzm.coupled_chain(
+            g, n_reservoir=n_reservoir, t_prime=t_prime)) for g in grid])
+        assert np.linalg.eigvals(a).tobytes() \
+            == np.linalg.eig(a)[0].tobytes()
 
     @pytest.mark.parametrize("family, grid", [
         (lambda g: nhzm.coupled_chain(g, system_gamma=0.4, onsite=0.3),
          np.linspace(0.0, 3.0, 7)),
-        # chunks of 2 steps: one chunk has every lambda real, and eig
-        # returns real arrays for it alone (see test_stack_matches_lone_solves)
+        # chunks of 2 steps: one chunk has every lambda real, and eigvals
+        # returns a real array for it alone (see test_stack_matches_lone_solves)
         (lambda g: nhzm.LatticeSpec(
             0.4 + 1j * g * np.array([1, -1, 1, -1, 1]), np.ones(4)),
          [0.0, 0.5, 2.0, 2.5]),
     ], ids=["coupled-chain", "all-real-chunk"])
     def test_blocks_match_one_stack(self, monkeypatch, family, grid):
         n = family(0.0).n_sites
-        step = 24 * n * n
+        step = 8 * n * n
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 1)
         monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", len(grid) * step)
-        one_call = list(nhzm.sweep_gamma(family, grid))
+        one_call = _sweep_eigenvalues(family, grid).tobytes()
         threads = threading.active_count()
         for cpus in (1, 2, 3):
             monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
@@ -661,24 +762,28 @@ class TestRealFormSweep:
                 for per_chunk in (1, 2, 3):
                     monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES",
                                         per_chunk * step * cpus)
-                    same_modesets(list(nhzm.sweep_gamma(family, grid)),
-                                  one_call)
+                    assert _sweep_eigenvalues(family, grid).tobytes() \
+                        == one_call
                     assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("n_reservoir, per_block", [(10, 301), (50, 151)],
-                             ids=["fig2", "59-sites-two-blocks"])
-    def test_sweep_matches_lone_solves(self, monkeypatch, n_reservoir,
-                                       per_block):
-        # fig2's grid at its 19 sites in one block, and at the benchmark's
-        # 59 sites in blocks of 151 and 150 steps
-        specs = [nhzm.coupled_chain(g, n_reservoir=n_reservoir)
-                 for g in load_scenario("fig2").sweep_grid()]
-        assert len(specs) == 301
-        lone = [next(_real_form_modes([spec])) for spec in specs]
-        n = specs[0].n_sites
-        monkeypatch.setattr(nhzm.spectral, "STACK_BYTES",
-                            per_block * 24 * n * n)
-        same_modesets(list(_real_form_modes(specs)), lone)
+    # links at the reservoir's exceptional point, gamma = 2t, stay crowded
+    # at 59 sites
+    @pytest.mark.filterwarnings("ignore:mode link to step")
+    @pytest.mark.parametrize("n_reservoir", [10, 50], ids=["fig2", "59-sites"])
+    def test_table_does_not_depend_on_the_cpu_count(self, monkeypatch,
+                                                    n_reservoir):
+        # fig2's sweep and the benchmark's 59-site one, also at step 0.03
+        # where bisection runs
+        family = lambda g: nhzm.coupled_chain(g, n_reservoir=n_reservoir)
+        tables = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
+            for step in (0.01, 0.03):
+                grid = np.arange(0.0, 3.0 + 0.5 * step, step)
+                tracked = nhzm.sweep_gamma(family, grid)
+                tables.append([tracked.eigenvalues.tobytes(),
+                               tracked.mode_id.tobytes()])
+        assert tables[:2] == tables[2:]
 
     def test_one_thread_per_cpu_and_chunk(self, monkeypatch):
         started = []
@@ -696,9 +801,9 @@ class TestRealFormSweep:
                                           (3, 6, 3, 1), (8, 16, 9, 4),
                                           (8, 3, 9, 2), (8, 1, 9, 0)):
             monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
-            monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", fit * 24 * n * n)
+            monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", fit * 8 * n * n)
             started.clear()
-            list(nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, steps)))
+            _sweep_eigenvalues(family, np.linspace(0.0, 3.0, steps))
             # the calling thread takes one share of the chunks
             assert len(started) == workers
 
@@ -709,17 +814,17 @@ class TestRealFormSweep:
         grid = np.linspace(0.0, 3.0, 40)
         n = family(0.0).n_sites
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 1)
-        one_thread = list(nhzm.sweep_gamma(family, grid))
+        one_thread = _sweep_eigenvalues(family, grid).tobytes()
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 8)
-        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 8 * 24 * n * n)
+        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 8 * 8 * n * n)
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             start = time.perf_counter()
             for _ in range(3):
-                same_modesets(list(nhzm.sweep_gamma(family, grid)),
-                              one_thread)
+                assert _sweep_eigenvalues(family, grid).tobytes() \
+                    == one_thread
             assert time.perf_counter() - start < 30.0
         finally:
             sys.setswitchinterval(interval)
@@ -732,53 +837,74 @@ class TestRealFormSweep:
         grid = np.arange(0.0, 3.0 + 0.005, 0.01)
         n = family(0.0).n_sites
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 1)
-        one_thread = list(nhzm.sweep_gamma(family, grid))
+        one_thread = _sweep_eigenvalues(family, grid).tobytes()
         started, sizes = [], []
-        eig = np.linalg.eig
+        eigvals = np.linalg.eigvals
 
         class Thread(threading.Thread):
             def start(self):
                 started.append(self)
                 super().start()
 
-        def recording_eig(a):
+        def recording_eigvals(a):
             sizes.append(len(a))
-            return eig(a)
+            return eigvals(a)
 
         monkeypatch.setattr(nhzm.spectral.threading, "Thread", Thread)
-        monkeypatch.setattr(np.linalg, "eig", recording_eig)
+        monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 19)
-        same_modesets(list(nhzm.sweep_gamma(family, grid)), one_thread)
+        assert _sweep_eigenvalues(family, grid).tobytes() == one_thread
         assert len(started) == 18
         assert sizes == [1] * len(grid)
-        assert 19 * 24 * n * n <= nhzm.spectral.CHUNK_BYTES
+        assert 19 * 8 * n * n <= nhzm.spectral.CHUNK_BYTES
 
     def test_worker_failure_is_an_eigensolver_error(self, monkeypatch):
-        eig = np.linalg.eig
+        eigvals = np.linalg.eigvals
 
         def failing_off_the_calling_thread(a):
             if threading.current_thread() is not threading.main_thread():
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eig(a)
+            return eigvals(a)
 
-        monkeypatch.setattr(np.linalg, "eig", failing_off_the_calling_thread)
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            failing_off_the_calling_thread)
         family = lambda g: nhzm.coupled_chain(g)
         n = family(0.0).n_sites
-        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 2 * 24 * n * n)
+        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 2 * 8 * n * n)
         monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 2)
         threads = threading.active_count()
         with pytest.raises(EigensolverError, match="did not converge") as info:
-            list(nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, 4)))
+            nhzm.sweep_gamma(family, np.linspace(0.0, 3.0, 4))
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
         assert threading.active_count() == threads
 
-    def test_lengths_and_fallbacks_mixed_in_one_call(self):
+    def test_fallbacks_mixed_in_one_call(self):
+        # a shifted onsite keeps the real form; a detuned reservoir takes
+        # eigvals of H
         specs = [nhzm.coupled_chain(1.0), nhzm.coupled_chain(2.0, onsite=0.3),
                  nhzm.coupled_chain(2.0, reservoir_onsite=0.3),
-                 nhzm.coupled_chain(1.5, n_reservoir=12),
-                 nhzm.LatticeSpec([0.2 - 0.5j], [])]
-        same_modesets(list(_real_form_modes(specs)),
-                      [next(_real_form_modes([s])) for s in specs])
+                 nhzm.coupled_chain(1.5)]
+        w = _sweep_eigenvalues(lambda k: specs[k], range(len(specs)))
+        for k, spec in enumerate(specs):
+            assert w[k].tobytes() == _sweep_eigenvalues(
+                lambda g: spec, [0.0])[0].tobytes()
+        h = nhzm.assemble_hamiltonian(specs[2]).matrix
+        assert w[2].tobytes() == sorted_rows([np.linalg.eigvals(h)]).tobytes()
+
+    def test_single_site_chains(self):
+        # no real form below two sites: eigvals of H
+        family = lambda g: nhzm.LatticeSpec([0.2 - 0.5j * g], [])
+        grid = [0.0, 1.0]
+        h = [nhzm.assemble_hamiltonian(family(g)).matrix for g in grid]
+        tracked = nhzm.sweep_gamma(family, grid)
+        assert tracked.eigenvalues.tobytes() \
+            == sorted_rows([np.linalg.eigvals(m) for m in h]).tobytes()
+        assert tracked.mode_id.tolist() == [[1], [1]]
+
+    def test_one_chain_length_a_sweep(self):
+        family = lambda g: nhzm.coupled_chain(g, n_reservoir=10 + int(g))
+        with pytest.raises(ValueError, match="20-site chain at gamma = 1.0"):
+            nhzm.sweep_gamma(family, [0.0, 1.0])
 
     def test_sweep_refused_before_the_stack_is_allocated(self, monkeypatch):
         spec = nhzm.coupled_chain(2.0, n_reservoir=90)
@@ -787,8 +913,7 @@ class TestRealFormSweep:
         tracemalloc.start()
         try:
             with pytest.raises(EigensolverError, match="too long"):
-                list(nhzm.sweep_gamma(lambda g: spec,
-                                      np.linspace(0.0, 3.0, 301)))
+                nhzm.sweep_gamma(lambda g: spec, np.linspace(0.0, 3.0, 301))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -796,36 +921,38 @@ class TestRealFormSweep:
         assert peak < 8 * n * n
 
     @pytest.mark.parametrize("steps", [12, 36])
-    def test_streamed_sweep_holds_one_block(self, monkeypatch, steps):
-        # blocks of 3 steps at N = 200: tracking holds one block and a few
-        # N x N arrays (two ModeSets, the overlaps, the chunks' eig
-        # results), not the 16 N^2 bytes a step of every ModeSet
+    def test_solve_holds_one_block(self, monkeypatch, steps):
+        # blocks of 3 steps at N = 200: the solve holds one block of real
+        # forms and the eigenvalues, not the 8 N^2 bytes a step of every
+        # real form
         family = lambda g: nhzm.coupled_chain(g, n_reservoir=191)
         n = family(0.0).n_sites
-        monkeypatch.setattr(nhzm.spectral, "STACK_BYTES", 3 * 24 * n * n)
+        monkeypatch.setattr(nhzm.spectral, "STACK_BYTES", 3 * 8 * n * n)
         grid = np.linspace(0.0, 3.0, steps)
         tracemalloc.start()
         try:
-            with warnings.catch_warnings():
-                # a coarse grid splits trajectories; memory is the point
-                warnings.simplefilter("ignore")
-                nhzm.track_modes(nhzm.sweep_gamma(family, grid), grid)
+            _sweep_eigenvalues(family, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < nhzm.spectral.STACK_BYTES + 7 * 16 * n * n
+        assert peak < nhzm.spectral.STACK_BYTES + 2 * 8 * n * n
 
-    def test_specs_read_only_as_the_steps_are_consumed(self):
-        built = []
+    def test_specs_built_one_block_at_a_time(self, monkeypatch):
+        built, at_solve = [], []
+        solve = nhzm.spectral._chunked_eigvals
+
+        def recording(a):
+            at_solve.append(len(built))
+            return solve(a)
 
         def family(g):
             built.append(g)
             return nhzm.coupled_chain(g)
 
-        sweep = nhzm.sweep_gamma(family, [0.0, 1.0, 2.0])
-        assert built == []
-        next(sweep)
-        assert built == [0.0, 1.0, 2.0]
+        monkeypatch.setattr(nhzm.spectral, "_chunked_eigvals", recording)
+        monkeypatch.setattr(nhzm.spectral, "STACK_BYTES", 2 * 8 * 19 * 19)
+        _sweep_eigenvalues(family, np.linspace(0.0, 3.0, 5))
+        assert at_solve == [2, 4, 5]
 
     @pytest.mark.parametrize("spec", [
         nhzm.coupled_chain(2.0, reservoir_onsite=0.3),
@@ -835,45 +962,7 @@ class TestRealFormSweep:
     ], ids=["detuned", "detuned-long", "single-site"])
     def test_other_specs_fall_back_bit_for_bit(self, spec):
         ref = nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))
-        same_modesets([next(_real_form_modes([spec])), nhzm.chain_modes(spec)],
-                      [ref, ref])
-
-    def test_nhph_sweep_never_calls_eigendecompose(self, monkeypatch):
-        def refuse(h):
-            raise AssertionError("eigendecompose called")
-
-        monkeypatch.setattr(nhzm.spectral, "eigendecompose", refuse)
-        grid = np.linspace(0.0, 3.0, 7)
-        sweeps = nhzm.sweep_gamma(
-            lambda g: nhzm.coupled_chain(g, system_gamma=0.4, onsite=0.3),
-            grid)
-        assert [m.n_modes for m in sweeps] == [19] * 7
-
-    def test_mode_number_tie_is_broken_by_real_part(self):
-        # NHPH partners omega, -omega* off the axis: bitwise-equal Im
-        right, left, axis = 0.7 + 0.1j, -0.7 + 0.1j, 0.4j
-        for last in ([right, left, axis], [left, right, axis]):
-            tracked = nhzm.track_modes(ending_at(last, np.eye(3)))
-            number = dict(zip(last, tracked.mode_id[-1].tolist()))
-            assert (number[axis], number[left], number[right]) == (1, 2, 3)
-
-    @pytest.mark.parametrize("vectors, numbers", [
-        # columns 0 and 1 trade places: track 0 ends in column 1
-        ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [2, 1, 3]),
-        # column 0 splits: its new track 3 ties with track 1 in column 1
-        ([[0.4, 0, 0], [0, 1, 0], [0, 0, 1]], [2, 1, 3]),
-    ], ids=["swapped", "split"])
-    def test_exact_tie_goes_to_the_lower_trajectory_id(self, vectors,
-                                                       numbers):
-        # columns 0 and 1 end on one eigenvalue, bit for bit
-        last = [0.3 - 0.2j, 0.3 - 0.2j, 0.1j]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            tracked = nhzm.track_modes(ending_at(last, vectors))
-        assert tracked.mode_id[-1].tolist() == numbers
-        trajs = trajectories(tracked)
-        assert [t.mode_number for t in trajs] \
-            == reference_mode_numbers(trajs, 2)
+        same_modesets([nhzm.chain_modes(spec)], [ref])
 
 
 def reference_fit_pair_threshold(traj_a, traj_b, omega0=0.0):
@@ -913,12 +1002,10 @@ def fit_outcome(fit):
 
 
 def table(parameters, eigenvalues, mode_id):
-    """A ``TrackedSweep`` whose fields a fit reads; track is the column."""
-    eigenvalues = np.asarray(eigenvalues, dtype=complex)
-    return nhzm.TrackedSweep(
-        np.asarray(parameters, dtype=float), eigenvalues,
-        np.broadcast_to(np.arange(eigenvalues.shape[1]), eigenvalues.shape),
-        np.ones(eigenvalues.shape), np.asarray(mode_id))
+    """A ``TrackedSweep`` of the given fields."""
+    return nhzm.TrackedSweep(np.asarray(parameters, dtype=float),
+                             np.asarray(eigenvalues, dtype=complex),
+                             np.asarray(mode_id))
 
 
 class TestFitPairThreshold:
@@ -948,20 +1035,22 @@ class TestFitPairThreshold:
 
     @pytest.mark.parametrize("a, b", [(-1, 2), (1, 0)])
     def test_a_number_below_one_is_refused(self, a, b):
-        # -1 marks every unnumbered column, several at a step
         pair = self.synthetic_pair(1.0, np.linspace(1.05, 3.0, 40))
         with pytest.raises(ValueError, match="mode numbers start at 1"):
             nhzm.fit_pair_threshold(pair, a, b)
 
-    @pytest.mark.parametrize("t_prime", [0.2, 0.25], ids=["fig2", "split"])
+    def test_a_number_beyond_the_modes_is_refused(self):
+        pair = self.synthetic_pair(1.0, np.linspace(1.05, 3.0, 40))
+        with pytest.raises(ValueError, match="mode numbers end at 2"):
+            nhzm.fit_pair_threshold(pair, 1, 3)
+
+    @pytest.mark.parametrize("t_prime", [0.2, 0.25], ids=["fig2", "t'0.25"])
     def test_matches_the_step_loop_on_fig2(self, t_prime):
-        # fig2's chain, and at t' = 0.25 one whose trajectories split
+        # fig2's chain, and at t' = 0.25 one whose trajectories the removed
+        # overlap tracking split
         grid = load_scenario("fig2").sweep_grid()
         family = lambda g: nhzm.coupled_chain(g, t_prime=t_prime)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tracked = nhzm.track_modes(nhzm.sweep_gamma(family, grid), grid)
-        assert bool(caught) == (t_prime == 0.25)
+        tracked = nhzm.sweep_gamma(family, grid)
         by_number = {t.mode_number: t for t in trajectories(tracked)}
         pairs = [(a, b) for a in range(1, 20) for b in range(1, 20)]
         outcomes = [
@@ -975,35 +1064,33 @@ class TestFitPairThreshold:
         assert 10 <= fits < len(outcomes[0])
 
     def test_matches_the_step_loop_on_random_pairs(self):
-        # partial overlaps, disjoint steps, points off the axis, same-sign
-        # and NaN Im, Im above gamma (a negative gamma^2); |Im| where libm's
-        # pow(x, 2), which the scalar x ** 2 calls, differs from x * x
+        # points off the axis, same-sign and NaN Im, Im above gamma (a
+        # negative gamma^2), too few points; |Im| where libm's pow(x, 2),
+        # which the scalar x ** 2 calls, differs from x * x
         rng = np.random.default_rng(5)
         grid = np.linspace(0.0, 3.0, 24)
+        steps = len(grid)
         x = rng.uniform(0.0, 3.5, 10 ** 5)
         x = x[np.array([v ** 2 for v in x]) != x * x]
         assert len(x) > 20
         kinds = set()
         for _ in range(600):
             # modes 1 and 2 in columns that change from step to step, beside
-            # a column of mode 3; off their steps a column is unnumbered, and
-            # every eigenvalue no trajectory holds is noise
-            w = rng.normal(size=(len(grid), 3)) + 1j
-            mode_id = np.full((len(grid), 3), -1)
-            cols = np.argsort(rng.random((len(grid), 3)), axis=1)
-            mode_id[np.arange(len(grid)), cols[:, 2]] = 3
+            # a column of mode 3, whose eigenvalues are noise
+            w = rng.normal(size=(steps, 3)) + 1j
+            cols = np.argsort(rng.random((steps, 3)), axis=1)
+            mode_id = np.empty((steps, 3), dtype=int)
+            mode_id[np.arange(steps)[:, None], cols] = [1, 2, 3]
+            on_axis = rng.choice([0.1, 0.7])
             pair = []
             for number in (1, 2):
-                start, n = rng.integers(0, 8), rng.integers(1, 16)
-                re = rng.choice([0.0, 1e-9, 1e-7, 0.3], n, p=[.7, .1, .1, .1])
-                im = rng.choice([-1.0, 1.0], n) * rng.choice(x, n)
-                im[rng.random(n) < 0.02] = np.nan
-                steps = np.arange(start, start + n)
-                w[steps, cols[steps, number - 1]] = re + 1j * im
-                mode_id[steps, cols[steps, number - 1]] = number
-                pair.append(SimpleNamespace(
-                    start=start, parameters=grid[steps],
-                    eigenvalues=re + 1j * im))
+                re = rng.choice([0.0, 1e-9, 1e-7, 0.3], steps,
+                                p=[on_axis] + [(1 - on_axis) / 3] * 3)
+                im = rng.choice([-1.0, 1.0], steps) * rng.choice(x, steps)
+                im[rng.random(steps) < 0.02] = np.nan
+                w[np.arange(steps), cols[:, number - 1]] = re + 1j * im
+                pair.append(SimpleNamespace(start=0, parameters=grid,
+                                            eigenvalues=re + 1j * im))
             tracked = table(grid, w, mode_id)
             a, b = rng.permutation([1, 2]).tolist()
             omega0 = rng.choice([0.0, 0.3])
