@@ -15,17 +15,18 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import __version__
 from .errors import NhzmError
 from .scenario import SCENARIO_SCHEMA, Scenario, ScenarioError, load_scenario
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .localization import RegimeReport
 
-# Each task imports its own layers when it runs, so a process loads only
-# what its command uses: ``report`` and ``schema`` load no layer at all.
+# Each task imports numpy and its own layers when it runs, so a process
+# loads only what its command uses: argument parsing, scenario validation,
+# ``report`` and ``schema`` load neither numpy nor any layer.
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -42,6 +43,8 @@ def _write_csv(path: Path, header, columns, scenario: Scenario) -> None:
     A column's dtype picks its text: repr for floats (shortest round-trip
     digits), str for integers and strings.
     """
+    import numpy as np
+
     lines = [f"# nhzm {__version__}",
              "# scenario: " + json.dumps(scenario.data, sort_keys=True),
              ",".join(header)]
@@ -61,6 +64,8 @@ def _write_json(path: Path, payload: dict, scenario: Scenario) -> None:
 
 
 def _jsonify(obj):
+    import numpy as np
+
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -89,6 +94,8 @@ def _regime_payload(report: RegimeReport, extra: dict | None = None) -> dict:
 
 
 def _task_spectrum(scenario: Scenario, out: Path) -> None:
+    import numpy as np
+
     from .localization import classify_regime
     from .spectral import chain_modes, find_zero_modes
 
@@ -118,11 +125,15 @@ def _unit_peak_pair(exact: np.ndarray, pert: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The exact vector scaled to unit peak modulus, and the first-order
     vector scaled onto it by least-squares projection."""
+    import numpy as np
+
     exact = exact / np.abs(exact).max()
     return exact, (np.vdot(pert, exact) / np.vdot(pert, pert)) * pert
 
 
 def _task_mode_profile(scenario: Scenario, out: Path) -> None:
+    import numpy as np
+
     from .localization import (check_stagger_phase, classify_regime,
                                linear_peak_amplitude)
     from .perturbation import first_order_zero_mode
@@ -160,10 +171,14 @@ def _pair_r(im_omega: np.ndarray, gamma: np.ndarray,
     as a scalar ``x ** 2`` does; an array's ``x ** 2`` is x * x, which
     differs from pow in the last bit for about 0.1% of values.
     """
+    import numpy as np
+
     return (np.float_power(im_omega, 2) - np.float_power(gamma, 2)) / t_ab
 
 
 def _task_sweep(scenario: Scenario, out: Path) -> None:
+    import numpy as np
+
     from .spectral import ZERO_TOL, fit_pair_threshold, sweep_gamma
 
     grid = scenario.sweep_grid()
@@ -244,6 +259,8 @@ def _task_ensemble(scenario: Scenario, out: Path) -> None:
 
 
 def _task_perturbation(scenario: Scenario, out: Path) -> None:
+    import numpy as np
+
     from .perturbation import perturbation_vs_exact
 
     spec = scenario.build_spec()
@@ -274,13 +291,36 @@ _TASKS = {
 }
 
 
+class OutputDirError(OSError):
+    """The output directory of a run is not a directory and cannot be made
+    one."""
+
+
 def run_scenario(path_or_name: str, out_dir: str,
                  seed_override: int | None = None) -> Path:
+    """Validate a scenario, make its output directory and run its task.
+
+    Raises ScenarioError for an invalid scenario and OutputDirError for an
+    ``out_dir`` that exists as a non-directory or cannot be created, both
+    before the task or numpy is loaded.
+    """
     scenario = load_scenario(path_or_name, seed_override)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputDirError(
+            f"cannot create output directory {out}: {exc.strerror or exc}"
+        ) from exc
     _TASKS[scenario.task](scenario, out)
     return out
+
+
+def _linalg_error() -> type[Exception]:
+    # evaluated only when an exception reaches its except clause
+    import numpy as np
+
+    return np.linalg.LinAlgError
 
 
 def _cmd_run(args) -> int:
@@ -289,7 +329,10 @@ def _cmd_run(args) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    except (NhzmError, np.linalg.LinAlgError) as exc:
+    except OutputDirError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_SCENARIO
+    except (NhzmError, _linalg_error()) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(f"wrote outputs to {out}")

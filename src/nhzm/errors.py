@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types, and the dense-matrix size limit, shared across the
+package."""
+
+# Above this many sites no dense N x N matrix is built.  A complex one
+# (H, LAPACK's copy of it, the eigenvectors) takes 16 N^2 bytes, 1 GiB at
+# 8192 sites, where zgeev would take about an hour on two cores (1 s at
+# 509 sites, times (8192/509)^3); 2e5 sites would need 596 GiB apiece.
+# It is defined here so that scenario validation reads it without numpy.
+DENSE_MAX_SITES = 8192
 
 
 class NhzmError(Exception):

@@ -15,13 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EigensolverError, InvalidSpecError
-
-# Above this many sites no dense N x N matrix is built.  A complex one
-# (H, LAPACK's copy of it, the eigenvectors) takes 16 N^2 bytes, 1 GiB at
-# 8192 sites, where zgeev would take about an hour on two cores (1 s at
-# 509 sites, times (8192/509)^3); 2e5 sites would need 596 GiB apiece.
-DENSE_MAX_SITES = 8192
+# ``_require_dense`` reads the limit as a global of this module
+from .errors import DENSE_MAX_SITES, EigensolverError, InvalidSpecError
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,11 +7,17 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import DENSE_MAX_SITES, NhzmError
 
-from .errors import NhzmError
-from .lattice import DENSE_MAX_SITES, LatticeSpec, coupled_chain
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .lattice import LatticeSpec
+
+# Loading and validating a scenario imports neither numpy nor a layer:
+# ``build_spec`` and ``sweep_grid`` import them when a task calls them.
 
 TASKS = ("spectrum", "sweep", "mode-profile", "bands", "ensemble",
          "perturbation")
@@ -107,6 +113,8 @@ class Scenario:
 
     def build_spec(self, gamma: float | None = None) -> LatticeSpec:
         """The coupled chain of this scenario, optionally at another gamma."""
+        from .lattice import coupled_chain
+
         sys_blk = self.data["system"]
         res_blk = self.data["reservoir"]
         return coupled_chain(
@@ -120,6 +128,8 @@ class Scenario:
 
     def sweep_grid(self) -> np.ndarray:
         """The gammas of the ``sweep`` block, gamma_stop included."""
+        import numpy as np
+
         blk = self.data["sweep"]
         return np.arange(blk["gamma_start"],
                          blk["gamma_stop"] + 0.5 * blk["gamma_step"],
@@ -310,18 +320,32 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
         blk = resolved["sweep"]
         grid = (f"sweep from gamma_start {blk['gamma_start']} to gamma_stop "
                 f"{blk['gamma_stop']} in steps of {blk['gamma_step']}")
-        # the length of ``sweep_grid``, known before it is built; the task
-        # holds a (points, N) complex array of eigenvalues, which may be no
-        # larger than the largest dense matrix (``DENSE_MAX_SITES``)
-        count = (blk["gamma_stop"] + 0.5 * blk["gamma_step"]
-                 - blk["gamma_start"]) / blk["gamma_step"]
+        # the bounds of ``sweep_grid``'s arange; the task holds a (points, N)
+        # complex array of eigenvalues, which may be no larger than the
+        # largest dense matrix (``DENSE_MAX_SITES``)
+        start, step = blk["gamma_start"], blk["gamma_step"]
+        stop = blk["gamma_stop"] + 0.5 * step
+        count = (stop - start) / step
         n_sites = resolved["system"]["n"] + resolved["reservoir"]["n"]
         if count * n_sites > DENSE_MAX_SITES ** 2:
             raise ScenarioError(
                 f"{grid} has {count:.3g} points; at {n_sites} sites that "
                 f"exceeds the {DENSE_MAX_SITES ** 2} eigenvalues a sweep may "
                 f"hold")
-        if (points := len(scenario.sweep_grid())) < 2:
+        if (points := _arange_length(start, stop, step)) < 2:
             raise ScenarioError(
                 f"{grid} has {points} point(s); tracking needs at least two")
     return scenario
+
+
+def _arange_length(start: float, stop: float, step: float) -> int:
+    """``len(np.arange(start, stop, step))`` for a step > 0, without numpy.
+
+    numpy's rule: the ratio (stop - start) / step rounded up, none where it
+    is not positive, and one where a positive span underflows to a ratio of
+    0.  Where numpy's length would not fit an intp, numpy raises; here a
+    negative ratio gives 0 and a positive one its ceiling.
+    """
+    span = stop - start
+    ratio = span / step
+    return math.ceil(ratio) if ratio > 0 else int(span > 0)

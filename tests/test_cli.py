@@ -8,11 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nhzm
 from nhzm.cli import main
+from nhzm.errors import DENSE_MAX_SITES
 from nhzm.scenario import (SCENARIO_SCHEMA, Scenario, ScenarioError,
-                           bundled_scenario_names, load_scenario)
+                           _arange_length, bundled_scenario_names,
+                           load_scenario)
 from nhzm.spectral import ZERO_TOL, _real_form_modes
 
 from conftest import trajectories
@@ -97,6 +101,69 @@ class TestScenarioValidation:
         path = write_scenario(tmp_path, MINIMAL)
         scenario = load_scenario(path, seed_override=77)
         assert scenario.data["seed"] == 77
+
+    # a gamma of the sweep block: an int or a float, as JSON gives them
+    GAMMAS = st.integers(0, 10) | st.floats(0, 10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(GAMMAS, GAMMAS, st.floats(1e-5, 10))
+    @example(0.0, 3.0, 0.01)            # fig2: 301 points
+    @example(0, 3, 0.01)
+    @example(0.0, 1.0, 0.3)             # a step that does not divide
+    @example(0.1, 0.7, 0.2)
+    @example(1.0, 0.5, 0.1)             # reversed
+    @example(1.0, 1.0, 0.1)             # one point
+    @example(0, 0.5, 1.0)               # a ratio of exactly 1
+    @example(0.0, 2.5, 0.5)             # and of exactly 6
+    def test_grid_length_is_numpys(self, start, stop, step):
+        # the sweep grid's length, counted without numpy, is the length
+        # of the arange that ``sweep_grid`` builds
+        stop = stop + 0.5 * step
+        assert _arange_length(start, stop, step) \
+            == len(np.arange(start, stop, step))
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 1e-320, 1.0), (1e-320, 0.0, 1.0), (0.0, 0.0, 1.0),
+        (0.5, 0.5 + 1e-17, 0.1), (3.0, 0.0, 1.0), (0.0, 5e-324, 1e300)])
+    def test_grid_length_underflows_as_numpys(self, start, stop, step):
+        # a positive span whose ratio to the step underflows to 0 holds
+        # one point
+        assert _arange_length(start, stop, step) \
+            == len(np.arange(start, stop, step))
+
+    @settings(max_examples=200, deadline=None)
+    @given(GAMMAS, GAMMAS, st.floats(1e-7, 10), st.integers(1, 5000))
+    @example(0.0, 3.0, 0.01, 10)        # fig2
+    @example(1.0, 1.0, 0.1, 10)         # one point
+    @example(1.0, 0.5, 0.1, 10)         # none
+    @example(0.0, 3.0, 1e-7, 10)        # too many
+    def test_sweep_refusals_follow_the_grid(self, tmp_path_factory, start,
+                                            stop, step, n_reservoir):
+        # a sweep is refused for fewer than two points or for more
+        # eigenvalues than a dense matrix holds, each with its message, and
+        # otherwise ``sweep_grid`` holds the points counted
+        payload = {**MINIMAL, "task": "sweep",
+                   "reservoir": {**MINIMAL["reservoir"], "n": n_reservoir},
+                   "sweep": {"gamma_start": start, "gamma_stop": stop,
+                             "gamma_step": step}}
+        path = write_scenario(tmp_path_factory.mktemp("sweep"), payload)
+        grid = (f"sweep from gamma_start {start} to gamma_stop {stop} in "
+                f"steps of {step}")
+        count = (stop + 0.5 * step - start) / step
+        n_sites = 3 + n_reservoir
+        if count * n_sites > DENSE_MAX_SITES ** 2:
+            message = (f"{grid} has {count:.3g} points; at {n_sites} sites "
+                       f"that exceeds the {DENSE_MAX_SITES ** 2} eigenvalues "
+                       "a sweep may hold")
+        elif (points := len(np.arange(start, stop + 0.5 * step, step))) < 2:
+            message = (f"{grid} has {points} point(s); tracking needs at "
+                       "least two")
+        else:
+            assert len(load_scenario(path).sweep_grid()) == points
+            return
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == message
 
 
 class TestRunCommand:
@@ -196,9 +263,33 @@ class TestRunCommand:
         assert "eigenvalues a sweep may hold" in err
         assert not out.exists()
 
+    def test_sweep_far_reversed_exits_2(self, tmp_path, capsys):
+        # numpy's arange raised ValueError on this grid's length of -1e20,
+        # which ended in a traceback (exit 1)
+        payload = {**MINIMAL, "task": "sweep",
+                   "sweep": {"gamma_start": 1e20, "gamma_stop": 0.0,
+                             "gamma_step": 1.0}}
+        assert main(["run", write_scenario(tmp_path, payload),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "has 0 point(s); tracking needs at least two" \
+            in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("out", ["file", "file/out"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys,
+                                                     out):
+        # an existing file as --out used to end in a FileExistsError
+        # traceback (exit 1)
+        (tmp_path / "file").write_text("kept")
+        assert main(["run", "fig1c", "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"cannot create output directory {tmp_path / out}: ")
+        assert len(err.splitlines()) == 1
+        assert (tmp_path / "file").read_text() == "kept"
 
     def test_a_directory_does_not_shadow_a_bundled_name(self, tmp_path,
                                                         monkeypatch, capsys):
@@ -666,18 +757,20 @@ def test_import_and_paper_runs_stay_within_the_import_budget(tmp_path):
     assert loaded == dict.fromkeys(loaded, [])
 
 
-CLI_MODULES = {"nhzm", "nhzm.cli", "nhzm.errors", "nhzm.lattice",
-               "nhzm.scenario"}
+CLI_MODULES = {"nhzm", "nhzm.cli", "nhzm.errors", "nhzm.scenario"}
+# the packages whose modules the front end may hold: nhzm's own, and numpy
+# and scipy, which only a task imports
+FRONT_END = ("nhzm", "numpy", "scipy")
 
 
-def loaded_modules(statement, package="nhzm"):
-    """The modules of one package a fresh interpreter holds after one
-    statement."""
+def loaded_modules(statement, packages=("nhzm",)):
+    """The modules of the given packages a fresh interpreter holds after
+    one statement."""
     code = "\n".join([
         "import json, sys",
         statement,
         "print(json.dumps(sorted(m for m in sys.modules",
-        f"                        if m.split('.')[0] == {package!r})))",
+        f"                        if m.split('.')[0] in {tuple(packages)!r})))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=child_env())
@@ -685,9 +778,23 @@ def loaded_modules(statement, package="nhzm"):
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def main_exits(argv, code):
+    """A statement that runs ``main(argv)`` and asserts its exit code, also
+    where argparse exits (``--help``)."""
+    return "\n".join([
+        "from nhzm.cli import main",
+        "try:",
+        f"    code = main({argv!r})",
+        "except SystemExit as exc:",
+        "    code = exc.code",
+        f"assert code == {code}, code",
+    ])
+
+
 class TestLoadedModules:
-    # a process imports only the layers its command uses; an import
-    # hoisted back to the top of nhzm.cli or nhzm/__init__.py fails here
+    # a process imports only the layers its command uses, and numpy only
+    # once a task runs; an import hoisted back to the top of nhzm.cli,
+    # nhzm.scenario or nhzm/__init__.py fails here
 
     def test_import_nhzm_loads_no_submodule(self):
         assert loaded_modules("import nhzm") == {"nhzm"}
@@ -699,15 +806,29 @@ class TestLoadedModules:
             == {"nhzm", f"nhzm.{module}"}
 
     def test_import_cli_loads_no_layer(self):
-        assert loaded_modules("import nhzm.cli") == CLI_MODULES
+        assert loaded_modules("import nhzm.cli", FRONT_END) == CLI_MODULES
+
+    def test_loading_scenarios_loads_no_numpy(self, tmp_path):
+        # every bundled scenario and a sweep whose step does not divide
+        # its range: validation counts the grid's points without numpy
+        sweep = write_scenario(tmp_path, {
+            **MINIMAL, "task": "sweep",
+            "sweep": {"gamma_start": 0.1, "gamma_stop": 0.7,
+                      "gamma_step": 0.25}})
+        names = [*bundled_scenario_names(), sweep]
+        assert loaded_modules(
+            f"from nhzm.cli import load_scenario\n"
+            f"for name in {names!r}:\n"
+            f"    load_scenario(name)", FRONT_END) == CLI_MODULES
 
     @pytest.mark.parametrize("scenario, layers", [
-        ("figS6-defect", {"spectral", "localization"}),
-        ("fig1c", {"spectral", "localization", "perturbation"}),
-        ("fig2", {"spectral"}),
+        ("figS6-defect", {"lattice", "spectral", "localization"}),
+        ("fig1c", {"lattice", "spectral", "localization", "perturbation"}),
+        ("fig2", {"lattice", "spectral"}),
         ("figS2", {"bands"}),
-        ("ensemble-fig4c", {"spectral", "localization", "dynamics"}),
-        (PERTURBATION, {"spectral", "perturbation"}),
+        ("ensemble-fig4c", {"lattice", "spectral", "localization",
+                            "dynamics"}),
+        (PERTURBATION, {"lattice", "spectral", "perturbation"}),
     ], ids=["spectrum", "mode-profile", "sweep", "bands", "ensemble",
             "perturbation"])
     def test_each_task_loads_its_own_layers(self, tmp_path, scenario,
@@ -730,7 +851,8 @@ class TestLoadedModules:
             "ensemble": {"n_realizations": 8}})
         argv = ["run", scenario, "--out", str(tmp_path / "out")]
         scipy = loaded_modules(
-            f"from nhzm.cli import main; assert main({argv!r}) == 0", "scipy")
+            f"from nhzm.cli import main; assert main({argv!r}) == 0",
+            ("scipy",))
         assert "scipy.linalg.lapack" in scipy
         assert not [m for m in scipy if m.startswith("scipy.sparse")]
 
@@ -742,10 +864,26 @@ class TestLoadedModules:
                          "ensemble-fig4c", write_scenario(tmp_path,
                                                           PERTURBATION)):
             assert main(["run", scenario, "--out", out]) == 0
-        for argv in (["report", out], ["schema"]):
-            assert loaded_modules(
-                f"from nhzm.cli import main; assert main({argv!r}) == 0") \
+        for argv in (["report", out], ["schema"], ["--help"],
+                     ["run", "--help"]):
+            assert loaded_modules(main_exits(argv, 0), FRONT_END) \
                 == CLI_MODULES
+
+    def test_refused_runs_load_no_numpy(self, tmp_path):
+        # a scenario error and an output path that cannot be a directory
+        # exit 2 before the task, and so numpy, is loaded
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "out")
+        too_fine = {**MINIMAL, "task": "sweep",
+                    "sweep": {"gamma_start": 0.0, "gamma_stop": 3.0,
+                              "gamma_step": 1e-13}}
+        for scenario, to in [
+                (write_scenario(tmp_path, {"task": "spectrum"}), out),
+                (write_scenario(tmp_path, too_fine, "too-fine.json"), out),
+                ("fig1c", str(tmp_path / "file"))]:
+            assert loaded_modules(main_exits(["run", scenario, "--out", to],
+                                             2), FRONT_END) == CLI_MODULES
+        assert not (tmp_path / "out").exists()
 
 
 class TestLongChain:

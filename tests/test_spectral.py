@@ -675,9 +675,14 @@ class TestRealFormSweep:
         assert np.sum(real.eigenvalues.real == omega0) == n_real
         assert n_real >= spec.n_sites % 2
         # and a sweep step has the same eigenvalues, bit for bit below 75
-        # sites, where LAPACK's QR path is the same without vectors
+        # sites, where LAPACK's QR path is the same without vectors; from
+        # 75 on its multishift QR rounds otherwise without them
         step = _sweep_eigenvalues(lambda g: spec, [gamma])[0]
-        assert step.tobytes() == real.eigenvalues.tobytes()
+        if spec.n_sites < 75:
+            assert step.tobytes() == real.eigenvalues.tobytes()
+        else:
+            dist = np.abs(step[:, None] - real.eigenvalues[None, :])
+            assert dist.min(axis=1).max() <= 1e-10 * scale
 
     def test_all_real_lambda(self):
         # gain/loss 2 against unit bonds puts all five modes on the axis:
