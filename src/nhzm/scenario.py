@@ -315,7 +315,6 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
         block.setdefault("gammas", [resolved["reservoir"]["gamma"]])
         block.setdefault("k_points", 1001)
         resolved["bands"] = block
-    scenario = Scenario(resolved, name)
     if task == "sweep":
         blk = resolved["sweep"]
         grid = (f"sweep from gamma_start {blk['gamma_start']} to gamma_stop "
@@ -335,7 +334,7 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
         if (points := _arange_length(start, stop, step)) < 2:
             raise ScenarioError(
                 f"{grid} has {points} point(s); tracking needs at least two")
-    return scenario
+    return Scenario(resolved, name)
 
 
 def _arange_length(start: float, stop: float, step: float) -> int:
