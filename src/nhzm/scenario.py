@@ -249,12 +249,26 @@ def _finite(literal: str) -> float:
     return value
 
 
+def _float_sized(literal: str) -> int:
+    # JSON integers are unbounded: one past float range passes the schema's
+    # "number" and then overflows the first float arithmetic on it, and
+    # Python parses none of over 4300 digits
+    try:
+        value = int(literal)
+        float(value)
+    except (ValueError, OverflowError):
+        raise ScenarioError(
+            f"integer of {len(literal.lstrip('-'))} digits is too large for "
+            "a float") from None
+    return value
+
+
 def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenario:
     """Read, validate, and resolve a scenario file or bundled scenario name.
 
     Raises ScenarioError with a location-anchored message on JSON or schema
-    violations, and on a non-finite number; unknown keys are rejected by the
-    schema.  Of several violations the one at the first path is reported.
+    violations, on a non-finite number and on an integer past float range;
+    unknown keys are rejected by the schema.  Of several violations the one at the first path is reported.
     ``seed_override`` replaces the file's seed before validation, so it must
     satisfy the schema as a seed in the file would.  A sweep grid of fewer
     than two points is refused.  Integer-typed fields come back as int,
@@ -262,7 +276,8 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
     """
     text, name = _read_scenario_text(str(path_or_name))
     try:
-        raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        raw = json.loads(text, parse_float=_finite, parse_int=_float_sized,
+                         parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

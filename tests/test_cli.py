@@ -106,28 +106,29 @@ class TestScenarioValidation:
     GAMMAS = st.integers(0, 10) | st.floats(0, 10)
 
     @settings(max_examples=300, deadline=None)
-    @given(GAMMAS, GAMMAS, st.floats(1e-5, 10))
-    @example(0.0, 3.0, 0.01)            # fig2: 301 points
-    @example(0, 3, 0.01)
-    @example(0.0, 1.0, 0.3)             # a step that does not divide
-    @example(0.1, 0.7, 0.2)
-    @example(1.0, 0.5, 0.1)             # reversed
-    @example(1.0, 1.0, 0.1)             # one point
-    @example(0, 0.5, 1.0)               # a ratio of exactly 1
-    @example(0.0, 2.5, 0.5)             # and of exactly 6
-    def test_grid_length_is_numpys(self, start, stop, step):
+    @given(GAMMAS, GAMMAS, st.floats(1e-5, 10), st.booleans())
+    @example(0.0, 3.0, 0.01, True)      # fig2: 301 points
+    @example(0, 3, 0.01, True)
+    @example(0.0, 1.0, 0.3, True)       # a step that does not divide
+    @example(0.1, 0.7, 0.2, True)
+    @example(1.0, 0.5, 0.1, True)       # reversed
+    @example(1.0, 1.0, 0.1, True)       # one point
+    @example(0, 0.5, 1.0, True)         # a ratio of exactly 1
+    @example(0.0, 2.5, 0.5, True)       # and of exactly 6
+    # arange's own bounds: a positive span whose ratio to the step
+    # underflows to 0 holds one point
+    @example(0.0, 1e-320, 1.0, False)
+    @example(1e-320, 0.0, 1.0, False)
+    @example(0.0, 0.0, 1.0, False)
+    @example(0.5, 0.5 + 1e-17, 0.1, False)
+    @example(3.0, 0.0, 1.0, False)
+    @example(0.0, 5e-324, 1e300, False)
+    def test_grid_length_is_numpys(self, start, stop, step, half_step):
         # the sweep grid's length, counted without numpy, is the length
-        # of the arange that ``sweep_grid`` builds
-        stop = stop + 0.5 * step
-        assert _arange_length(start, stop, step) \
-            == len(np.arange(start, stop, step))
-
-    @pytest.mark.parametrize("start, stop, step", [
-        (0.0, 1e-320, 1.0), (1e-320, 0.0, 1.0), (0.0, 0.0, 1.0),
-        (0.5, 0.5 + 1e-17, 0.1), (3.0, 0.0, 1.0), (0.0, 5e-324, 1e300)])
-    def test_grid_length_underflows_as_numpys(self, start, stop, step):
-        # a positive span whose ratio to the step underflows to 0 holds
-        # one point
+        # of the arange that ``sweep_grid`` builds, half a step past
+        # gamma_stop, and of any other arange
+        if half_step:
+            stop = stop + 0.5 * step
         assert _arange_length(start, stop, step) \
             == len(np.arange(start, stop, step))
 
@@ -230,19 +231,41 @@ class TestRunCommand:
             in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("stop", [0.5, 1.0], ids=["reversed", "one-point"])
+    @pytest.mark.parametrize("start, stop", [
+        (1.0, 0.5), (1.0, 1.0), (1e20, 0.0)],
+        ids=["reversed", "one-point", "far-reversed"])
     def test_sweep_of_fewer_than_two_points_exits_2(self, tmp_path, capsys,
-                                                     stop):
-        # used to end in the tracker's ValueError traceback
+                                                     start, stop):
+        # used to end in the tracker's ValueError traceback, and far
+        # reversed, where numpy's arange length of -1e21 does not fit an
+        # intp, in arange's own
         payload = {**MINIMAL, "task": "sweep",
-                   "sweep": {"gamma_start": 1.0, "gamma_stop": stop,
+                   "sweep": {"gamma_start": start, "gamma_stop": stop,
                              "gamma_step": 0.1}}
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, payload),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "scenario error: sweep from gamma_start 1.0" in err
+        assert "scenario error: sweep from gamma_start " in err
         assert "tracking needs at least two" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("digits", [401, 5001])
+    def test_integer_past_float_range_exits_2(self, tmp_path, capsys,
+                                              digits):
+        # passed the schema's "number" and ended in an OverflowError
+        # traceback from the sweep's count; past 4300 digits json's own
+        # int() raised ValueError
+        payload = {**MINIMAL, "task": "sweep",
+                   "sweep": {"gamma_start": 0.0, "gamma_stop": 1,
+                             "gamma_step": 0.1}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload).replace(
+            '"gamma_stop": 1', '"gamma_stop": 1' + "0" * (digits - 1)))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert f"integer of {digits} digits is too large for a float" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("step", [1e-13, 5e-324])
@@ -262,17 +285,6 @@ class TestRunCommand:
         assert "scenario error: sweep from gamma_start 0.0" in err
         assert "eigenvalues a sweep may hold" in err
         assert not out.exists()
-
-    def test_sweep_far_reversed_exits_2(self, tmp_path, capsys):
-        # numpy's arange raised ValueError on this grid's length of -1e20,
-        # which ended in a traceback (exit 1)
-        payload = {**MINIMAL, "task": "sweep",
-                   "sweep": {"gamma_start": 1e20, "gamma_stop": 0.0,
-                             "gamma_step": 1.0}}
-        assert main(["run", write_scenario(tmp_path, payload),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert "has 0 point(s); tracking needs at least two" \
-            in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json"),
