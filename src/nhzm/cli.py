@@ -41,7 +41,9 @@ def _write_csv(path: Path, header, columns, scenario: Scenario) -> None:
     """Write one CSV line per row of the given equal-length columns.
 
     A column's dtype picks its text: repr for floats (shortest round-trip
-    digits), str for integers and strings.
+    digits), str for integers and strings.  Each distinct value of a
+    column is formatted once; floats are told apart by their bits, so
+    -0.0 keeps its sign.
     """
     import numpy as np
 
@@ -51,8 +53,12 @@ def _write_csv(path: Path, header, columns, scenario: Scenario) -> None:
     text = []
     for column in columns:
         values = np.asarray(column)
-        text.append(map(repr if values.dtype.kind == "f" else str,
-                        values.tolist()))
+        is_float = values.dtype.kind == "f"
+        _, first, inverse = np.unique(
+            values.view(f"u{values.itemsize}") if is_float else values,
+            return_index=True, return_inverse=True)
+        distinct = map(repr if is_float else str, values[first].tolist())
+        text.append(np.array(list(distinct), dtype=object)[inverse].tolist())
     lines.extend(map(",".join, zip(*text)))
     path.write_text("\n".join(lines) + "\n")
 

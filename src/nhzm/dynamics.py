@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, EpSetupError, PropagationOverflowError
 from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian
 from .localization import _fit_line
-from .spectral import ZeroMode
+from .spectral import ZeroMode, _deal, _one_blas_thread
 
 PERIOD = 2.0 * np.pi
 
@@ -34,11 +34,12 @@ _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
-# Bytes that ``ensemble_experiment`` spends on one block of realizations, and
-# per realization and site of a block: its initial states, the solve's copy
-# of them, the coefficients and their magnitudes, the evolved states and the
-# moduli that normalize them (16 + 16 + 16 + 8 + 16 + 8 B).  32 MiB hold
-# 2048 realizations at N = 109.
+# Bytes that the blocks of realizations ``ensemble_experiment`` evolves at
+# once spend together, and per realization and site of a block: its initial
+# states, the solve's copy of them, the coefficients and their magnitudes,
+# the evolved states and the moduli that normalize them (16 + 16 + 16 + 8 +
+# 16 + 8 B).  A block holds at most a quarter of the 32 MiB where N is
+# below 229 (512 realizations at N = 109, 4.5 MB, seven in flight).
 ENSEMBLE_BYTES = 32 * 2 ** 20
 _COLUMN_BYTES = 80
 
@@ -246,13 +247,13 @@ def _seeded_normals(seed: int, n_realizations: int, n: int,
 def _block_width(n: int) -> int:
     """Realizations per ensemble block at N sites: a power of two.
 
-    As many as ``ENSEMBLE_BYTES`` hold at ``_COLUMN_BYTES`` per realization
-    and site, or 2N if that is more, rounded down.  A block of more
-    realizations than sites keeps the LU factorization that
+    As many as a quarter of ``ENSEMBLE_BYTES`` holds at ``_COLUMN_BYTES``
+    per realization and site, or 2N if that is more, rounded down.  A
+    block of more realizations than sites keeps the LU factorization that
     ``np.linalg.solve`` repeats per block ((8/3) N^3 flops) small against
     the block's solve and product back (16 N^2 flops per realization).
     """
-    columns = max(ENSEMBLE_BYTES // (_COLUMN_BYTES * n), 2 * n)
+    columns = max(ENSEMBLE_BYTES // (4 * _COLUMN_BYTES * n), 2 * n)
     return 1 << (columns.bit_length() - 1)
 
 
@@ -307,31 +308,41 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
     noise floor; choose ``periods`` with that in mind.
 
     H is diagonalized once.  The realizations are then drawn, evolved and
-    reduced to their reservoir moduli in blocks of a power-of-two width set
-    by ``ENSEMBLE_BYTES`` (2048 at N = 109, never fewer than N), so memory is
-    O(N^2 + N * block + n_res * R): the last term is the (n_res, R) array of
-    moduli that the mean and std are taken over, as a bit-exact mean needs.
-    The block width does not change the noise or the arithmetic per
-    realization, but BLAS may round one realization's solve and product
-    differently at another width (seen: up to 3.3e-16 relative in mean and
-    std).
+    reduced to their reservoir moduli in blocks of a power-of-two width
+    fixed by N alone (``_block_width``: 512 at N = 109, never fewer than
+    N).  The blocks are dealt to one thread per CPU (``_deal``), no more
+    of them in flight than fit in ``ENSEMBLE_BYTES`` together, and each
+    writes only its own columns of the (n_res, R) moduli that the mean and
+    std are taken over, as a bit-exact mean needs.  So memory is
+    O(N^2 + ENSEMBLE_BYTES + n_res * R).  The evolution runs on one BLAS
+    thread (``_one_blas_thread``), so no bit depends on the BLAS thread
+    count or on the CPU count.  The block width does not change the noise
+    or the arithmetic per realization, but BLAS may round one
+    realization's solve and product differently at another width (seen:
+    up to 3.3e-16 relative in mean and std).
     """
     _noise_seed(seed, n_realizations)
     h = assemble_hamiltonian(spec)
     sites = spec.reservoir_sites()
     reservoir = slice(sites.start, sites.stop)
-    evolve = _evolver(h, periods * PERIOD)
     base = np.asarray(zero_mode.wavefunction, dtype=complex)
     profiles = np.empty((len(sites), n_realizations))
     width = _block_width(h.dim)
-    for lo in range(0, n_realizations, width):
-        hi = min(lo + width, n_realizations)
-        noise = _seeded_normals(seed, hi - lo, len(sites), start=lo)
-        noise *= sigma
-        states = np.tile(base[:, None], (1, hi - lo))
-        states[reservoir, :] *= np.exp(noise, out=noise).T
-        del noise
-        np.abs(evolve(states)[reservoir, :], out=profiles[:, lo:hi])
+    with _one_blas_thread:
+        evolve = _evolver(h, periods * PERIOD)
+
+        def run(block):
+            noise = _seeded_normals(seed, block.stop - block.start,
+                                    len(sites), start=block.start)
+            noise *= sigma
+            states = np.tile(base[:, None], (1, block.stop - block.start))
+            states[reservoir, :] *= np.exp(noise, out=noise).T
+            del noise
+            np.abs(evolve(states)[reservoir, :], out=profiles[:, block])
+
+        _deal(run, [slice(lo, min(lo + width, n_realizations))
+                    for lo in range(0, n_realizations, width)],
+              max(1, ENSEMBLE_BYTES // (_COLUMN_BYTES * h.dim * width)))
     mean, std = _mean_std(profiles)
 
     r2 = _fit_line(mean).r_squared

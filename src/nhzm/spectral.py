@@ -193,6 +193,8 @@ def eigendecompose(h: Hamiltonian) -> ModeSet:
     spectral norm from above and costs O(N^2) instead of an SVD, so the
     screen flags every mode a spectral-norm screen would.  The solve is
     LAPACK's zgeev through ``np.linalg.eig``, so no scipy import is needed.
+    It runs on one BLAS thread (``_one_blas_thread``), so no bit depends on
+    the BLAS thread count.
     """
     m = h.matrix
     if not np.all(np.isfinite(m)):
@@ -200,12 +202,14 @@ def eigendecompose(h: Hamiltonian) -> ModeSet:
     if not np.array_equal(m, m.T):
         raise EigensolverError("matrix is not complex symmetric (H != H^T)",
                                matrix=m)
-    try:
-        w, vr = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
-        raise EigensolverError(f"dense eigensolver failed: {exc}", matrix=m) from exc
-    norm_bound = np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
-    return _modeset(w, vr, norm_bound)
+    with _one_blas_thread:
+        try:
+            w, vr = np.linalg.eig(m)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
+            raise EigensolverError(f"dense eigensolver failed: {exc}",
+                                   matrix=m) from exc
+        norm_bound = np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
+        return _modeset(w, vr, norm_bound)
 
 
 def _modeset(w: np.ndarray, vr: np.ndarray, norm_bound: float) -> ModeSet:
@@ -242,9 +246,10 @@ STACK_BYTES = 16 * 2 ** 20
 # Bytes of the chunks that ``_chunked_eigvals``' threads solve at once, all
 # threads together, counted as in ``STACK_BYTES``: 16 steps a thread at
 # N = 59 on 2 CPUs, one step a thread from 17 CPUs on, one thread above
-# N = 237.  The benchmark's 301-step stack at N = 59 took 84-112 ms on 2
-# vCPUs, against 95-125 ms in 50-step chunks (4 and 3 to the two threads)
-# and 145-151 ms as one call.
+# N = 237.  On one BLAS thread the benchmark's 301-step stack at N = 59
+# took 120 ms on 2 vCPUs (quartiles 103-122 ms), against 119 ms (111-122)
+# in 50-step chunks (4 and 3 to the two threads) and 213 ms (164-223) as
+# one call; 25 interleaved runs each.
 CHUNK_BYTES = 900_000
 # Bytes of the temporaries ``_modeset`` and ``_gaps`` build at once, beside
 # the vectors.
@@ -277,50 +282,133 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _openblas_thread_calls() -> tuple:
+    """``(get, set)`` of the thread count of the OpenBLAS that numpy's
+    linalg links, or () where it links none.
+
+    The symbols are looked up through numpy's own extension module, whose
+    dependencies hold its BLAS, so scipy's separate OpenBLAS is never taken
+    for it: ``*openblas_get_num_threads*`` and ``*openblas_set_num_threads*``
+    with numpy's ``scipy_`` prefix or without, bare or with the ``64_``
+    suffix of ILP64 builds.
+    """
+    import ctypes
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:  # pragma: no cover - a linalg that cannot be reopened
+        return ()
+    for name in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{name}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{name}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return ()
+
+
+class _OneBlasThread:
+    """Context manager: numpy's OpenBLAS runs on one thread while any entry
+    is open.
+
+    OpenBLAS keeps one thread count per process.  The first entry saves it
+    and sets 1; the last exit restores the saved count, so entries nest and
+    may come from several threads at once.  A threaded OpenBLAS sums in
+    another order on another thread count, so every dense solve whose bits
+    reach an output runs inside: ``eigendecompose``, ``_real_form_modes``,
+    ``sweep_gamma`` and the ensemble's evolution.  The library is found on
+    the first entry (``_openblas_thread_calls``); where there is none,
+    entering does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._open = 0
+        self._saved = 1
+        self._calls = None  # looked up on the first entry
+
+    def __enter__(self):
+        with self._lock:
+            if self._calls is None:
+                self._calls = _openblas_thread_calls()
+            if self._calls and not self._open:
+                get, set_ = self._calls
+                self._saved = get()
+                set_(1)
+            self._open += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._open -= 1
+            if self._calls and not self._open:
+                self._calls[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+def _deal(work, tasks: list, most: int) -> None:
+    """``work(task)`` for every task, the tasks dealt round-robin to one
+    thread per CPU (``_cpu_count``), the calling thread among them.
+
+    Never more threads than tasks or than ``most``, so with one CPU, at
+    most one task or ``most`` of 1 no thread starts.  A thread stops at the first
+    error any has raised; every thread is joined before that error is
+    raised.
+    """
+    n_threads = max(1, min(_cpu_count(), len(tasks), most))
+    errors = []
+
+    def run(share):
+        for task in share:
+            if errors:
+                return
+            try:
+                work(task)
+            except Exception as exc:
+                # any failure: else the caller reads results never written
+                errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(tasks[t::n_threads],))
+               for t in range(1, n_threads)]
+    for t in threads:
+        t.start()
+    try:
+        run(tasks[::n_threads])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def _chunked_eigvals(a: np.ndarray) -> np.ndarray:
     """Complex ``np.linalg.eigvals(a)`` of a real stack, in chunks on threads.
 
-    The chunks are dealt round-robin to one thread per CPU, the calling
-    thread among them, never more threads than chunks or than slices fit
-    in ``CHUNK_BYTES``, which the chunks in flight hold together (or one
-    slice, where larger).  So with one CPU, or slices over half of
+    The chunks are dealt to threads by ``_deal``, never more threads than
+    slices fit in ``CHUNK_BYTES``, which the chunks in flight hold together
+    (or one slice, where larger).  So with one CPU, or slices over half of
     ``CHUNK_BYTES`` (N > 237), no thread starts.  A worker calls only
     ``np.linalg.eigvals``, which releases the GIL, and copies each result
     into the complex array allocated here.  dgeev solves each slice alone,
     so every bit is that of one call on the whole stack; a chunk whose
     lambdas are all real is stored with Im = 0, as the stacked call gives
-    it.  Every thread is joined before a worker's first error is raised.
+    it.
     """
     steps, n, _ = a.shape
     lam = np.empty((steps, n), dtype=complex)
     step = 8 * n * n
     n_threads = min(_cpu_count(), steps, max(1, CHUNK_BYTES // step))
     per_chunk = max(1, CHUNK_BYTES // (step * n_threads))
-    chunks = [slice(lo, lo + per_chunk) for lo in range(0, steps, per_chunk)]
-    n_threads = min(n_threads, len(chunks))
-    errors = []
 
-    def work(share):
-        for c in share:
-            if errors:
-                return
-            try:
-                lam[c] = np.linalg.eigvals(a[c])
-            except Exception as exc:
-                # any failure: else the caller reads rows never written
-                errors.append(exc)
+    def solve(chunk):
+        lam[chunk] = np.linalg.eigvals(a[chunk])
 
-    threads = [threading.Thread(target=work, args=(chunks[t::n_threads],))
-               for t in range(1, n_threads)]
-    for t in threads:
-        t.start()
-    try:
-        work(chunks[::n_threads])
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
+    _deal(solve, [slice(lo, lo + per_chunk)
+                  for lo in range(0, steps, per_chunk)], n_threads)
     return lam
 
 
@@ -363,18 +451,19 @@ def _real_form_modes(spec: LatticeSpec) -> ModeSet:
     """``eigendecompose`` of a chain's Hamiltonian, up to rounding: one
     dgeev (``np.linalg.eig``) of its real form (``_real_forms``)."""
     a = _real_forms([spec])[0]
-    try:
-        lam, v = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense eigensolver failed: {exc}",
-                               matrix=a) from exc
-    n = spec.n_sites
-    v = v * _PHASES[np.arange(n) % 4, None]
-    # |H|_1 = |H|_inf for symmetric H: the largest row sum of the chain
-    rows = np.abs(spec.onsite)
-    rows[:-1] += spec.bonds
-    rows[1:] += spec.bonds
-    return _modeset(_omega(spec.onsite.real[0], lam), v, rows.max())
+    with _one_blas_thread:
+        try:
+            lam, v = np.linalg.eig(a)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"dense eigensolver failed: {exc}",
+                                   matrix=a) from exc
+        n = spec.n_sites
+        v = v * _PHASES[np.arange(n) % 4, None]
+        # |H|_1 = |H|_inf for symmetric H: the largest row sum of the chain
+        rows = np.abs(spec.onsite)
+        rows[:-1] += spec.bonds
+        rows[1:] += spec.bonds
+        return _modeset(_omega(spec.onsite.real[0], lam), v, rows.max())
 
 
 def chain_modes(spec: LatticeSpec) -> ModeSet:
@@ -382,8 +471,8 @@ def chain_modes(spec: LatticeSpec) -> ModeSet:
 
     Chains of ``SPARSE_MIN_SITES`` sites or more with a real form take
     ``_real_form_modes``, so a zero mode has Re(omega) == omega0 exactly;
-    at 509 sites that takes 0.30 s against 0.90 s (medians of 5, 2-vCPU
-    x86, OpenBLAS 0.3.31).  Any other chain is
+    at 509 sites that takes 0.21 s against 0.72 s (medians of 7 on one
+    BLAS thread, 2-vCPU x86, OpenBLAS 0.3.31).  Any other chain is
     ``eigendecompose(assemble_hamiltonian(spec))`` bit for bit.  The order
     of on-axis modes follows Re(omega), rounding noise on the complex path,
     so a zero mode's column can differ between the paths; shorter chains
@@ -497,8 +586,11 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
     ``SPARSE_RESIDUAL * log2(N)`` times the scale.  Each such vector takes
     one step of inverse iteration first.  The start vector is fixed, so
     runs at one BLAS thread count repeat bit for bit; OpenBLAS's threaded
-    zgemv rounds differently on another.  The eigenvector is scaled as
-    LAPACK scales dense ones: unit norm, largest entry real and positive.
+    zgemv rounds differently on another.  This path is not pinned to one
+    BLAS thread (``_one_blas_thread``): at 10^6 sites it took 3.6-3.9 s on
+    one against 2.8-2.9 s on two (2 vCPUs), and which +/- partner it
+    reports there follows the rounding of Re(omega).  The eigenvector is
+    scaled as LAPACK scales dense ones: unit norm, largest entry real and positive.
     Where H - sigma has an exactly zero pivot, or no Krylov dimension
     yields an accepted zero mode, the dense path decides, ``chain_modes``
     (on the real form where the chain has one), which raises
@@ -584,7 +676,8 @@ def sweep_gamma(spec_of_gamma, gamma_grid) -> TrackedSweep:
     Re(omega) == omega0 exactly, and NHPH partners omega, -omega* have
     bitwise-equal Im.  Below 75 sites these are ``np.linalg.eig``'s bit for
     bit; from 75 on LAPACK takes another QR path without vectors, and the
-    low bits move.  No bit depends on the CPU count.  Modes are followed by
+    low bits move.  The sweep runs on one BLAS thread (``_one_blas_thread``),
+    and no bit depends on the CPU count.  Modes are followed by
     continuation (``_link``), which on a grid coarse against the eigenvalue
     spacing costs up to 2**BISECT_DEPTH solves a step, and warns of each
     step whose link it could not make unambiguous.
@@ -594,8 +687,9 @@ def sweep_gamma(spec_of_gamma, gamma_grid) -> TrackedSweep:
         raise ValueError("need at least two sweep points to track modes")
     if not (np.all(np.diff(grid) > 0) or np.all(np.diff(grid) < 0)):
         raise ValueError("gamma grid must be strictly monotone")
-    w = _sweep_eigenvalues(spec_of_gamma, grid)
-    track = _link(spec_of_gamma, grid, w)
+    with _one_blas_thread:
+        w = _sweep_eigenvalues(spec_of_gamma, grid)
+        track = _link(spec_of_gamma, grid, w)
     last, ids = w[-1], track[-1]
     ranked = ids[np.lexsort((ids, last.real, -last.imag, -np.abs(last.imag)))]
     numbers = np.empty(len(ids), dtype=int)

@@ -575,6 +575,25 @@ def test_sweep_rows_match_the_per_trajectory_assembly(
         assert rows[column].tobytes() == expected.tobytes()
 
 
+def test_csv_formats_repeated_values_as_each_alone(tmp_path):
+    # each distinct value is formatted once: -0.0 keeps its sign apart from
+    # 0.0, and integer and string columns keep str
+    from nhzm.cli import _write_csv
+
+    floats = [0.0, -0.0, 0.1 + 0.2, 0.0, -0.0, float("nan"), -np.inf,
+              0.1 + 0.2, 1e-300, -1e-300, 0.3]
+    ints = [3, 3, -1, 0, 7, 3, 2 ** 40, -1, 0, 0, 3]
+    subs = list("ABABABABABA")
+    path = tmp_path / "x.csv"
+    _write_csv(path, ("x", "sub", "n", "y"),
+               (np.array(floats), subs, np.array(ints),
+                np.array(floats[::-1])), load_scenario("fig1c"))
+    rows = path.read_text().splitlines()[3:]
+    assert rows == [f"{x!r},{c},{n},{y!r}" for x, c, n, y in
+                    zip(floats, subs, ints, floats[::-1])]
+    assert rows[:2] == ["0.0,A,3,0.3", "-0.0,B,3,-1e-300"]
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()[2:]
     header = lines[0].split(",")

@@ -1,3 +1,5 @@
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -292,14 +294,83 @@ class TestEnsemble:
 
 class TestEnsembleBlocks:
     def test_block_width(self):
-        assert _block_width(109) == 2048
+        assert _block_width(109) == 512
         for n in (1, 19, 109, 459, 1009, 8192):
             width = _block_width(n)
             assert width & (width - 1) == 0
             assert width > n
             assert (width * dynamics._COLUMN_BYTES * n
-                    <= max(dynamics.ENSEMBLE_BYTES,
+                    <= max(dynamics.ENSEMBLE_BYTES // 4,
                            2 * n * dynamics._COLUMN_BYTES * n))
+
+    def test_bits_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # eight blocks of 512 at N = 109 on one thread, then on 3 and 8 CPUs
+        # (three and seven threads) switching every microsecond: a block
+        # written to the wrong columns or not at all changes the bits
+        spec = nhzm.coupled_chain(2.0, n_reservoir=100)
+        zm = nhzm.lowest_zero_mode(spec)
+        kwargs = dict(n_realizations=4096, periods=0.17, seed=3)
+        results = []
+        threads = nhzm.spectral.threading.active_count()
+        interval = sys.getswitchinterval()
+        for cpus in (1, 3, 8):
+            monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
+            sys.setswitchinterval(1e-6 if cpus > 1 else interval)
+            try:
+                start = time.perf_counter()
+                result = nhzm.ensemble_experiment(spec, zm, **kwargs)
+                assert time.perf_counter() - start < 30.0
+            finally:
+                sys.setswitchinterval(interval)
+            results.append((result.mean_abs_profile.tobytes(),
+                            result.std_profile.tobytes(), result.r_squared))
+        assert nhzm.spectral.threading.active_count() == threads
+        assert results[1:] == results[:1] * 2
+
+    @pytest.mark.parametrize("cpus, budget, workers", [
+        (1, None, 0), (3, None, 2), (8, None, 6), (8, 1 * 2 ** 20, 0)])
+    def test_blocks_in_flight_fit_the_budget(self, monkeypatch, cpus, budget,
+                                             workers):
+        # the calling thread evolves one share of the blocks
+        started = []
+
+        class Thread(nhzm.spectral.threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(nhzm.spectral.threading, "Thread", Thread)
+        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
+        if budget is not None:
+            monkeypatch.setattr(dynamics, "ENSEMBLE_BYTES", budget)
+        spec = nhzm.coupled_chain(2.0, n_reservoir=100)
+        zm = nhzm.lowest_zero_mode(spec)
+        nhzm.ensemble_experiment(spec, zm, n_realizations=4096, periods=0.17)
+        n = spec.n_sites
+        block = _block_width(n) * dynamics._COLUMN_BYTES * n
+        assert len(started) == workers
+        assert workers == 0 or (workers + 1) * block <= dynamics.ENSEMBLE_BYTES
+
+    def test_worker_error_after_every_thread_joins(self, monkeypatch):
+        draw = dynamics._seeded_normals
+
+        def failing_off_the_calling_thread(*args, **kwargs):
+            if nhzm.spectral.threading.current_thread() \
+                    is not nhzm.spectral.threading.main_thread():
+                raise FloatingPointError("worker")
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_seeded_normals",
+                            failing_off_the_calling_thread)
+        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 3)
+        spec = nhzm.coupled_chain(2.0, n_reservoir=100)
+        zm = nhzm.lowest_zero_mode(spec)
+        threads = nhzm.spectral.threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker"):
+            nhzm.ensemble_experiment(spec, zm, n_realizations=4096,
+                                     periods=0.17)
+        assert nhzm.spectral.threading.active_count() == threads
+        assert nhzm.spectral._one_blas_thread._open == 0
 
     @pytest.mark.parametrize("width", [1, 7, 64])
     def test_width_moves_mean_and_std_only_by_rounding(self, monkeypatch,
@@ -315,9 +386,13 @@ class TestEnsembleBlocks:
         np.testing.assert_allclose(blocked.std_profile, one.std_profile,
                                    rtol=1e-14, atol=0)
 
-    def test_traced_memory_is_the_budget_and_the_moduli(self, monkeypatch):
-        # all realizations at once trace ~80 MB here; blocks of the budget
-        # and the (n_res, R) moduli that mean and std are taken over, ~9 MB
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_traced_memory_is_the_budget_and_the_moduli(self, monkeypatch,
+                                                        cpus):
+        # all realizations at once trace ~80 MB here; blocks within the
+        # budget and the (n_res, R) moduli that mean and std are taken
+        # over, ~9 MB, on one thread and on three
+        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(dynamics, "ENSEMBLE_BYTES", 4 * 2 ** 20)
         spec = nhzm.coupled_chain(2.0, n_reservoir=100)
         zm = nhzm.lowest_zero_mode(spec)

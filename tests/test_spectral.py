@@ -1279,3 +1279,136 @@ class TestLowestZeroMode:
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
         assert psi[top].imag == 0.0 and psi[top].real > 0
 
+
+
+class FakeBlas:
+    """The ``(get, set)`` pair of a BLAS thread count, recording each set."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.sets = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.sets.append(threads)
+        self.threads = threads
+
+
+def fake_pin(monkeypatch, threads):
+    blas = FakeBlas(threads)
+    monkeypatch.setattr(nhzm.spectral, "_openblas_thread_calls",
+                        lambda: (blas.get, blas.set))
+    return blas, nhzm.spectral._OneBlasThread()
+
+
+class TestOneBlasThread:
+    def test_nested_entries_restore_the_count(self, monkeypatch):
+        blas, pin = fake_pin(monkeypatch, 4)
+        with pin:
+            assert blas.threads == 1
+            with pin:
+                assert blas.threads == 1
+            assert blas.threads == 1
+        assert blas.threads == 4
+        assert blas.sets == [1, 4]
+        with pytest.raises(RuntimeError):
+            with pin:
+                raise RuntimeError
+        assert blas.sets == [1, 4, 1, 4]
+
+    def test_two_threads_at_once(self, monkeypatch):
+        # both inside together: the first entry sets 1, the last exit
+        # restores, whichever thread it is
+        blas, pin = fake_pin(monkeypatch, 3)
+        inside, left = threading.Barrier(2, timeout=10), threading.Event()
+        seen = []
+
+        def stay():
+            with pin:
+                inside.wait()
+                assert left.wait(timeout=10)
+                seen.append(blas.threads)
+
+        def leave():
+            with pin:
+                inside.wait()
+            seen.append(blas.threads)
+            left.set()
+
+        threads = [threading.Thread(target=f) for f in (stay, leave)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert seen == [1, 1]
+        assert blas.threads == 3 and blas.sets == [1, 3]
+
+    def test_nothing_without_openblas(self, monkeypatch):
+        lookups = []
+        monkeypatch.setattr(nhzm.spectral, "_openblas_thread_calls",
+                            lambda: lookups.append(1) or ())
+        pin = nhzm.spectral._OneBlasThread()
+        for _ in range(3):
+            with pin:
+                with pin:
+                    pass
+        assert lookups == [1]
+
+    def test_numpys_openblas(self):
+        calls = nhzm.spectral._openblas_thread_calls()
+        if not calls:
+            pytest.skip("numpy links no OpenBLAS")
+        get, set_ = calls
+        before = get()
+        pin = nhzm.spectral._OneBlasThread()
+        try:
+            set_(2)
+            with pin:
+                assert get() == 1
+                assert np.linalg.eigvals(np.eye(3)).tolist() == [1, 1, 1]
+            assert get() == 2
+        finally:
+            set_(before)
+
+    @pytest.mark.parametrize("solve", [
+        lambda: nhzm.eigendecompose(nhzm.assemble_hamiltonian(
+            nhzm.coupled_chain(2.0))),
+        lambda: nhzm.chain_modes(nhzm.coupled_chain(2.0, n_reservoir=70)),
+        lambda: nhzm.sweep_gamma(nhzm.coupled_chain,
+                                 np.linspace(0.0, 3.0, 9)),
+        lambda: nhzm.ensemble_experiment(
+            *baseline_zero_mode(2.0), n_realizations=100, periods=0.17),
+    ], ids=["eigendecompose", "real-form", "sweep", "ensemble"])
+    def test_dense_solves_run_on_one_thread(self, monkeypatch, solve):
+        blas = FakeBlas(2)
+        monkeypatch.setattr(nhzm.spectral._one_blas_thread, "_calls",
+                            (blas.get, blas.set))
+        seen = []
+        for name in ("eig", "eigvals", "solve"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, f=original:
+                                seen.append(blas.threads) or f(*a))
+        solve()
+        assert seen and set(seen) == {1}
+        assert blas.threads == 2
+
+    def test_arnoldi_keeps_the_thread_count(self, monkeypatch):
+        # at 10^6 sites one thread made it slower: 3.6-3.9 s against
+        # 2.8-2.9 s on two
+        blas = FakeBlas(2)
+        monkeypatch.setattr(nhzm.spectral._one_blas_thread, "_calls",
+                            (blas.get, blas.set))
+        zm = nhzm.lowest_zero_mode(nhzm.coupled_chain(2.0, n_reservoir=100))
+        assert zm.mode_index is None
+        assert blas.sets == []
+
+
+def test_no_tasks_start_no_thread(monkeypatch):
+    # an ensemble of no realizations deals no block
+    monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 4)
+    threads = threading.active_count()
+    nhzm.spectral._deal(lambda task: pytest.fail("no task to run"), [], 4)
+    assert threading.active_count() == threads
