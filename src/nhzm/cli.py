@@ -107,7 +107,7 @@ def _task_spectrum(scenario: Scenario, out: Path) -> None:
 
     spec = scenario.build_spec()
     modes = chain_modes(spec)
-    zms = find_zero_modes(modes, spec, scenario.data["onsite"])
+    zms = find_zero_modes(modes, scenario.data["onsite"])
     w = modes.eigenvalues
     _write_csv(out / "spectrum.csv", ("mode_index", "re_omega", "im_omega"),
                (np.arange(len(w)), w.real, w.imag), scenario)

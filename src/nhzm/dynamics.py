@@ -297,7 +297,8 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
     s, evolves the state for the given number of periods, and normalizes
     the result.  Reported are the per-site mean and standard deviation of
     |psi| over the reservoir and the R^2 of a linear fit of the mean
-    profile against the site index.
+    profile against the site index; a reservoir of fewer than two sites
+    raises DomainError before H is diagonalized.
 
     Realization i draws its noise s from
     ``np.random.default_rng(np.random.SeedSequence((seed, i)))``, bit for
@@ -322,8 +323,11 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
     up to 3.3e-16 relative in mean and std).
     """
     _noise_seed(seed, n_realizations)
-    h = assemble_hamiltonian(spec)
     sites = spec.reservoir_sites()
+    if len(sites) < 2:
+        raise DomainError("the mean profile of a one-site reservoir has no "
+                          "line to fit")
+    h = assemble_hamiltonian(spec)
     reservoir = slice(sites.start, sites.stop)
     base = np.asarray(zero_mode.wavefunction, dtype=complex)
     profiles = np.empty((len(sites), n_realizations))

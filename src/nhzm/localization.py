@@ -17,12 +17,15 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
 from .lattice import LatticeSpec
-from .spectral import ZeroMode
+
+if TYPE_CHECKING:
+    from .spectral import ZeroMode
 
 ALPHA_TOL = 1e-3
 # Width of the single-profile window: ||kappa| - 2t| equals |Im(omega)| on
@@ -60,6 +63,8 @@ class RegimeReport:
     decay_rate: float | None
     gamma: float
     omega: complex
+    kappa_a: float
+    kappa_b: float
 
 
 def compute_kappa(omega: complex, gamma: float, omega0: float = 0.0,
@@ -97,6 +102,20 @@ def characteristic_roots(alpha: float) -> tuple[complex, complex]:
     """Roots b_+/- = alpha/2 +/- sqrt(alpha^2/4 - 1) of b^2 - alpha*b + 1."""
     disc = cmath.sqrt(alpha * alpha / 4.0 - 1.0)
     return alpha / 2.0 + disc, alpha / 2.0 - disc
+
+
+def _recurrence(zm: ZeroMode, spec: LatticeSpec):
+    """gamma, (t_a, t_b), (kappa_a, kappa_b) and (alpha, r) of a zero mode's
+    reservoir.
+
+    kappa = Im(omega) -/+ gamma skips ``compute_kappa``'s on-axis test: the
+    mode passed it when it was selected, at the selection's own tolerance.
+    """
+    gamma = spec.reservoir_gamma()
+    t_a, t_b = spec.reservoir_couplings()
+    kappa_a, kappa_b = zm.omega.imag - gamma, zm.omega.imag + gamma
+    return (gamma, (t_a, t_b), (kappa_a, kappa_b),
+            compute_alpha(kappa_a, kappa_b, t_a, t_b))
 
 
 def fit_tail(psi, sites, model: str = "linear", per_sublattice: bool = True,
@@ -177,14 +196,10 @@ def classify_regime(zm: ZeroMode, spec: LatticeSpec) -> RegimeReport:
     Linear-model fits span all reservoir sites; exponential fits drop the
     last site, where the reflected root contaminates the pure decay.  A
     reservoir too short to fit (fewer than 3 sites per sublattice) reports
-    an empty fits dict.
+    an empty fits dict.  A reservoir without alternating gain/loss and
+    couplings, or with a single site, raises InvalidSpecError.
     """
-    if zm.alpha is None or zm.r is None:
-        raise DomainError("zero mode lacks reservoir quantities; pass the "
-                          "spec to find_zero_modes")
-    alpha, r = zm.alpha, zm.r
-    gamma = spec.reservoir_gamma()
-    t_a, t_b = spec.reservoir_couplings()
+    gamma, (t_a, t_b), (kappa_a, kappa_b), (alpha, r) = _recurrence(zm, spec)
     roots = characteristic_roots(alpha)
     res = spec.reservoir_sites()
     labels = (spec.sublattice(res[0]), spec.sublattice(res[0] + 1))
@@ -202,8 +217,8 @@ def classify_regime(zm: ZeroMode, spec: LatticeSpec) -> RegimeReport:
         t = t_a
         if abs(alpha + 2.0) <= ALPHA_TOL and abs(r) <= ALPHA_TOL:
             regime = Regime.CONSTANT
-        elif uniform and abs(abs(zm.kappa_a) - 2 * t) <= KAPPA_TOL * t \
-                and abs(abs(zm.kappa_b) - 2 * t) <= KAPPA_TOL * t:
+        elif uniform and abs(abs(kappa_a) - 2 * t) <= KAPPA_TOL * t \
+                and abs(abs(kappa_b) - 2 * t) <= KAPPA_TOL * t:
             regime = Regime.LINEAR
         else:
             regime = Regime.ZIGZAG
@@ -216,7 +231,7 @@ def classify_regime(zm: ZeroMode, spec: LatticeSpec) -> RegimeReport:
         decay_rate = math.log(max(abs(roots[0]), abs(roots[1])))
         fits = safe_fits(res[:-1], "exponential")
     return RegimeReport(regime, alpha, r, roots, fits, decay_rate,
-                        gamma, zm.omega)
+                        gamma, zm.omega, kappa_a, kappa_b)
 
 
 def verify_recurrence(psi, sites, alpha: float, *, kappas=None,
@@ -262,13 +277,13 @@ def verify_eigenmode_recurrence(zm: ZeroMode, spec: LatticeSpec) -> float:
     runs over every site with four in-range predecessors.
     """
     res = spec.reservoir_sites()
-    t_a, t_b = spec.reservoir_couplings()
+    _, (t_a, t_b), (kappa_a, kappa_b), (alpha, _) = _recurrence(zm, spec)
     if abs(t_a - t_b) <= 1e-12 * max(t_a, t_b):
-        kappas = (zm.kappa_a, zm.kappa_b) if spec.onsite[res[0]].imag >= 0 \
-            else (zm.kappa_b, zm.kappa_a)
+        kappas = (kappa_a, kappa_b) if spec.onsite[res[0]].imag >= 0 \
+            else (kappa_b, kappa_a)
     else:
         kappas = None
-    return verify_recurrence(zm.wavefunction, res, zm.alpha,
+    return verify_recurrence(zm.wavefunction, res, alpha,
                              kappas=kappas, t=t_a)
 
 

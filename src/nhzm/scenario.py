@@ -94,6 +94,8 @@ SCENARIO_SCHEMA = {
 # Tasks that simulate the finite coupled chain need all three lattice blocks.
 _NEEDS_LATTICE = ("spectrum", "sweep", "mode-profile", "ensemble",
                   "perturbation")
+# Tasks that classify or fit the zero mode's reservoir tail.
+_FITS_TAIL = ("spectrum", "mode-profile", "ensemble")
 
 
 class ScenarioError(NhzmError, ValueError):
@@ -271,8 +273,9 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
     unknown keys are rejected by the schema.  Of several violations the one at the first path is reported.
     ``seed_override`` replaces the file's seed before validation, so it must
     satisfy the schema as a seed in the file would.  A sweep grid of fewer
-    than two points is refused.  Integer-typed fields come back as int,
-    also when written as 9.0.
+    than two points is refused, and so is a one-site reservoir for the
+    tasks that classify or fit its tail.  Integer-typed fields come back
+    as int, also when written as 9.0.
     """
     text, name = _read_scenario_text(str(path_or_name))
     try:
@@ -303,6 +306,12 @@ def load_scenario(path_or_name: str, seed_override: int | None = None) -> Scenar
         if raw["system"]["n"] % 2 == 0:
             raise ScenarioError(
                 f"system.n must be odd, got {raw['system']['n']}")
+        # a one-site reservoir has no internal bond: no recurrence to
+        # classify and no tail profile to fit
+        if task in _FITS_TAIL and raw["reservoir"]["n"] < 2:
+            raise ScenarioError(
+                f"task {task!r} needs reservoir.n >= 2, got "
+                f"{raw['reservoir']['n']}")
     if task == "bands" and "reservoir" not in raw:
         raise ScenarioError("task 'bands' requires 'reservoir'")
     if task == "sweep" and "sweep" not in raw:

@@ -127,19 +127,13 @@ class ZeroMode:
 
     ``mode_index`` is the mode's column in the full spectrum, or None when
     the mode was found without one (``lowest_zero_mode``'s sparse path).
-    kappa_a/kappa_b are the effective rates Im(omega) -/+ gamma seen on the
-    gain and loss sublattices of the reservoir; r and alpha are the derived
-    recurrence quantities.  They are None when no reservoir context was
-    supplied.
+    The recurrence quantities of its reservoir tail (kappa, alpha, r) are
+    derived by ``localization.classify_regime``.
     """
 
     mode_index: int | None
     omega: complex
     wavefunction: np.ndarray
-    kappa_a: float | None = None
-    kappa_b: float | None = None
-    r: float | None = None
-    alpha: float | None = None
 
 
 @dataclass(frozen=True)
@@ -527,16 +521,12 @@ def check_spectral_symmetry(modes: ModeSet, omega0: float = 0.0,
     return SymmetryPairing(tuple(pairs), tuple(unmatched), max_mismatch)
 
 
-def find_zero_modes(modes: ModeSet, spec: LatticeSpec | None = None,
-                    omega0: float = 0.0, tol: float = ZERO_TOL) -> list[ZeroMode]:
-    """Modes with |Re(omega) - omega0| <= tol, sorted by |Im(omega)|.
-
-    When ``spec`` describes a gain/loss reservoir, each mode is populated
-    with the effective rates kappa and the recurrence quantities r, alpha.
-    """
+def find_zero_modes(modes: ModeSet, omega0: float = 0.0,
+                    tol: float = ZERO_TOL) -> list[ZeroMode]:
+    """Modes with |Re(omega) - omega0| <= tol, sorted by |Im(omega)|."""
     w = modes.eigenvalues
-    return [_zero_mode(i, w[i], modes.right_vectors[:, i].copy(), spec, omega0,
-                       tol) for i in _zero_mode_indices(w, omega0, tol).tolist()]
+    return [ZeroMode(i, complex(w[i]), modes.right_vectors[:, i].copy())
+            for i in _zero_mode_indices(w, omega0, tol).tolist()]
 
 
 def _zero_mode_indices(w: np.ndarray, omega0: float = 0.0,
@@ -550,26 +540,13 @@ def _zero_mode_indices(w: np.ndarray, omega0: float = 0.0,
     return zero[np.argsort(np.abs(w[zero].imag), kind="stable")]
 
 
-def _zero_mode(index: int | None, w: complex, vector: np.ndarray,
-               spec: LatticeSpec | None, omega0: float, tol: float) -> ZeroMode:
-    from .localization import compute_alpha, compute_kappa
-
-    kappa_a = kappa_b = r = alpha = None
-    if spec is not None:
-        gamma = spec.reservoir_gamma()
-        t_a, t_b = spec.reservoir_couplings()
-        kappa_a, kappa_b = compute_kappa(w, gamma, omega0=omega0, tol=tol)
-        alpha, r = compute_alpha(kappa_a, kappa_b, t_a, t_b)
-    return ZeroMode(index, complex(w), vector, kappa_a, kappa_b, r, alpha)
-
-
 def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
-    """The zero mode ``find_zero_modes(chain_modes(spec), spec, omega0)``
-    would list first.
+    """The zero mode ``find_zero_modes(chain_modes(spec), omega0)`` would
+    list first.
 
     That is the mode with |Re(omega) - omega0| <= ZERO_TOL and the smallest
-    |Im(omega)|, with its reservoir quantities, or None.  Chains shorter than
-    ``SPARSE_MIN_SITES`` take the dense path, so ``mode_index`` is set.
+    |Im(omega)|, or None.  Chains shorter than ``SPARSE_MIN_SITES`` take
+    the dense path, so ``mode_index`` is set.
     Longer ones run shift-invert Arnoldi on the tridiagonal matrix, in O(N)
     time and memory, around the shift sigma = omega0 + i eps.  LAPACK's
     zgttrf factors H - sigma once and zgttrs applies its inverse; neither
@@ -660,10 +637,9 @@ def lowest_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> ZeroMode | None:
                         top = int(np.argmax(np.abs(psi)))
                         psi *= np.conj(psi[top]) / abs(psi[top])
                         psi[top] = psi[top].real
-                        return _zero_mode(None, w[i], psi, spec, omega0,
-                                          ZERO_TOL)
+                        return ZeroMode(None, complex(w[i]), psi)
             m *= 2
-    zms = find_zero_modes(chain_modes(spec), spec, omega0)
+    zms = find_zero_modes(chain_modes(spec), omega0)
     return zms[0] if zms else None
 
 

@@ -26,7 +26,7 @@ def chain_modes(gamma, t_prime=0.2, reservoir_t_b=1.0, system_gamma=0.0):
 def baseline_zero_mode(gamma, **kwargs):
     """The zero mode with Im(omega) closest to zero."""
     spec, modes = chain_modes(gamma, **kwargs)
-    zms = nhzm.find_zero_modes(modes, spec)
+    zms = nhzm.find_zero_modes(modes)
     assert zms, f"no zero mode at gamma={gamma}"
     return spec, zms[0]
 

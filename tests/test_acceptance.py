@@ -26,7 +26,7 @@ def announce(number, ok, detail):
 def fresh_baseline(gamma, **kwargs):
     spec = nhzm.coupled_chain(gamma, **kwargs)
     modes = nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))
-    zms = nhzm.find_zero_modes(modes, spec)
+    zms = nhzm.find_zero_modes(modes)
     return spec, modes, zms[0]
 
 
@@ -48,8 +48,8 @@ def test_criterion_01_zero_mode_eigenvalues():
 def test_criterion_02_alpha_values():
     values = {}
     for gamma, target in ((0.5, -1.75), (3.0, 7.0)):
-        _, _, zm = fresh_baseline(gamma)
-        values[gamma] = (zm.alpha, target)
+        spec, _, zm = fresh_baseline(gamma)
+        values[gamma] = (nhzm.classify_regime(zm, spec).alpha, target)
     ok = all(abs(a - t) <= 1e-2 for a, t in values.values())
     announce(2, ok, ", ".join(f"alpha({g}) = {a:.4f} (target {t})"
                               for g, (a, t) in sorted(values.items())))
@@ -59,6 +59,7 @@ def test_criterion_02_alpha_values():
 
 def test_criterion_03_linear_localization():
     spec, _, zm = fresh_baseline(2.0)
+    report = nhzm.classify_regime(zm, spec)
     psi = zm.wavefunction / np.abs(zm.wavefunction).max()
     res = list(spec.reservoir_sites())
 
@@ -71,10 +72,10 @@ def test_criterion_03_linear_localization():
     # on its own sublattice, so on the finite chain |kappa_a| and |kappa_b|
     # straddle 2t by Im(omega), pinned to 0.0356 at gamma = 2t by criterion 1.
     im_omega = 0.0356
-    rate = float(np.sqrt(abs(zm.kappa_a * zm.kappa_b)))
+    rate = float(np.sqrt(abs(report.kappa_a * report.kappa_b)))
     rate_dev = abs(rate - 2.0)
-    sublattice_dev = max(abs(abs(zm.kappa_a) - (2.0 - im_omega)),
-                         abs(abs(zm.kappa_b) - (2.0 + im_omega)))
+    sublattice_dev = max(abs(abs(report.kappa_a) - (2.0 - im_omega)),
+                         abs(abs(report.kappa_b) - (2.0 + im_omega)))
 
     checks = {
         "linear fit R^2 >= 0.999": fit.r_squared >= 0.999,
@@ -88,8 +89,8 @@ def test_criterion_03_linear_localization():
     detail = (f"R^2={fit.r_squared:.5f}, staggered={stagger.staggered}, "
               f"in_phase={stagger.in_phase_per_sublattice}, "
               f"sqrt|kappa_a kappa_b|={rate:.5f}, "
-              f"|kappa_a|={abs(zm.kappa_a):.4f}, "
-              f"|kappa_b|={abs(zm.kappa_b):.4f}, "
+              f"|kappa_a|={abs(report.kappa_a):.4f}, "
+              f"|kappa_b|={abs(report.kappa_b):.4f}, "
               f"Im omega={zm.omega.imag:.4f}, peak={peak:.4f} "
               f"(predicted {predicted:.4f})")
     announce(3, all(checks.values()), detail)
@@ -115,7 +116,7 @@ def test_criterion_04_regime_transition(gamma_sweep):
         if g < 0.2:
             continue
         spec = nhzm.coupled_chain(float(g))
-        zms = nhzm.find_zero_modes(modes, spec)
+        zms = nhzm.find_zero_modes(modes)
         assert zms, f"no zero mode at gamma={g}"
         report = nhzm.classify_regime(zms[0], spec)
         labels[float(g)] = (report.alpha, report.regime)
@@ -142,7 +143,7 @@ def test_criterion_05_recurrence_oracle():
     worst = 0.0
     for gamma in np.round(np.arange(0.1, 3.01, 0.1), 10):
         spec, modes = chain_modes(float(gamma))
-        for zm in nhzm.find_zero_modes(modes, spec):
+        for zm in nhzm.find_zero_modes(modes):
             worst = max(worst, nhzm.verify_eigenmode_recurrence(zm, spec))
     announce(5, worst <= 1e-9,
              f"max recurrence residual over the sweep = {worst:.2e}")
@@ -199,7 +200,8 @@ def test_criterion_08_strong_coupling():
     assert report2.regime is not Regime.LINEAR
 
     def alpha_minus_two(gamma):
-        return fresh_baseline(gamma, t_prime=0.6)[2].alpha - 2.0
+        spec, _, zm = fresh_baseline(gamma, t_prime=0.6)
+        return nhzm.classify_regime(zm, spec).alpha - 2.0
 
     gamma_star = brentq(alpha_minus_two, 1.95, 2.15, xtol=1e-10)
     spec_s, _, zm_s = fresh_baseline(gamma_star, t_prime=0.6)
@@ -296,7 +298,7 @@ def test_criterion_12_defect_states():
     n_flat = int(np.sum(np.abs(re) <= 1e-6))
     n_defect = int(np.sum(np.abs(re) > 0.1))
 
-    zms = nhzm.find_zero_modes(modes, spec, tol=1e-6)
+    zms = nhzm.find_zero_modes(modes, tol=1e-6)
     regimes = [nhzm.classify_regime(zm, spec).regime for zm in zms]
     linear_count = sum(r is Regime.LINEAR for r in regimes)
 

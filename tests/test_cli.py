@@ -191,6 +191,25 @@ class TestRunCommand:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert "system.n must be odd" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task,code", [
+        ("spectrum", 2), ("mode-profile", 2), ("ensemble", 2),
+        ("sweep", 0), ("perturbation", 0)])
+    def test_one_site_reservoir(self, tmp_path, capsys, task, code):
+        # a one-site reservoir has no bond: the tasks that classify or fit
+        # its tail refuse it as a scenario error; the sweep and
+        # perturbation tasks run
+        blocks = {"sweep": {"gamma_start": 0.0, "gamma_stop": 1.0,
+                            "gamma_step": 0.5},
+                  "ensemble": {"n_realizations": 4, "periods": 0.17}}
+        payload = {**MINIMAL, "task": task,
+                   "reservoir": {**MINIMAL["reservoir"], "n": 1},
+                   **{k: v for k, v in blocks.items() if k == task}}
+        path = write_scenario(tmp_path, payload)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+        if code:
+            assert f"task {task!r} needs reservoir.n >= 2, got 1" in \
+                capsys.readouterr().err
+
     @pytest.mark.parametrize("path", [
         ("seed",), ("system", "n"), ("reservoir", "n"),
         ("ensemble", "n_realizations"), ("bands", "k_points")])

@@ -236,6 +236,18 @@ class TestSeededNormals:
 
 
 class TestEnsemble:
+    def test_one_site_reservoir_refused_before_diagonalizing(self,
+                                                             monkeypatch):
+        # its mean profile has one point, through which no line is fitted;
+        # that is known before H is diagonalized
+        monkeypatch.setattr(dynamics, "_evolver", lambda *a: pytest.fail(
+            "diagonalized a one-site reservoir"))
+        spec = nhzm.coupled_chain(2.0, n_reservoir=1)
+        zm = nhzm.lowest_zero_mode(spec)
+        with pytest.raises(DomainError, match="one-site reservoir"):
+            nhzm.ensemble_experiment(spec, zm, n_realizations=4,
+                                     periods=0.17)
+
     def test_reproducible_bit_for_bit(self):
         spec, zm = baseline_zero_mode(2.000316)
         kwargs = dict(sigma=0.1, n_realizations=64, periods=0.17, seed=123)
@@ -285,7 +297,7 @@ class TestEnsemble:
 
     def test_amplification_limited_periods(self):
         spec, modes = chain_modes(2.0)
-        zm = nhzm.find_zero_modes(modes, spec)[0]
+        zm = nhzm.find_zero_modes(modes)[0]
         periods = nhzm.amplification_limited_periods(modes.eigenvalues,
                                                      zm.omega, 1e3)
         delta = modes.eigenvalues.imag.max() - zm.omega.imag

@@ -99,3 +99,41 @@ def test_cli_imports_no_private_name():
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert private == []
+
+
+def nhzm_imports(tree: ast.Module, typing_too: bool = False) -> set[str]:
+    """The nhzm modules one module imports, at any depth, and under
+    ``if TYPE_CHECKING:`` only with ``typing_too``."""
+    skip = set() if typing_too else {
+        id(node) for block in ast.walk(tree) if isinstance(block, ast.If)
+        and isinstance(block.test, ast.Name)
+        and block.test.id == "TYPE_CHECKING"
+        for stmt in block.body for node in ast.walk(stmt)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "nhzm" if node.level else node.module or ""
+            if node.level and node.module:
+                base += "." + node.module
+            names = [base] if base != "nhzm" else \
+                [f"nhzm.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names
+                     if name.startswith("nhzm."))
+    return found
+
+
+def test_spectral_and_localization_do_not_import_each_other():
+    # the zero-mode stage computes spectra and zero modes only; the
+    # recurrence quantities of a mode's tail are the report's
+    trees = source_trees()
+    assert nhzm_imports(trees["spectral.py"], typing_too=True) & {
+        "localization", "dynamics", "perturbation", "bands", "cli"} == set()
+    assert "spectral" in nhzm_imports(trees["localization.py"],
+                                      typing_too=True)
+    assert "spectral" not in nhzm_imports(trees["localization.py"])

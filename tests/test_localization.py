@@ -109,6 +109,14 @@ class TestClassifyRegime:
         spreads = [np.ptp(amps[0::2]), np.ptp(amps[1::2])]
         assert min(spreads) <= 1e-10 * amps.max()
 
+    def test_reports_recurrence_quantities(self):
+        spec, zm = baseline_zero_mode(2.0)
+        report = nhzm.classify_regime(zm, spec)
+        assert (report.kappa_a, report.kappa_b) == \
+            nhzm.compute_kappa(zm.omega, 2.0)
+        assert report.kappa_a * report.kappa_b == pytest.approx(report.r)
+        assert report.alpha == pytest.approx(-(2.0 + report.r))
+
     def test_roots_satisfy_report_invariants(self):
         spec, zm = baseline_zero_mode(1.3)
         report = nhzm.classify_regime(zm, spec)
@@ -144,11 +152,13 @@ class TestVerifyRecurrence:
 
     def test_exact_eigenvector_matches_the_site_loop(self):
         spec, zm = baseline_zero_mode(2.0)
+        report = nhzm.classify_regime(zm, spec)
         res = spec.reservoir_sites()
-        kappas = (zm.kappa_a, zm.kappa_b)
-        assert nhzm.verify_recurrence(zm.wavefunction, res, zm.alpha,
+        kappas = (report.kappa_a, report.kappa_b)
+        assert nhzm.verify_recurrence(zm.wavefunction, res, report.alpha,
                                       kappas=kappas) \
-            == loop_verify_recurrence(zm.wavefunction, res, zm.alpha, kappas)
+            == loop_verify_recurrence(zm.wavefunction, res, report.alpha,
+                                      kappas)
 
     def test_gap_in_sites_raises(self):
         with pytest.raises(DomainError, match="consecutive"):
@@ -177,7 +187,7 @@ class TestVerifyRecurrence:
     def test_residual_small_for_all_zero_modes_across_sweep(self):
         for gamma in np.arange(0.1, 3.01, 0.1):
             spec, modes = chain_modes(round(float(gamma), 10))
-            for zm in nhzm.find_zero_modes(modes, spec):
+            for zm in nhzm.find_zero_modes(modes):
                 assert nhzm.verify_eigenmode_recurrence(zm, spec) <= 1e-9
 
 
@@ -224,7 +234,7 @@ class TestFitTail:
 
     def test_exponential_decay_matches_root(self):
         spec, zm = baseline_zero_mode(3.0)
-        bp, _ = nhzm.characteristic_roots(zm.alpha)
+        bp, _ = nhzm.classify_regime(zm, spec).roots
         res = list(spec.reservoir_sites())
         # last six usable sites, dropping the boundary site where the
         # reflected root contaminates the decay
@@ -257,7 +267,7 @@ class TestFitTail:
 class TestExtendedBounds:
     def test_amplitudes_bounded_by_two_root_coefficients(self):
         spec, zm = baseline_zero_mode(0.5)
-        roots = nhzm.characteristic_roots(zm.alpha)
+        roots = nhzm.classify_regime(zm, spec).roots
         res = list(spec.reservoir_sites())
         for parity in (0, 1):
             sites = res[parity::2]
@@ -278,7 +288,8 @@ class TestAmplitudeRelation:
         psi = np.abs(zm.wavefunction)
         scale = psi[res].max()
         for n in res[2:-1]:
-            kappa = zm.kappa_a if spec.onsite[n - 1].imag > 0 else zm.kappa_b
+            kappa = report.kappa_a if spec.onsite[n - 1].imag > 0 \
+                else report.kappa_b
             lhs = psi[n] + psi[n - 2]
             rhs = abs(kappa) * psi[n - 1]
             assert abs(lhs - rhs) <= 1e-8 * scale
@@ -315,7 +326,7 @@ class TestHermitianReservoir:
         # requires a detuning that breaks the symmetric spectrum
         spec = nhzm.coupled_chain(0.0, reservoir_onsite=-2.0)
         modes = nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))
-        assert nhzm.find_zero_modes(modes, spec) == []
+        assert nhzm.find_zero_modes(modes) == []
         pairing = nhzm.check_spectral_symmetry(modes, tol=1e-8)
         assert len(pairing.unmatched) > 0
 
@@ -324,11 +335,13 @@ class TestZigzagCandidates:
     def test_alternating_reservoir_crossings_sit_near_candidates(self):
         for target, gamma in ((2.0, 1.501683), (-2.0, 0.502462)):
             spec, zm = baseline_zero_mode(gamma, reservoir_t_b=0.5)
-            assert zm.alpha == pytest.approx(target, abs=1e-4)
+            alpha = nhzm.classify_regime(zm, spec).alpha
+            assert alpha == pytest.approx(target, abs=1e-4)
         # the crossings are near the candidates, not at twice their values
         for wrong_gamma in (1.0, 2.0):
             spec, zm = baseline_zero_mode(wrong_gamma, reservoir_t_b=0.5)
-            assert min(abs(zm.alpha - 2), abs(zm.alpha + 2)) > 0.5
+            alpha = nhzm.classify_regime(zm, spec).alpha
+            assert min(abs(alpha - 2), abs(alpha + 2)) > 0.5
 
     def test_zigzag_profile_is_linear_per_sublattice(self):
         spec, zm = baseline_zero_mode(1.501683, reservoir_t_b=0.5)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import sys
 import threading
 import time
@@ -267,12 +268,31 @@ class TestFindZeroModes:
         _, zm = baseline_zero_mode(2.036142, t_prime=0.6)
         assert abs(zm.omega - 0.3823j) <= 1e-3
 
-    def test_populates_recurrence_quantities(self):
-        spec, zm = baseline_zero_mode(2.0)
-        assert zm.kappa_a == pytest.approx(zm.omega.imag - 2.0)
-        assert zm.kappa_b == pytest.approx(zm.omega.imag + 2.0)
-        assert zm.kappa_a * zm.kappa_b == pytest.approx(zm.r)
-        assert zm.alpha == pytest.approx(-(2.0 + zm.r))
+    def test_zero_mode_carries_no_reservoir_quantities(self):
+        # kappa, alpha and r are the report's (``classify_regime``)
+        assert [f.name for f in dataclasses.fields(nhzm.ZeroMode)] == \
+            ["mode_index", "omega", "wavefunction"]
+        assert "spec" not in inspect.signature(
+            nhzm.find_zero_modes).parameters
+
+    @pytest.mark.parametrize("spec", [
+        nhzm.LatticeSpec([0, 0.1j, 0, -0.3j, 0], [1, 1, 1, 1]),
+        nhzm.LatticeSpec(1j * np.random.default_rng(4).uniform(-0.3, 0.3, 101),
+                         np.ones(100)),
+    ], ids=["dense", "arnoldi"])
+    def test_gain_loss_need_not_alternate(self, spec):
+        # a zero mode needs the NHPH symmetry and Re(omega) = 0 alone; its
+        # reservoir need not be a gain/loss chain that classify_regime reads
+        with pytest.raises(nhzm.errors.InvalidSpecError):
+            spec.reservoir_gamma()
+        h = nhzm.assemble_hamiltonian(spec).matrix
+        modes = nhzm.eigendecompose(nhzm.Hamiltonian(h))
+        ref = nhzm.find_zero_modes(modes)[0]
+        zm = nhzm.lowest_zero_mode(spec)
+        assert (zm.mode_index is None) == (spec.n_sites >= SPARSE_MIN_SITES)
+        assert abs(zm.omega.real) <= ZERO_TOL
+        assert abs(zm.omega - ref.omega) <= 1e-10 * np.abs(h).sum(axis=1).max()
+        assert eigenvector_agrees(zm, ref, h, modes)
 
     @pytest.mark.parametrize("tied", [[-1e-9 + 0.5j, 1e-9 - 0.5j],
                                       [1e-9 - 0.5j, -1e-9 + 0.5j]])
@@ -294,7 +314,7 @@ class TestFindZeroModes:
         modes = nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec))
         assert nhzm.check_spectral_symmetry(modes, omega0=0.3).all_paired
         assert nhzm.find_zero_modes(modes) == []
-        zms = nhzm.find_zero_modes(modes, spec, omega0=0.3)
+        zms = nhzm.find_zero_modes(modes, omega0=0.3)
         baseline = nhzm.find_zero_modes(
             nhzm.eigendecompose(
                 nhzm.assemble_hamiltonian(nhzm.coupled_chain(2.0))))[0]
@@ -1140,7 +1160,7 @@ class TestChainModes:
         dist = np.abs(modes.eigenvalues[:, None] - ref.eigenvalues[None, :])
         rows, cols = linear_sum_assignment(dist)
         assert dist[rows, cols].max() <= 1e-10 * np.abs(h).sum(axis=1).max()
-        zms, ref_zms = (nhzm.find_zero_modes(m, spec, omega0)
+        zms, ref_zms = (nhzm.find_zero_modes(m, omega0)
                         for m in (modes, ref))
         assert len(zms) == len(ref_zms) > 0
         # a real lambda of the real form; zgeev leaves rounding noise
@@ -1151,7 +1171,7 @@ class TestChainModes:
 
 def dense_lowest_zero_mode(spec):
     zms = nhzm.find_zero_modes(
-        nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec)), spec)
+        nhzm.eigendecompose(nhzm.assemble_hamiltonian(spec)))
     return zms[0] if zms else None
 
 
@@ -1177,8 +1197,6 @@ class TestLowestZeroMode:
         assert zm.mode_index == ref.mode_index
         assert zm.omega == ref.omega
         assert np.array_equal(zm.wavefunction, ref.wavefunction)
-        assert (zm.kappa_a, zm.kappa_b, zm.alpha) == \
-            (ref.kappa_a, ref.kappa_b, ref.alpha)
 
     @settings(max_examples=30, deadline=None)
     # Hermitian chains with split edge states: a +/- pair with Im = 0 that
@@ -1201,7 +1219,7 @@ class TestLowestZeroMode:
                                   reservoir_onsite=detuning)
         h = nhzm.assemble_hamiltonian(spec).matrix
         modes = nhzm.eigendecompose(nhzm.Hamiltonian(h))
-        zms = nhzm.find_zero_modes(modes, spec)
+        zms = nhzm.find_zero_modes(modes)
         sparse = nhzm.lowest_zero_mode(spec)
         if not zms:
             assert sparse is None
@@ -1210,7 +1228,8 @@ class TestLowestZeroMode:
         assert abs(sparse.omega - zms[0].omega) <= \
             1e-10 * np.abs(h).sum(axis=1).max()
         assert eigenvector_agrees(sparse, zms[0], h, modes)
-        assert sparse.alpha == pytest.approx(zms[0].alpha, rel=1e-8, abs=1e-8)
+        assert nhzm.classify_regime(sparse, spec).alpha == pytest.approx(
+            nhzm.classify_regime(zms[0], spec).alpha, rel=1e-8, abs=1e-8)
 
     def test_exactly_singular_chain(self):
         from scipy.linalg.lapack import zgttrf
@@ -1256,21 +1275,22 @@ class TestLowestZeroMode:
         monkeypatch.setattr(nhzm.spectral, "SPARSE_MAX_K", 0)
         spec = nhzm.coupled_chain(2.0, n_reservoir=100, onsite=0.7)
         zm = nhzm.lowest_zero_mode(spec, 0.7)
-        ref = nhzm.find_zero_modes(nhzm.chain_modes(spec), spec, 0.7)[0]
+        ref = nhzm.find_zero_modes(nhzm.chain_modes(spec), 0.7)[0]
         assert zm.mode_index == ref.mode_index is not None
         assert zm.omega == ref.omega and zm.omega.real == 0.7
         assert np.array_equal(zm.wavefunction, ref.wavefunction)
 
     @pytest.mark.parametrize("n_reservoir", [10, 100])
     def test_zero_measured_from_omega0(self, n_reservoir):
-        ref = nhzm.lowest_zero_mode(nhzm.coupled_chain(
-            2.0, n_reservoir=n_reservoir))
+        ref_spec = nhzm.coupled_chain(2.0, n_reservoir=n_reservoir)
+        ref = nhzm.lowest_zero_mode(ref_spec)
         spec = nhzm.coupled_chain(2.0, n_reservoir=n_reservoir, onsite=0.3)
         assert nhzm.lowest_zero_mode(spec) is None
         zm = nhzm.lowest_zero_mode(spec, 0.3)
         assert abs(zm.omega.imag - ref.omega.imag) <= 1e-10
         assert abs(zm.omega.real - 0.3) <= ZERO_TOL
-        assert zm.alpha == pytest.approx(ref.alpha, rel=1e-8)
+        assert nhzm.classify_regime(zm, spec).alpha == pytest.approx(
+            nhzm.classify_regime(ref, ref_spec).alpha, rel=1e-8)
 
     def test_vector_scaled_like_lapack(self):
         zm = nhzm.lowest_zero_mode(nhzm.coupled_chain(2.0, n_reservoir=200))
