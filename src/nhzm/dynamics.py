@@ -36,12 +36,11 @@ _MASK128 = (1 << 128) - 1
 
 # Bytes that the blocks of realizations ``ensemble_experiment`` evolves at
 # once spend together, and per realization and site of a block: its initial
-# states, the solve's copy of them, the coefficients and their magnitudes,
-# the evolved states and the moduli that normalize them (16 + 16 + 16 + 8 +
-# 16 + 8 B).  A block holds at most a quarter of the 32 MiB where N is
-# below 229 (512 realizations at N = 109, 4.5 MB, seven in flight).
+# states, the evolved states and the moduli that normalize them (16 + 16 +
+# 8 B).  A block holds at most a quarter of the 32 MiB (1024 realizations at
+# N = 109, 4.5 MB, seven in flight; 128 at N = 1009, 16 at N = 8192).
 ENSEMBLE_BYTES = 32 * 2 ** 20
-_COLUMN_BYTES = 80
+_COLUMN_BYTES = 40
 
 
 def propagate(h: Hamiltonian, psi0, duration: float,
@@ -97,41 +96,29 @@ def _evolver(h: Hamiltonian, duration: float):
     """Final-state directions under h, each scaled to unit peak modulus, as
     a function of a batch of initial states (columns).
 
-    Uses the eigenbasis with log-domain scaling when the matrix is
-    diagonalizable to working precision, falling back to per-period
-    renormalized stepping otherwise; both return the same normalized
-    states.  The eigendecomposition and its reconstruction check, or the
-    fallback's two propagators, are computed here once, and batches of any
-    width share them.
+    Where h is diagonalizable to working precision (the eigendecomposition
+    reconstructs it), the propagator ``v exp(-i ev T) v^-1`` is built here
+    once, with every growth factor divided by the largest so that no
+    duration overflows, and each batch costs one GEMM; the global factor
+    dropped is one the per-column normalization cancels.  Otherwise every
+    column is stepped period by period with renormalization, from two
+    propagators built here once.  A column whose peak modulus is not a
+    normal finite float (all its weight was on modes that underflowed
+    against the fastest-growing one) raises PropagationOverflowError.
     """
     ev, v = np.linalg.eig(h.matrix)
     try:
-        recon_err = np.linalg.norm((v * ev) @ np.linalg.inv(v) - h.matrix, 2)
+        vinv = np.linalg.inv(v)
+        recon_err = np.linalg.norm((v * ev) @ vinv - h.matrix, 2)
     except np.linalg.LinAlgError:
         recon_err = np.inf
     if recon_err <= 1e-8 * max(h.norm, 1e-300):
-        growth = ev.imag[:, None] * duration
-        phase = np.exp(-1j * ev.real[:, None] * duration)
+        growth = ev.imag * duration
+        prop = (v * np.exp(-1j * ev.real * duration
+                           + (growth - growth.max()))) @ vinv
 
         def evolve(states):
-            # coeff becomes the scaled coefficients in place: its unit phase
-            # (0 where |coeff| is not > 0), times the magnitude shifted in
-            # log space so that each column's largest is 1, times the phase
-            # factor
-            coeff = np.linalg.solve(v, states)
-            mag = np.abs(coeff)
-            vanishing = ~(mag > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(coeff, mag, out=coeff)
-                coeff[vanishing] = 0.0
-                np.log(mag, out=mag)
-                mag += growth
-                mag -= mag.max(axis=0)
-                np.exp(mag, out=mag)
-            np.multiply(mag, coeff, out=coeff)
-            del mag, vanishing
-            coeff *= phase
-            return v @ coeff
+            return prop @ states
     else:
         steps = _period_steps(h, duration)
 
@@ -143,7 +130,11 @@ def _evolver(h: Hamiltonian, duration: float):
 
     def evolve_normalized(states):
         out = evolve(states)
-        out /= np.abs(out).max(axis=0, keepdims=True)
+        peak = np.abs(out).max(axis=0, keepdims=True)
+        if not np.all((peak >= np.finfo(float).tiny) & (peak < np.inf)):
+            raise PropagationOverflowError(
+                "a state under/overflowed against the fastest-growing mode")
+        out /= peak
         return out
 
     return evolve_normalized
@@ -248,12 +239,9 @@ def _block_width(n: int) -> int:
     """Realizations per ensemble block at N sites: a power of two.
 
     As many as a quarter of ``ENSEMBLE_BYTES`` holds at ``_COLUMN_BYTES``
-    per realization and site, or 2N if that is more, rounded down.  A
-    block of more realizations than sites keeps the LU factorization that
-    ``np.linalg.solve`` repeats per block ((8/3) N^3 flops) small against
-    the block's solve and product back (16 N^2 flops per realization).
+    per realization and site, rounded down, and at least one.
     """
-    columns = max(ENSEMBLE_BYTES // (4 * _COLUMN_BYTES * n), 2 * n)
+    columns = max(ENSEMBLE_BYTES // (4 * _COLUMN_BYTES * n), 1)
     return 1 << (columns.bit_length() - 1)
 
 
@@ -275,7 +263,9 @@ class EnsembleResult:
     """Ensemble-averaged reservoir profile of a noise-seeded zero mode.
 
     ``r_squared`` of the linear fit is clipped into [0, 1]; a mean profile
-    fitted worse than its own average reports 0.
+    fitted worse than its own average reports 0.  ``duration`` is the
+    evolution time in periods (2*pi/t each), as ``ensemble_experiment``'s
+    ``periods`` took it, not in natural time units.
     """
 
     mean_abs_profile: np.ndarray
@@ -308,19 +298,22 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
     Over many periods the mode with the largest gain dominates any fixed
     noise floor; choose ``periods`` with that in mind.
 
-    H is diagonalized once.  The realizations are then drawn, evolved and
-    reduced to their reservoir moduli in blocks of a power-of-two width
-    fixed by N alone (``_block_width``: 512 at N = 109, never fewer than
-    N).  The blocks are dealt to one thread per CPU (``_deal``), no more
-    of them in flight than fit in ``ENSEMBLE_BYTES`` together, and each
-    writes only its own columns of the (n_res, R) moduli that the mean and
-    std are taken over, as a bit-exact mean needs.  So memory is
+    H is diagonalized once, and the propagator over the whole duration is
+    built from its eigenbasis once (``_evolver``).  The realizations are
+    then drawn, evolved by one GEMM with it and reduced to their reservoir
+    moduli in blocks of a power-of-two width fixed by N alone
+    (``_block_width``: 1024 at N = 109).  The blocks are dealt to one
+    thread per CPU (``_deal``), no more of them in flight than fit in
+    ``ENSEMBLE_BYTES`` together, and each writes only its own columns of
+    the (n_res, R) moduli that the mean and std are taken over, as a
+    bit-exact mean needs.  So memory is
     O(N^2 + ENSEMBLE_BYTES + n_res * R).  The evolution runs on one BLAS
     thread (``_one_blas_thread``), so no bit depends on the BLAS thread
     count or on the CPU count.  The block width does not change the noise
     or the arithmetic per realization, but BLAS may round one
-    realization's solve and product differently at another width (seen:
-    up to 3.3e-16 relative in mean and std).
+    realization's product differently at another width (seen: up to
+    1.1e-15 relative in mean and std).  A realization whose evolved state
+    under- or overflows raises PropagationOverflowError.
     """
     _noise_seed(seed, n_realizations)
     sites = spec.reservoir_sites()

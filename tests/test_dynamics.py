@@ -150,10 +150,10 @@ class TestPropagate:
         assert len(calls) == 2
         assert np.all(np.isfinite(result.mean_abs_profile))
 
-    def test_vanishing_coefficient_gets_no_phase(self):
+    def test_vanishing_coefficient_stays_zero(self):
         # a diagonal H has exactly the identity as eigenvectors, so a zero
-        # entry of a state is an exactly zero coefficient, whose unit phase
-        # is taken as 0 rather than 0/0
+        # entry of a state is an exactly zero coefficient, which the
+        # propagator keeps at exactly 0
         w = np.array([1.0 + 0.1j, -0.5 - 0.2j, 0.3j, 0.7 - 0.05j])
         h = nhzm.Hamiltonian(np.diag(w))
         assert np.array_equal(np.linalg.eig(h.matrix)[1], np.eye(4))
@@ -165,6 +165,41 @@ class TestPropagate:
         expected = np.exp(-1j * w[:, None] * duration) * states
         expected /= np.abs(expected).max(axis=0)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("duration", [900.0, 1000.0])
+    def test_state_off_the_fastest_mode_underflows_loudly(self, duration):
+        # over this duration the growth of every other mode against the
+        # fastest-growing one (index 0) is exp(-0.8 * duration): subnormal
+        # at 900 and 0 at 1000.  A column with no weight on that mode comes
+        # out without a normal peak, which is an error, not a NaN profile
+        w = np.array([0.3 + 1.0j, 0.1 + 0.2j, -0.2 + 0.2j])
+        h = nhzm.Hamiltonian(np.diag(w))
+        states = np.array([[1.0, 0.0], [1.0, 1.0], [0.5, 1j]], dtype=complex)
+        evolve = _evolver(h, duration)
+        assert np.all(np.isfinite(evolve(states[:, :1].copy())))
+        with pytest.raises(PropagationOverflowError):
+            evolve(states.copy())
+
+    @pytest.mark.parametrize("periods", [50, 1e4])
+    def test_long_run_matches_per_period_stepping(self, periods):
+        # the growth spread, max - min of Im(omega) times the duration, is
+        # 1.3e3 at 50 periods and 2.5e5 at 1e4, beyond double range
+        spec = nhzm.coupled_chain(2.0, n_reservoir=100)
+        zm = nhzm.lowest_zero_mode(spec)
+        h = nhzm.assemble_hamiltonian(spec)
+        sites = spec.reservoir_sites()
+        states = np.tile(np.asarray(zm.wavefunction, dtype=complex)[:, None],
+                         (1, 3))
+        states[sites.start:sites.stop] *= np.exp(
+            0.1 * _seeded_normals(0, 3, len(sites))).T
+        duration = periods * PERIOD
+        fast = _evolver(h, duration)(states.copy())
+        steps = dynamics._period_steps(h, duration)
+        for j in range(3):
+            slow, _ = dynamics._step_renormalized(states[:, j], *steps)
+            assert np.all(np.isfinite(fast[:, j]))
+            np.testing.assert_allclose(fast[:, j], slow / np.abs(slow).max(),
+                                       rtol=0, atol=1e-10)
 
 
 SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 5 * 2 ** 40 + 7, 2 ** 64 + 3, 2 ** 100]
@@ -306,18 +341,17 @@ class TestEnsemble:
 
 class TestEnsembleBlocks:
     def test_block_width(self):
-        assert _block_width(109) == 512
+        assert _block_width(109) == 1024
         for n in (1, 19, 109, 459, 1009, 8192):
             width = _block_width(n)
             assert width & (width - 1) == 0
-            assert width > n
             assert (width * dynamics._COLUMN_BYTES * n
-                    <= max(dynamics.ENSEMBLE_BYTES // 4,
-                           2 * n * dynamics._COLUMN_BYTES * n))
+                    <= dynamics.ENSEMBLE_BYTES // 4
+                    < 2 * width * dynamics._COLUMN_BYTES * n)
 
     def test_bits_do_not_depend_on_the_cpu_count(self, monkeypatch):
-        # eight blocks of 512 at N = 109 on one thread, then on 3 and 8 CPUs
-        # (three and seven threads) switching every microsecond: a block
+        # four blocks of 1024 at N = 109 on one thread, then on 3 and 8 CPUs
+        # (three and four threads) switching every microsecond: a block
         # written to the wrong columns or not at all changes the bits
         spec = nhzm.coupled_chain(2.0, n_reservoir=100)
         zm = nhzm.lowest_zero_mode(spec)
@@ -340,10 +374,13 @@ class TestEnsembleBlocks:
         assert results[1:] == results[:1] * 2
 
     @pytest.mark.parametrize("cpus, budget, workers", [
-        (1, None, 0), (3, None, 2), (8, None, 6), (8, 1 * 2 ** 20, 0)])
+        (1, None, 0), (3, None, 2), (8, None, 6), (8, 1 * 2 ** 20, 6),
+        (8, 4000, 0)])
     def test_blocks_in_flight_fit_the_budget(self, monkeypatch, cpus, budget,
                                              workers):
-        # the calling thread evolves one share of the blocks
+        # the calling thread evolves one share of the blocks; there are
+        # eight blocks at every budget, so the blocks that fit in flight,
+        # not their count, cap the threads
         started = []
 
         class Thread(nhzm.spectral.threading.Thread):
@@ -357,8 +394,9 @@ class TestEnsembleBlocks:
             monkeypatch.setattr(dynamics, "ENSEMBLE_BYTES", budget)
         spec = nhzm.coupled_chain(2.0, n_reservoir=100)
         zm = nhzm.lowest_zero_mode(spec)
-        nhzm.ensemble_experiment(spec, zm, n_realizations=4096, periods=0.17)
         n = spec.n_sites
+        nhzm.ensemble_experiment(spec, zm, n_realizations=8 * _block_width(n),
+                                 periods=0.17)
         block = _block_width(n) * dynamics._COLUMN_BYTES * n
         assert len(started) == workers
         assert workers == 0 or (workers + 1) * block <= dynamics.ENSEMBLE_BYTES
