@@ -157,12 +157,13 @@ def _task_mode_profile(scenario: Scenario, out: Path) -> None:
 
     report = classify_regime(zm, spec)
     stagger = check_stagger_phase(psi, spec.partition)
-    res = list(spec.reservoir_sites())
+    res = spec.reservoir_sites()
     t_a, t_b = spec.reservoir_couplings()
     extra = {
         "staggered": stagger.staggered,
         "in_phase_per_sublattice": stagger.in_phase_per_sublattice,
-        "peak_reservoir_amplitude": float(np.abs(psi[res]).max()),
+        "peak_reservoir_amplitude": float(
+            np.abs(psi[res.start:res.stop]).max()),
         "predicted_linear_peak": linear_peak_amplitude(
             scenario.data["coupling"], t_a, len(res)),
     }

@@ -97,22 +97,24 @@ def _evolver(h: Hamiltonian, duration: float):
     a function of a batch of initial states (columns).
 
     Where h is diagonalizable to working precision (the eigendecomposition
-    reconstructs it), the propagator ``v exp(-i ev T) v^-1`` is built here
-    once, with every growth factor divided by the largest so that no
-    duration overflows, and each batch costs one GEMM; the global factor
-    dropped is one the per-column normalization cancels.  Otherwise every
-    column is stepped period by period with renormalization, from two
-    propagators built here once.  A column whose peak modulus is not a
-    normal finite float (all its weight was on modes that underflowed
-    against the fastest-growing one) raises PropagationOverflowError.
+    reconstructs it: |E|_F <= 1e-8 |H|_F / sqrt(N) for the error E, a test
+    at least as strict as |E|_2 <= 1e-8 |H|_2 and without an SVD), the
+    propagator ``v exp(-i ev T) v^-1`` is built here once, with every
+    growth factor divided by the largest so that no duration overflows,
+    and each batch costs one GEMM; the global factor dropped is one the
+    per-column normalization cancels.  Otherwise every column is stepped
+    period by period with renormalization, from two propagators built here
+    once.  A column whose peak modulus is not a normal finite float (all
+    its weight was on modes that underflowed against the fastest-growing
+    one) raises PropagationOverflowError.
     """
     ev, v = np.linalg.eig(h.matrix)
     try:
         vinv = np.linalg.inv(v)
-        recon_err = np.linalg.norm((v * ev) @ vinv - h.matrix, 2)
+        recon_err = np.linalg.norm((v * ev) @ vinv - h.matrix)
     except np.linalg.LinAlgError:
         recon_err = np.inf
-    if recon_err <= 1e-8 * max(h.norm, 1e-300):
+    if recon_err <= 1e-8 * np.linalg.norm(h.matrix) / math.sqrt(h.dim):
         growth = ev.imag * duration
         prop = (v * np.exp(-1j * ev.real * duration
                            + (growth - growth.max()))) @ vinv
@@ -337,9 +339,10 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
             del noise
             np.abs(evolve(states)[reservoir, :], out=profiles[:, block])
 
-        _deal(run, [slice(lo, min(lo + width, n_realizations))
-                    for lo in range(0, n_realizations, width)],
-              max(1, ENSEMBLE_BYTES // (_COLUMN_BYTES * h.dim * width)))
+        blocks = [slice(lo, min(lo + width, n_realizations))
+                  for lo in range(0, n_realizations, width)]
+        _deal(run, blocks, min(len(blocks), ENSEMBLE_BYTES
+                               // (_COLUMN_BYTES * h.dim * width)))
     mean, std = _mean_std(profiles)
 
     r2 = _fit_line(mean).r_squared

@@ -14,6 +14,7 @@ shift-invert Arnoldi on the tridiagonal matrix (``lowest_zero_mode``).
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import warnings
@@ -173,6 +174,16 @@ class TrackedSweep:
     mode_id: np.ndarray
 
 
+def _dense(solve, a: np.ndarray):
+    """``solve(a)``, a dense LAPACK solve; its LinAlgError is raised as an
+    EigensolverError that carries ``a``."""
+    try:
+        return solve(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"dense eigensolver failed: {exc}",
+                               matrix=a) from exc
+
+
 def eigendecompose(h: Hamiltonian) -> ModeSet:
     """Right eigendecomposition of a complex-symmetric H, with diagnostics.
 
@@ -197,11 +208,7 @@ def eigendecompose(h: Hamiltonian) -> ModeSet:
         raise EigensolverError("matrix is not complex symmetric (H != H^T)",
                                matrix=m)
     with _one_blas_thread:
-        try:
-            w, vr = np.linalg.eig(m)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
-            raise EigensolverError(f"dense eigensolver failed: {exc}",
-                                   matrix=m) from exc
+        w, vr = _dense(np.linalg.eig, m)
         norm_bound = np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
         return _modeset(w, vr, norm_bound)
 
@@ -233,17 +240,16 @@ def _modeset(w: np.ndarray, vr: np.ndarray, norm_bound: float) -> ModeSet:
 
 # i^j for j mod 4: the diagonal similarity D of ``_real_form_modes``
 _PHASES = np.array([1, 1j, -1, -1j])
-# Bytes of the stack of real forms A (8 N^2 a step) that
-# ``_sweep_eigenvalues`` solves as one block; 301 steps fit up to N = 83.
-# The ``sweep`` task of 101 steps at N = 209 peaks at 57 MB RSS.
-STACK_BYTES = 16 * 2 ** 20
-# Bytes of the chunks that ``_chunked_eigvals``' threads solve at once, all
-# threads together, counted as in ``STACK_BYTES``: 16 steps a thread at
-# N = 59 on 2 CPUs, one step a thread from 17 CPUs on, one thread above
-# N = 237.  On one BLAS thread the benchmark's 301-step stack at N = 59
-# took 120 ms on 2 vCPUs (quartiles 103-122 ms), against 119 ms (111-122)
-# in 50-step chunks (4 and 3 to the two threads) and 213 ms (164-223) as
-# one call; 25 interleaved runs each.
+# Bytes of the chunks of sweep steps that ``_sweep_eigenvalues``' threads
+# hold at once, all threads together, at 8 N^2 a step (a real form A): 16
+# steps a thread at N = 59 on 2 CPUs, one step a thread from 17 CPUs on, one
+# thread above N = 237.  A chunk of chains without a real form holds up to
+# twice its share, their H being complex (16 N^2 a step).  A cold ``sweep``
+# task of 101 steps at N = 209 peaks at 45 MB RSS on 2 vCPUs.  On one BLAS
+# thread the benchmark's 301-step stack at N = 59 took 120 ms on 2 vCPUs
+# (quartiles 103-122 ms), against 119 ms (111-122) in 50-step chunks (4 and
+# 3 to the two threads) and 213 ms (164-223) as one call; 25 interleaved
+# runs each.
 CHUNK_BYTES = 900_000
 # Bytes of the temporaries ``_modeset`` and ``_gaps`` build at once, beside
 # the vectors.
@@ -344,34 +350,38 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def _deal(work, tasks: list, most: int) -> None:
-    """``work(task)`` for every task, the tasks dealt round-robin to one
-    thread per CPU (``_cpu_count``), the calling thread among them.
+def _deal(work, tasks, most: int) -> None:
+    """``work(task)`` for every task of an iterable, on at most ``most``
+    threads and one per CPU (``_cpu_count``), the calling thread among them.
 
-    Never more threads than tasks or than ``most``, so with one CPU, at
-    most one task or ``most`` of 1 no thread starts.  A thread stops at the first
-    error any has raised; every thread is joined before that error is
-    raised.
+    A thread takes the next task when it is free, advancing the iterable
+    under a lock, so a generator of tasks runs in order and never on two
+    threads at once; no task may be None.  With one CPU or ``most`` of 1 no thread starts.  A
+    thread stops at the first error any has raised, the iterable's own
+    among them; every thread is joined before that error is raised.
     """
-    n_threads = max(1, min(_cpu_count(), len(tasks), most))
+    n_threads = max(1, min(_cpu_count(), most))
+    tasks = iter(tasks)
+    lock = threading.Lock()
     errors = []
 
-    def run(share):
-        for task in share:
-            if errors:
-                return
+    def run():
+        while not errors:
             try:
+                with lock:
+                    task = next(tasks, None)
+                if task is None:
+                    return
                 work(task)
             except Exception as exc:
                 # any failure: else the caller reads results never written
                 errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(tasks[t::n_threads],))
-               for t in range(1, n_threads)]
+    threads = [threading.Thread(target=run) for _ in range(1, n_threads)]
     for t in threads:
         t.start()
     try:
-        run(tasks[::n_threads])
+        run()
     finally:
         for t in threads:
             t.join()
@@ -379,37 +389,22 @@ def _deal(work, tasks: list, most: int) -> None:
         raise errors[0]
 
 
-def _chunked_eigvals(a: np.ndarray) -> np.ndarray:
-    """Complex ``np.linalg.eigvals(a)`` of a real stack, in chunks on threads.
-
-    The chunks are dealt to threads by ``_deal``, never more threads than
-    slices fit in ``CHUNK_BYTES``, which the chunks in flight hold together
-    (or one slice, where larger).  So with one CPU, or slices over half of
-    ``CHUNK_BYTES`` (N > 237), no thread starts.  A worker calls only
-    ``np.linalg.eigvals``, which releases the GIL, and copies each result
-    into the complex array allocated here.  dgeev solves each slice alone,
-    so every bit is that of one call on the whole stack; a chunk whose
-    lambdas are all real is stored with Im = 0, as the stacked call gives
-    it.
-    """
-    steps, n, _ = a.shape
-    lam = np.empty((steps, n), dtype=complex)
-    step = 8 * n * n
-    n_threads = min(_cpu_count(), steps, max(1, CHUNK_BYTES // step))
-    per_chunk = max(1, CHUNK_BYTES // (step * n_threads))
-
-    def solve(chunk):
-        lam[chunk] = np.linalg.eigvals(a[chunk])
-
-    _deal(solve, [slice(lo, lo + per_chunk)
-                  for lo in range(0, steps, per_chunk)], n_threads)
-    return lam
-
-
 def _has_real_form(spec: LatticeSpec) -> bool:
     """Whether the chain's onsite energies share one real part (N >= 2)."""
     re = spec.onsite.real
     return spec.n_sites >= 2 and bool(np.all(re == re[0]))
+
+
+def _tridiagonals(diagonals: np.ndarray, upper: np.ndarray,
+                  lower: np.ndarray) -> np.ndarray:
+    """Tridiagonal matrices stacked (k, N, N), of the diagonals' dtype: row
+    j of each argument gives matrix j's diagonal and bands."""
+    k, n = diagonals.shape
+    a = np.zeros((k, n, n), dtype=diagonals.dtype)
+    a.reshape(k, -1)[:, ::n + 1] = diagonals
+    a.reshape(k, -1)[:, 1::n + 1] = upper
+    a.reshape(k, -1)[:, n::n + 1] = lower
+    return a
 
 
 def _real_forms(specs) -> np.ndarray:
@@ -424,13 +419,8 @@ def _real_forms(specs) -> np.ndarray:
     """
     onsite = np.array([spec.onsite.imag for spec in specs])
     bonds = np.array([spec.bonds for spec in specs])
-    k, n = onsite.shape
-    _require_dense(n)
-    a = np.zeros((k, n, n))
-    a.reshape(k, -1)[:, ::n + 1] = onsite
-    a.reshape(k, -1)[:, 1::n + 1] = bonds
-    a.reshape(k, -1)[:, n::n + 1] = -bonds
-    return a
+    _require_dense(onsite.shape[1])
+    return _tridiagonals(onsite, bonds, -bonds)
 
 
 def _omega(omega0, lam: np.ndarray) -> np.ndarray:
@@ -446,11 +436,7 @@ def _real_form_modes(spec: LatticeSpec) -> ModeSet:
     dgeev (``np.linalg.eig``) of its real form (``_real_forms``)."""
     a = _real_forms([spec])[0]
     with _one_blas_thread:
-        try:
-            lam, v = np.linalg.eig(a)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"dense eigensolver failed: {exc}",
-                                   matrix=a) from exc
+        lam, v = _dense(np.linalg.eig, a)
         n = spec.n_sites
         v = v * _PHASES[np.arange(n) % 4, None]
         # |H|_1 = |H|_inf for symmetric H: the largest row sum of the chain
@@ -657,6 +643,11 @@ def sweep_gamma(spec_of_gamma, gamma_grid) -> TrackedSweep:
     continuation (``_link``), which on a grid coarse against the eigenvalue
     spacing costs up to 2**BISECT_DEPTH solves a step, and warns of each
     step whose link it could not make unambiguous.
+
+    ``spec_of_gamma`` is called once a grid point, in grid order and never
+    twice at once, but possibly off the calling thread: the steps are built
+    by the threads that solve them.  Each bisection midpoint is built on
+    the calling thread.
     """
     grid = np.asarray(gamma_grid, dtype=float)
     if len(grid) < 2:
@@ -675,49 +666,51 @@ def sweep_gamma(spec_of_gamma, gamma_grid) -> TrackedSweep:
 
 def _sweep_eigenvalues(spec_of_gamma, gammas) -> np.ndarray:
     """Eigenvalues of ``spec_of_gamma(g)`` for each g, a row each, sorted by
-    (Re, Im).  Consecutive chains with a real form (``_real_forms``) are
-    stacked in blocks of at most ``STACK_BYTES``, built and solved one at a
-    time by ``_chunked_eigvals``; any other chain takes
-    ``np.linalg.eigvals`` of H.  Every chain must have the first's length.
+    (Re, Im).
+
+    The first chain is built on the calling thread, and one longer than
+    ``DENSE_MAX_SITES`` is refused before anything is allocated.  The steps
+    are cut into chunks that ``CHUNK_BYTES`` holds for all threads together,
+    and dealt to threads by ``_deal``.  A thread builds its chunk's chains
+    when it takes the chunk, in grid order under ``_deal``'s lock, then
+    solves those with a real form (``_real_forms``) by one
+    ``np.linalg.eigvals`` of their stack and the others by one of their
+    stacked H.  LAPACK solves each matrix of a stack alone, so no bit
+    depends on the chunks or the CPU count.  Every chain must have the
+    first's length.
     """
-    w = block = None
+    steps = len(gammas)
+    first = spec_of_gamma(gammas[0])
+    n = first.n_sites
+    _require_dense(n)
+    w = np.empty((steps, n), dtype=complex)
+    step = 8 * n * n
+    n_threads = min(_cpu_count(), steps, max(1, CHUNK_BYTES // step))
+    per_chunk = max(1, CHUNK_BYTES // (step * n_threads))
+    specs = itertools.chain([first], map(spec_of_gamma, gammas[1:]))
 
-    def solve(end):
-        a = _real_forms(block)
-        try:
-            lam = _chunked_eigvals(a)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"dense eigensolver failed: {exc}",
-                                   matrix=a) from exc
-        omega0 = np.array([[spec.onsite.real[0]] for spec in block])
-        w[end - len(block):end] = _omega(omega0, lam)
-        block.clear()
+    def solve(chunk):
+        lo, chains = chunk
+        for g, spec in zip(gammas[lo:], chains):
+            if spec.n_sites != n:
+                raise ValueError(f"a {spec.n_sites}-site chain at gamma = {g} "
+                                 f"in a sweep of {n}-site chains")
+        real = np.array([_has_real_form(spec) for spec in chains])
+        if real.any():
+            part = [spec for spec, r in zip(chains, real) if r]
+            lam = _dense(np.linalg.eigvals, _real_forms(part))
+            omega0 = np.array([[spec.onsite.real[0]] for spec in part])
+            w[lo + np.flatnonzero(real)] = _omega(omega0, lam)
+        if not real.all():
+            part = [spec for spec, r in zip(chains, real) if not r]
+            bonds = np.array([spec.bonds for spec in part])
+            h = _tridiagonals(np.array([spec.onsite for spec in part]),
+                              bonds, bonds)
+            w[lo + np.flatnonzero(~real)] = _dense(np.linalg.eigvals, h)
 
-    for k, g in enumerate(gammas):
-        spec = spec_of_gamma(g)
-        n = spec.n_sites
-        if w is None:
-            _require_dense(n)
-            w, block = np.empty((len(gammas), n), dtype=complex), []
-            per = max(1, STACK_BYTES // (8 * n * n))
-        elif n != w.shape[1]:
-            raise ValueError(f"a {n}-site chain at gamma = {g} in a sweep of "
-                             f"{w.shape[1]}-site chains")
-        if not _has_real_form(spec):
-            if block:
-                solve(k)
-            m = assemble_hamiltonian(spec).matrix
-            try:
-                w[k] = np.linalg.eigvals(m)
-            except np.linalg.LinAlgError as exc:
-                raise EigensolverError(
-                    f"dense eigensolver failed: {exc}", matrix=m) from exc
-            continue
-        block.append(spec)
-        if len(block) == per:
-            solve(k + 1)
-    if block:
-        solve(len(w))
+    _deal(solve, ((lo, list(itertools.islice(specs, per_chunk)))
+                  for lo in range(0, steps, per_chunk)),
+          min(n_threads, -(-steps // per_chunk)))
     order = np.lexsort((w.imag, w.real))
     return w[np.arange(len(w))[:, None], order]
 

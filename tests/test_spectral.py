@@ -772,7 +772,10 @@ class TestRealFormSweep:
         (lambda g: nhzm.LatticeSpec(
             0.4 + 1j * g * np.array([1, -1, 1, -1, 1]), np.ones(4)),
          [0.0, 0.5, 2.0, 2.5]),
-    ], ids=["coupled-chain", "all-real-chunk"])
+        # no real form: chunks of stacked complex H
+        (lambda g: nhzm.coupled_chain(g, reservoir_onsite=0.3),
+         np.linspace(0.0, 3.0, 7)),
+    ], ids=["coupled-chain", "all-real-chunk", "detuned"])
     def test_blocks_match_one_stack(self, monkeypatch, family, grid):
         n = family(0.0).n_sites
         step = 8 * n * n
@@ -782,15 +785,11 @@ class TestRealFormSweep:
         threads = threading.active_count()
         for cpus in (1, 2, 3):
             monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
-            for per_block in (1, 2, 3, len(grid)):
-                monkeypatch.setattr(nhzm.spectral, "STACK_BYTES",
-                                    per_block * step)
-                for per_chunk in (1, 2, 3):
-                    monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES",
-                                        per_chunk * step * cpus)
-                    assert _sweep_eigenvalues(family, grid).tobytes() \
-                        == one_call
-                    assert threading.active_count() == threads
+            for per_chunk in (1, 2, 3):
+                monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES",
+                                    per_chunk * step * cpus)
+                assert _sweep_eigenvalues(family, grid).tobytes() == one_call
+                assert threading.active_count() == threads
 
     # links at the reservoir's exceptional point, gamma = 2t, stay crowded
     # at 59 sites
@@ -820,18 +819,22 @@ class TestRealFormSweep:
                 super().start()
 
         monkeypatch.setattr(nhzm.spectral.threading, "Thread", Thread)
-        family = lambda g: nhzm.coupled_chain(g)
-        n = family(0.0).n_sites
-        # (CPUs, steps that fit in CHUNK_BYTES, steps, threads started)
-        for cpus, fit, steps, workers in ((1, 2, 9, 0), (3, 6, 9, 2),
-                                          (3, 6, 3, 1), (8, 16, 9, 4),
-                                          (8, 3, 9, 2), (8, 1, 9, 0)):
-            monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
-            monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", fit * 8 * n * n)
-            started.clear()
-            _sweep_eigenvalues(family, np.linspace(0.0, 3.0, steps))
-            # the calling thread takes one share of the chunks
-            assert len(started) == workers
+        # a chain with a real form, and a detuned one without
+        for family in (lambda g: nhzm.coupled_chain(g),
+                       lambda g: nhzm.coupled_chain(g, reservoir_onsite=0.3)):
+            n = family(0.0).n_sites
+            # (CPUs, steps that fit in CHUNK_BYTES, steps, threads started)
+            for cpus, fit, steps, workers in ((1, 2, 9, 0), (3, 6, 9, 2),
+                                              (3, 6, 3, 1), (8, 16, 9, 4),
+                                              (8, 3, 9, 2), (8, 1, 9, 0)):
+                monkeypatch.setattr(nhzm.spectral, "_cpu_count",
+                                    lambda: cpus)
+                monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES",
+                                    fit * 8 * n * n)
+                started.clear()
+                _sweep_eigenvalues(family, np.linspace(0.0, 3.0, steps))
+                # the calling thread takes its share of the chunks
+                assert len(started) == workers
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         # one-step chunks on 8 threads, switching every microsecond: a
@@ -947,38 +950,70 @@ class TestRealFormSweep:
         assert peak < 8 * n * n
 
     @pytest.mark.parametrize("steps", [12, 36])
-    def test_solve_holds_one_block(self, monkeypatch, steps):
-        # blocks of 3 steps at N = 200: the solve holds one block of real
-        # forms and the eigenvalues, not the 8 N^2 bytes a step of every
-        # real form
+    def test_solve_holds_one_budget(self, monkeypatch, steps):
+        # CHUNK_BYTES of 3 steps at N = 200, on one thread and on two: the
+        # solve holds the chunks in flight, the eigenvalues and a few N^2
+        # of slack, not the 8 N^2 bytes a step of every real form (12.2 MB
+        # at 36 steps when every step was stacked at once)
         family = lambda g: nhzm.coupled_chain(g, n_reservoir=191)
         n = family(0.0).n_sites
-        monkeypatch.setattr(nhzm.spectral, "STACK_BYTES", 3 * 8 * n * n)
+        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES", 3 * 8 * n * n)
         grid = np.linspace(0.0, 3.0, steps)
-        tracemalloc.start()
-        try:
-            _sweep_eigenvalues(family, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < nhzm.spectral.STACK_BYTES + 2 * 8 * n * n
+        table = 16 * n * steps
+        for cpus in (1, 2):
+            monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
+            tracemalloc.start()
+            try:
+                _sweep_eigenvalues(family, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < nhzm.spectral.CHUNK_BYTES + table + 2 * 8 * n * n
 
-    def test_specs_built_one_block_at_a_time(self, monkeypatch):
-        built, at_solve = [], []
-        solve = nhzm.spectral._chunked_eigvals
-
-        def recording(a):
-            at_solve.append(len(built))
-            return solve(a)
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_specs_built_in_order_one_chunk_ahead(self, monkeypatch, cpus):
+        # spec_of_gamma runs in grid order and never on two threads at
+        # once, and a thread builds a chunk only when it takes it: chunks
+        # of 2 steps, so at a solve's start at most 2 steps a thread are
+        # built and not yet solved; 8 threads switching every microsecond
+        built, calling, ahead = [], [], []
+        solved = [0]
+        eigvals = np.linalg.eigvals
+        lock = threading.Lock()
 
         def family(g):
+            assert not calling
+            calling.append(g)
+            time.sleep(1e-4)
+            assert calling == [g]
             built.append(g)
+            calling.pop()
             return nhzm.coupled_chain(g)
 
-        monkeypatch.setattr(nhzm.spectral, "_chunked_eigvals", recording)
-        monkeypatch.setattr(nhzm.spectral, "STACK_BYTES", 2 * 8 * 19 * 19)
-        _sweep_eigenvalues(family, np.linspace(0.0, 3.0, 5))
-        assert at_solve == [2, 4, 5]
+        def recording(a):
+            ahead.append(len(built) - solved[0])
+            lam = eigvals(a)
+            with lock:
+                solved[0] += len(a)
+            return lam
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(nhzm.spectral, "CHUNK_BYTES",
+                            2 * cpus * 8 * 19 * 19)
+        grid = np.linspace(0.0, 3.0, 41)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            _sweep_eigenvalues(family, grid)
+            assert time.perf_counter() - start < 30.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert built == list(grid)
+        assert max(ahead) <= 2 * cpus
+        if cpus == 1:
+            assert ahead == [2] * 20 + [1]
 
     @pytest.mark.parametrize("spec", [
         nhzm.coupled_chain(2.0, reservoir_onsite=0.3),
