@@ -84,11 +84,11 @@ def _jsonify(obj):
 def _regime_payload(report: RegimeReport, extra: dict | None = None) -> dict:
     payload = {
         "gamma": report.gamma,
-        "omega": {"re": report.omega.real, "im": report.omega.imag},
+        "omega": report.omega,
         "alpha": report.alpha,
         "r": report.r,
         "regime": report.regime.value,
-        "roots": [{"re": b.real, "im": b.imag} for b in report.roots],
+        "roots": report.roots,
         "decay_rate": report.decay_rate,
         "fits": {label: {"slope": f.slope, "intercept": f.intercept,
                          "r2": f.r_squared}
@@ -241,7 +241,7 @@ def _task_bands(scenario: Scenario, out: Path) -> None:
         for ep in scan.eps:
             all_eps.append({
                 "gamma": gamma, "k": ep.k,
-                "vector": [{"re": v.real, "im": v.imag} for v in ep.vector],
+                "vector": ep.vector,
                 "coalescence": ep.coalescence,
                 "eigenvalue_gap": ep.eigenvalue_gap,
             })
@@ -348,8 +348,9 @@ def _cmd_run(args) -> int:
 
 # what a truncated, hand-edited or foreign output file raises when read:
 # no access (OSError), bad JSON or text (ValueError), a missing key or
-# column (KeyError, ValueError, IndexError), a wrong type (TypeError)
-_UNREADABLE = (OSError, ValueError, KeyError, IndexError, TypeError)
+# column (LookupError, ValueError), a wrong type (TypeError, or
+# AttributeError where a list or a number is read as an object)
+_UNREADABLE = (OSError, ValueError, LookupError, TypeError, AttributeError)
 
 
 def _unreadable(path: Path, exc: Exception) -> int:

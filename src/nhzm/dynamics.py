@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, EpSetupError, PropagationOverflowError
 from .lattice import Hamiltonian, LatticeSpec, assemble_hamiltonian
 from .localization import _fit_line
-from .spectral import ZeroMode, _deal, _one_blas_thread
+from .spectral import ModeSet, ZeroMode, _one_blas_thread, chain_modes
 
 PERIOD = 2.0 * np.pi
 
@@ -34,12 +34,12 @@ _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
-# Bytes that the blocks of realizations ``ensemble_experiment`` evolves at
-# once spend together, and per realization and site of a block: its initial
+# Bytes that one block of realizations ``ensemble_experiment`` evolves at
+# once spends at most, and per realization and site of a block: its initial
 # states, the evolved states and the moduli that normalize them (16 + 16 +
-# 8 B).  A block holds at most a quarter of the 32 MiB (1024 realizations at
-# N = 109, 4.5 MB, seven in flight; 128 at N = 1009, 16 at N = 8192).
-ENSEMBLE_BYTES = 32 * 2 ** 20
+# 8 B).  1024 realizations at N = 109 (4.5 MB), 128 at N = 1009, 16 at
+# N = 8192.
+ENSEMBLE_BYTES = 8 * 2 ** 20
 _COLUMN_BYTES = 40
 
 
@@ -92,23 +92,23 @@ def _step_renormalized(psi: np.ndarray, n_full: int, u, u_rest):
     return psi, log_scale
 
 
-def _evolver(h: Hamiltonian, duration: float):
+def _evolver(h: Hamiltonian, modes: ModeSet, duration: float):
     """Final-state directions under h, each scaled to unit peak modulus, as
     a function of a batch of initial states (columns).
 
-    Where h is diagonalizable to working precision (the eigendecomposition
-    reconstructs it: |E|_F <= 1e-8 |H|_F / sqrt(N) for the error E, a test
-    at least as strict as |E|_2 <= 1e-8 |H|_2 and without an SVD), the
-    propagator ``v exp(-i ev T) v^-1`` is built here once, with every
-    growth factor divided by the largest so that no duration overflows,
-    and each batch costs one GEMM; the global factor dropped is one the
-    per-column normalization cancels.  Otherwise every column is stepped
-    period by period with renormalization, from two propagators built here
-    once.  A column whose peak modulus is not a normal finite float (all
-    its weight was on modes that underflowed against the fastest-growing
-    one) raises PropagationOverflowError.
+    modes are h's eigenpairs (``chain_modes``).  Where h is diagonalizable
+    to working precision (they reconstruct it: |E|_F <= 1e-8 |H|_F / sqrt(N)
+    for the error E, a test at least as strict as |E|_2 <= 1e-8 |H|_2 and
+    without an SVD), the propagator ``v exp(-i ev T) v^-1`` is built here
+    once, with every growth factor divided by the largest so that no
+    duration overflows, and each batch costs one GEMM; the global factor
+    dropped is one the per-column normalization cancels.  Otherwise every
+    column is stepped period by period with renormalization, from two
+    propagators built here once.  A column whose peak modulus is not a
+    normal finite float (all its weight was on modes that underflowed
+    against the fastest-growing one) raises PropagationOverflowError.
     """
-    ev, v = np.linalg.eig(h.matrix)
+    ev, v = modes.eigenvalues, modes.right_vectors
     try:
         vinv = np.linalg.inv(v)
         recon_err = np.linalg.norm((v * ev) @ vinv - h.matrix)
@@ -240,10 +240,10 @@ def _seeded_normals(seed: int, n_realizations: int, n: int,
 def _block_width(n: int) -> int:
     """Realizations per ensemble block at N sites: a power of two.
 
-    As many as a quarter of ``ENSEMBLE_BYTES`` holds at ``_COLUMN_BYTES``
-    per realization and site, rounded down, and at least one.
+    As many as ``ENSEMBLE_BYTES`` holds at ``_COLUMN_BYTES`` per
+    realization and site, rounded down, and at least one.
     """
-    columns = max(ENSEMBLE_BYTES // (4 * _COLUMN_BYTES * n), 1)
+    columns = max(ENSEMBLE_BYTES // (_COLUMN_BYTES * n), 1)
     return 1 << (columns.bit_length() - 1)
 
 
@@ -289,8 +289,9 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
     s, evolves the state for the given number of periods, and normalizes
     the result.  Reported are the per-site mean and standard deviation of
     |psi| over the reservoir and the R^2 of a linear fit of the mean
-    profile against the site index; a reservoir of fewer than two sites
-    raises DomainError before H is diagonalized.
+    profile against the site index; fewer than one realization or a
+    reservoir of fewer than two sites raises DomainError before H is
+    diagonalized.
 
     Realization i draws its noise s from
     ``np.random.default_rng(np.random.SeedSequence((seed, i)))``, bit for
@@ -300,24 +301,25 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
     Over many periods the mode with the largest gain dominates any fixed
     noise floor; choose ``periods`` with that in mind.
 
-    H is diagonalized once, and the propagator over the whole duration is
-    built from its eigenbasis once (``_evolver``).  The realizations are
+    H is diagonalized once (``chain_modes``: on the real form from
+    ``SPARSE_MIN_SITES`` sites), and the propagator over the whole duration
+    is built from its eigenbasis once (``_evolver``).  The realizations are
     then drawn, evolved by one GEMM with it and reduced to their reservoir
     moduli in blocks of a power-of-two width fixed by N alone
-    (``_block_width``: 1024 at N = 109).  The blocks are dealt to one
-    thread per CPU (``_deal``), no more of them in flight than fit in
-    ``ENSEMBLE_BYTES`` together, and each writes only its own columns of
-    the (n_res, R) moduli that the mean and std are taken over, as a
-    bit-exact mean needs.  So memory is
-    O(N^2 + ENSEMBLE_BYTES + n_res * R).  The evolution runs on one BLAS
-    thread (``_one_blas_thread``), so no bit depends on the BLAS thread
-    count or on the CPU count.  The block width does not change the noise
-    or the arithmetic per realization, but BLAS may round one
+    (``_block_width``: 1024 at N = 109), one block after another on the
+    calling thread; each writes its own columns of the (n_res, R) moduli
+    that the mean and std are taken over, as a bit-exact mean needs.  So
+    memory is O(N^2 + ENSEMBLE_BYTES + n_res * R).  The evolution runs on
+    one BLAS thread (``_one_blas_thread``), so no bit depends on the BLAS
+    thread count or on the CPU count.  The block width does not change the
+    noise or the arithmetic per realization, but BLAS may round one
     realization's product differently at another width (seen: up to
     1.1e-15 relative in mean and std).  A realization whose evolved state
     under- or overflows raises PropagationOverflowError.
     """
     _noise_seed(seed, n_realizations)
+    if n_realizations < 1:
+        raise DomainError(f"{n_realizations} realizations: need at least one")
     sites = spec.reservoir_sites()
     if len(sites) < 2:
         raise DomainError("the mean profile of a one-site reservoir has no "
@@ -328,21 +330,15 @@ def ensemble_experiment(spec: LatticeSpec, zero_mode: ZeroMode,
     profiles = np.empty((len(sites), n_realizations))
     width = _block_width(h.dim)
     with _one_blas_thread:
-        evolve = _evolver(h, periods * PERIOD)
-
-        def run(block):
-            noise = _seeded_normals(seed, block.stop - block.start,
-                                    len(sites), start=block.start)
+        evolve = _evolver(h, chain_modes(spec), periods * PERIOD)
+        for lo in range(0, n_realizations, width):
+            hi = min(lo + width, n_realizations)
+            noise = _seeded_normals(seed, hi - lo, len(sites), start=lo)
             noise *= sigma
-            states = np.tile(base[:, None], (1, block.stop - block.start))
+            states = np.tile(base[:, None], (1, hi - lo))
             states[reservoir, :] *= np.exp(noise, out=noise).T
             del noise
-            np.abs(evolve(states)[reservoir, :], out=profiles[:, block])
-
-        blocks = [slice(lo, min(lo + width, n_realizations))
-                  for lo in range(0, n_realizations, width)]
-        _deal(run, blocks, min(len(blocks), ENSEMBLE_BYTES
-                               // (_COLUMN_BYTES * h.dim * width)))
+            np.abs(evolve(states)[reservoir, :], out=profiles[:, lo:hi])
     mean, std = _mean_std(profiles)
 
     r2 = _fit_line(mean).r_squared

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePerturbationError, DomainError
-from .lattice import LatticeSpec, assemble_hamiltonian
-from .spectral import ModeSet, _gaps, eigendecompose, match_mode
+from .lattice import LatticeSpec
+from .spectral import ModeSet, _gaps, chain_modes, match_mode
 
 DEGENERACY_GAP = 1e-8
 
@@ -33,12 +33,13 @@ class PerturbationSetup:
     The cut is ``spec.partition``, the index p of the first reservoir site;
     the junction bond ``spec.bonds[p - 1]`` is ``t_prime``, and no
     Hamiltonian matrix is kept.  ``modes`` holds the uncoupled eigensystem,
-    each block decomposed on its own: the system block's modes come first,
-    then the reservoir's, each with its own block's near-defective flags,
-    and the right vectors are block diagonal, so system modes are exactly
-    zero on reservoir sites and vice versa.  Those vectors are the setup's
-    one N x N array.  ``omega0`` is the system sites' common real onsite
-    energy, where the zero mode sits, or None when they have none.
+    each block decomposed on its own (``chain_modes``): the system block's
+    modes come first, then the reservoir's, each with its own block's
+    near-defective flags, and the right vectors are block diagonal, so
+    system modes are exactly zero on reservoir sites and vice versa.  Those
+    vectors are the setup's one N x N array.  ``omega0`` is the system
+    sites' common real onsite energy, where the zero mode sits, or None
+    when they have none.
     """
 
     spec: LatticeSpec
@@ -51,8 +52,7 @@ class PerturbationSetup:
         """Cut a partitioned spec at its junction and decompose each block."""
         system, reservoir = _blocks(spec)
         p = system.n_sites
-        blocks = [eigendecompose(assemble_hamiltonian(system)),
-                  eigendecompose(assemble_hamiltonian(reservoir))]
+        blocks = [chain_modes(system), chain_modes(reservoir)]
         # the screen keeps each block's flags: a mode is not defective
         # because the other block has an eigenvalue next to it
         w = np.concatenate([b.eigenvalues for b in blocks])
@@ -155,7 +155,7 @@ def first_order_zero_mode(spec: LatticeSpec, omega0: float = 0.0) -> np.ndarray:
     reservoir length.
     """
     system = _blocks(spec)[0]
-    modes = eigendecompose(assemble_hamiltonian(system))
+    modes = chain_modes(system)
     w0, psi = _unperturbed(
         modes, int(np.argmin(np.abs(modes.eigenvalues - omega0))))
     psi0 = np.zeros(spec.n_sites, dtype=complex)
@@ -242,15 +242,16 @@ def perturbation_vs_exact(spec: LatticeSpec, mode_index: int | None = None
     """Compare first-order theory against the exact coupled eigenvector.
 
     Defaults to the zero mode, the unperturbed mode closest to the system
-    sites' real onsite energy omega0.  The exact mode is the one that
-    ``match_mode`` pairs with the first-order vector.  That vector is
-    matched to the exact one in phase and normalization by least-squares
-    projection before the 2-norm error is taken.
+    sites' real onsite energy omega0.  The exact mode is the one of
+    ``chain_modes(spec)`` that ``match_mode`` pairs with the first-order
+    vector.  That vector is matched to the exact one in phase and
+    normalization by least-squares projection before the 2-norm error is
+    taken.
     """
     setup = PerturbationSetup.from_spec(spec)
     if mode_index is None:
         mode_index = setup.zero_mode_index()
-    exact = eigendecompose(assemble_hamiltonian(spec))
+    exact = chain_modes(spec)
     omega_pert = setup.modes.eigenvalues[mode_index] + first_order_energy(
         setup, mode_index)
     psi_pert = setup.modes.right_vectors[:, mode_index] + \

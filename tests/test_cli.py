@@ -489,16 +489,21 @@ class TestReportCommand:
         assert f"unreadable output file {path}: JSONDecodeError" \
             in capsys.readouterr().err
 
-    def test_regime_without_regime_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, error", [
+        (lambda p: p.pop("regime"), "KeyError: 'regime'"),
+        (lambda p: p.update(fits=[]), "AttributeError"),
+        (lambda p: p.update(meta=["not", "an", "object"]), "AttributeError")],
+        ids=["no-regime", "fits-a-list", "meta-a-list"])
+    def test_hand_edited_regime_exits_2(self, tmp_path, capsys, edit, error):
         out = tmp_path / "out"
         assert main(["run", "fig1c", "--out", str(out)]) == 0
         path = out / "regime.json"
         payload = json.loads(path.read_text())
-        del payload["regime"]
+        edit(payload)
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["report", str(out)]) == 2
-        assert f"unreadable output file {path}: KeyError: 'regime'" \
+        assert f"unreadable output file {path}: {error}" \
             in capsys.readouterr().err
 
 

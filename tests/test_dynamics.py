@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -32,7 +33,7 @@ def loop_ensemble(spec, zm, sigma, n_realizations, periods, seed):
     for i in range(n_realizations):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         states[reservoir, i] *= np.exp(sigma * rng.standard_normal(len(sites)))
-    out = _evolver(h, periods * PERIOD)(states)
+    out = _evolver(h, nhzm.chain_modes(spec), periods * PERIOD)(states)
     profiles = np.abs(out[reservoir, :])
     return profiles.mean(axis=1), profiles.std(axis=1)
 
@@ -107,7 +108,7 @@ class TestPropagate:
         rng = np.random.default_rng(8)
         states = rng.normal(size=(19, 4)) + 1j * rng.normal(size=(19, 4))
         duration = 2.0 * PERIOD
-        fast = _evolver(h, duration)(states.copy())
+        fast = _evolver(h, nhzm.eigendecompose(h), duration)(states.copy())
         for j in range(4):
             direct = nhzm.propagate(h, states[:, j], duration)
             direct = direct / np.abs(direct).max()
@@ -116,17 +117,18 @@ class TestPropagate:
 
     def test_defective_matrix_takes_the_renormalized_fallback(self):
         # gain/loss equal to the coupling makes this dimer exactly
-        # defective: numpy's two eigenvectors are parallel, the eigenbasis
+        # defective: its two eigenvectors are parallel, the eigenbasis
         # fails its reconstruction check, and every column is stepped
         # period by period
         h = defective_dimer()
-        ev, v = np.linalg.eig(h.matrix)
+        modes = nhzm.eigendecompose(h)
+        ev, v = modes.eigenvalues, modes.right_vectors
         assert np.linalg.norm(v @ np.diag(ev) @ np.linalg.inv(v) - h.matrix) \
             > 1e-8 * np.linalg.norm(h.matrix) / np.sqrt(2)
         rng = np.random.default_rng(10)
         states = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         duration = 3.5 * PERIOD
-        out = _evolver(h, duration)(states.copy())
+        out = _evolver(h, modes, duration)(states.copy())
         for j in range(3):
             direct, _ = nhzm.propagate(h, states[:, j], duration,
                                        renormalize_each_period=True)
@@ -135,7 +137,8 @@ class TestPropagate:
 
     def test_reconstruction_check_takes_no_svd(self, monkeypatch):
         # Frobenius norms of the error and of H, not their 2-norms: an SVD
-        # each, 0.66 s and 0.75 s at 1009 sites on one BLAS thread
+        # each, 0.66 s and 0.75 s at 1009 sites on one BLAS thread; the
+        # eigendecomposition's scale takes the 1- and inf-norms
         norm, orders = np.linalg.norm, []
 
         def recording(x, ord=None, **kwargs):
@@ -144,8 +147,8 @@ class TestPropagate:
 
         monkeypatch.setattr(np.linalg, "norm", recording)
         h = nhzm.assemble_hamiltonian(nhzm.coupled_chain(2.0))
-        _evolver(h, 0.17 * PERIOD)
-        assert orders and set(orders) == {None}
+        _evolver(h, nhzm.eigendecompose(h), 0.17 * PERIOD)
+        assert None in orders and not {2, -2} & set(orders)
         assert "norm" not in vars(h)
 
     def test_fallback_computes_two_propagators_per_ensemble(self,
@@ -166,16 +169,19 @@ class TestPropagate:
         assert np.all(np.isfinite(result.mean_abs_profile))
 
     def test_vanishing_coefficient_stays_zero(self):
-        # a diagonal H has exactly the identity as eigenvectors, so a zero
-        # entry of a state is an exactly zero coefficient, which the
-        # propagator keeps at exactly 0
+        # a diagonal H has exactly the columns of the identity as
+        # eigenvectors, so a zero entry of a state is an exactly zero
+        # coefficient, which the propagator keeps at exactly 0
         w = np.array([1.0 + 0.1j, -0.5 - 0.2j, 0.3j, 0.7 - 0.05j])
         h = nhzm.Hamiltonian(np.diag(w))
-        assert np.array_equal(np.linalg.eig(h.matrix)[1], np.eye(4))
+        modes = nhzm.eigendecompose(h)
+        v = modes.right_vectors
+        assert set(v.ravel().tolist()) == {0, 1}
+        assert np.array_equal(v @ v.T, np.eye(4))
         states = np.array([[1.0, 0.5j], [0.0, 2.0], [0.3 - 0.2j, 0.0],
                            [2.0, 1.0]], dtype=complex)
         duration = 2.0
-        out = _evolver(h, duration)(states.copy())
+        out = _evolver(h, modes, duration)(states.copy())
         assert out[1, 0] == 0 and out[2, 1] == 0
         expected = np.exp(-1j * w[:, None] * duration) * states
         expected /= np.abs(expected).max(axis=0)
@@ -190,7 +196,7 @@ class TestPropagate:
         w = np.array([0.3 + 1.0j, 0.1 + 0.2j, -0.2 + 0.2j])
         h = nhzm.Hamiltonian(np.diag(w))
         states = np.array([[1.0, 0.0], [1.0, 1.0], [0.5, 1j]], dtype=complex)
-        evolve = _evolver(h, duration)
+        evolve = _evolver(h, nhzm.eigendecompose(h), duration)
         assert np.all(np.isfinite(evolve(states[:, :1].copy())))
         with pytest.raises(PropagationOverflowError):
             evolve(states.copy())
@@ -208,7 +214,7 @@ class TestPropagate:
         states[sites.start:sites.stop] *= np.exp(
             0.1 * _seeded_normals(0, 3, len(sites))).T
         duration = periods * PERIOD
-        fast = _evolver(h, duration)(states.copy())
+        fast = _evolver(h, nhzm.chain_modes(spec), duration)(states.copy())
         steps = dynamics._period_steps(h, duration)
         for j in range(3):
             slow, _ = dynamics._step_renormalized(states[:, j], *steps)
@@ -298,6 +304,43 @@ class TestEnsemble:
             nhzm.ensemble_experiment(spec, zm, n_realizations=4,
                                      periods=0.17)
 
+    @pytest.mark.parametrize("n_realizations", [0, -3])
+    def test_empty_ensemble_refused_before_diagonalizing(self, monkeypatch,
+                                                         n_realizations):
+        # no profile to average: refused rather than NaN or numpy's
+        # negative-dimensions error
+        monkeypatch.setattr(dynamics, "chain_modes", lambda spec: pytest.fail(
+            "diagonalized an empty ensemble"))
+        spec, zm = baseline_zero_mode(2.000316)
+        with pytest.raises(DomainError, match="realizations"):
+            nhzm.ensemble_experiment(spec, zm, n_realizations=n_realizations,
+                                     periods=0.17)
+
+    def test_one_eigensolve_and_no_thread(self, monkeypatch):
+        # four blocks of 1024 at N = 109, evolved one after another on the
+        # calling thread by the propagator of one ``chain_modes``
+        spec = nhzm.coupled_chain(2.0, n_reservoir=100)
+        zm = nhzm.lowest_zero_mode(spec)
+        solve, calls = dynamics.chain_modes, []
+        monkeypatch.setattr(dynamics, "chain_modes",
+                            lambda s: calls.append(s) or solve(s))
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: pytest.fail("started a thread"))
+        nhzm.ensemble_experiment(spec, zm, n_realizations=4096, periods=0.17)
+        assert calls == [spec]
+
+    @pytest.mark.parametrize("n_reservoir", [100, 500])
+    def test_chain_takes_the_eigenbasis_route(self, monkeypatch, n_reservoir):
+        # the benchmark's 109-site chain and a 509-site one reconstruct
+        # from their real-form eigenpairs: no period-by-period stepping
+        spec = nhzm.coupled_chain(2.0, n_reservoir=n_reservoir)
+        zm = nhzm.lowest_zero_mode(spec)
+        monkeypatch.setattr(dynamics, "_period_steps", lambda *a: pytest.fail(
+            "took the per-period fallback"))
+        result = nhzm.ensemble_experiment(spec, zm, n_realizations=8,
+                                          periods=0.17)
+        assert np.all(np.isfinite(result.mean_abs_profile))
+
     def test_reproducible_bit_for_bit(self):
         spec, zm = baseline_zero_mode(2.000316)
         kwargs = dict(sigma=0.1, n_realizations=64, periods=0.17, seed=123)
@@ -361,13 +404,13 @@ class TestEnsembleBlocks:
             width = _block_width(n)
             assert width & (width - 1) == 0
             assert (width * dynamics._COLUMN_BYTES * n
-                    <= dynamics.ENSEMBLE_BYTES // 4
+                    <= dynamics.ENSEMBLE_BYTES
                     < 2 * width * dynamics._COLUMN_BYTES * n)
 
     def test_bits_do_not_depend_on_the_cpu_count(self, monkeypatch):
-        # four blocks of 1024 at N = 109 on one thread, then on 3 and 8 CPUs
-        # (three and four threads) switching every microsecond: a block
-        # written to the wrong columns or not at all changes the bits
+        # four blocks of 1024 at N = 109 with the CPU count patched to 1, 3
+        # and 8 and, on more than one, a switch interval of a microsecond:
+        # no bit depends on either
         spec = nhzm.coupled_chain(2.0, n_reservoir=100)
         zm = nhzm.lowest_zero_mode(spec)
         kwargs = dict(n_realizations=4096, periods=0.17, seed=3)
@@ -388,55 +431,6 @@ class TestEnsembleBlocks:
         assert nhzm.spectral.threading.active_count() == threads
         assert results[1:] == results[:1] * 2
 
-    @pytest.mark.parametrize("cpus, budget, workers", [
-        (1, None, 0), (3, None, 2), (8, None, 6), (8, 1 * 2 ** 20, 6),
-        (8, 4000, 0)])
-    def test_blocks_in_flight_fit_the_budget(self, monkeypatch, cpus, budget,
-                                             workers):
-        # the calling thread evolves one share of the blocks; there are
-        # eight blocks at every budget, so the blocks that fit in flight,
-        # not their count, cap the threads
-        started = []
-
-        class Thread(nhzm.spectral.threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(nhzm.spectral.threading, "Thread", Thread)
-        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
-        if budget is not None:
-            monkeypatch.setattr(dynamics, "ENSEMBLE_BYTES", budget)
-        spec = nhzm.coupled_chain(2.0, n_reservoir=100)
-        zm = nhzm.lowest_zero_mode(spec)
-        n = spec.n_sites
-        nhzm.ensemble_experiment(spec, zm, n_realizations=8 * _block_width(n),
-                                 periods=0.17)
-        block = _block_width(n) * dynamics._COLUMN_BYTES * n
-        assert len(started) == workers
-        assert workers == 0 or (workers + 1) * block <= dynamics.ENSEMBLE_BYTES
-
-    def test_worker_error_after_every_thread_joins(self, monkeypatch):
-        draw = dynamics._seeded_normals
-
-        def failing_off_the_calling_thread(*args, **kwargs):
-            if nhzm.spectral.threading.current_thread() \
-                    is not nhzm.spectral.threading.main_thread():
-                raise FloatingPointError("worker")
-            return draw(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "_seeded_normals",
-                            failing_off_the_calling_thread)
-        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: 3)
-        spec = nhzm.coupled_chain(2.0, n_reservoir=100)
-        zm = nhzm.lowest_zero_mode(spec)
-        threads = nhzm.spectral.threading.active_count()
-        with pytest.raises(FloatingPointError, match="worker"):
-            nhzm.ensemble_experiment(spec, zm, n_realizations=4096,
-                                     periods=0.17)
-        assert nhzm.spectral.threading.active_count() == threads
-        assert nhzm.spectral._one_blas_thread._open == 0
-
     @pytest.mark.parametrize("width", [1, 7, 64])
     def test_width_moves_mean_and_std_only_by_rounding(self, monkeypatch,
                                                        width):
@@ -451,13 +445,10 @@ class TestEnsembleBlocks:
         np.testing.assert_allclose(blocked.std_profile, one.std_profile,
                                    rtol=1e-14, atol=0)
 
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_traced_memory_is_the_budget_and_the_moduli(self, monkeypatch,
-                                                        cpus):
-        # all realizations at once trace ~80 MB here; blocks within the
+    def test_traced_memory_is_the_budget_and_the_moduli(self, monkeypatch):
+        # all realizations at once trace ~80 MB here; one block within the
         # budget and the (n_res, R) moduli that mean and std are taken
-        # over, ~9 MB, on one thread and on three
-        monkeypatch.setattr(nhzm.spectral, "_cpu_count", lambda: cpus)
+        # over, ~10 MB
         monkeypatch.setattr(dynamics, "ENSEMBLE_BYTES", 4 * 2 ** 20)
         spec = nhzm.coupled_chain(2.0, n_reservoir=100)
         zm = nhzm.lowest_zero_mode(spec)
@@ -469,9 +460,10 @@ class TestEnsembleBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        block = _block_width(spec.n_sites) * dynamics._COLUMN_BYTES \
+            * spec.n_sites
         margin = 2 * 2 ** 20
-        assert peak <= (dynamics.ENSEMBLE_BYTES + 8 * n_res * n_realizations
-                        + margin)
+        assert peak <= block + 8 * n_res * n_realizations + margin
 
 
 class TestEpEvolution:

@@ -84,6 +84,25 @@ class TestSetup:
             res_weight = np.linalg.norm(psi[9:])
             assert min(sys_weight, res_weight) == 0.0
 
+    @pytest.mark.parametrize("n_reservoir", [10, 100])
+    def test_block_modes_are_each_blocks_chain_modes(self, n_reservoir):
+        # bit for bit: a 10-site reservoir on the complex path, a 100-site
+        # one on its real form; only the gaps are taken over both blocks
+        spec = nhzm.coupled_chain(2.0, n_reservoir=n_reservoir)
+        modes = PerturbationSetup.from_spec(spec).modes
+        p = spec.partition
+        for block, sites in zip(perturbation._blocks(spec),
+                                (slice(0, p), slice(p, None))):
+            ref = nhzm.chain_modes(block)
+            assert modes.eigenvalues[sites].tobytes() \
+                == ref.eigenvalues.tobytes()
+            assert modes.right_vectors[sites, sites].tobytes() \
+                == ref.right_vectors.tobytes()
+            assert modes.lr_overlaps[sites].tobytes() \
+                == ref.lr_overlaps.tobytes()
+            assert np.array_equal(modes.near_defective[sites],
+                                  ref.near_defective)
+
     def test_zero_mode_index_picks_the_edge_mode(self):
         _, setup = setup_for(2.0)
         idx = setup.zero_mode_index()
@@ -345,6 +364,13 @@ class TestAgainstExact:
         assert abs(shifted.omega_perturbative.real - 0.7) <= ZERO_TOL
         assert abs(shifted.vector_error - ref.vector_error) <= 1e-10
         assert abs(shifted.energy_error - ref.energy_error) <= 1e-10
+
+    def test_long_chain_zero_mode_sits_on_the_axis(self):
+        # from 64 sites the exact modes come from the real form, where a
+        # zero mode has Re(omega) == omega0 exactly
+        comparison = nhzm.perturbation_vs_exact(
+            nhzm.coupled_chain(2.0, n_reservoir=100))
+        assert comparison.omega_exact.real == 0.0
 
     def test_returns_the_compared_vectors(self):
         spec, setup = setup_for(2.0)
